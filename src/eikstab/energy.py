@@ -171,21 +171,29 @@ def _dirichlet_density(grid: GridField) -> np.ndarray:
     return out
 
 
-def evaluate_F_eps(grid: GridField, eps: float,
-                   H: Optional[np.ndarray] = None) -> EnergyBreakdown:
-    """Elastic + stray-field + unit-length penalty + third-component terms."""
+def _local_terms(grid: GridField, eps: float):
+    """(Dirichlet, unit-length penalty) over the masked cells."""
     if eps <= 0:
         raise ValueError("eps must be positive")
+    h2 = grid.h * grid.h
+    mask = grid.mask
+    dirichlet = 0.5 * eps * float(np.sum(_dirichlet_density(grid)[mask])) * h2
+    norm2 = np.sum(grid.values * grid.values, axis=-1)
+    penalty = 0.5 / eps * float(np.sum(((1.0 - norm2) ** 2)[mask])) * h2
+    return dirichlet, penalty
+
+
+def evaluate_F_eps(grid: GridField, eps: float,
+                   H: Optional[np.ndarray] = None) -> EnergyBreakdown:
+    """Elastic + stray-field + unit-length penalty + third-component terms.
+
+    The two-term energy of the same grid is ``dirichlet + penalty``."""
+    dirichlet, penalty = _local_terms(grid, eps)
     if H is None:
         H = solve_stray_field(grid)
     h2 = grid.h * grid.h
-    m = grid.values
-    mask = grid.mask
-    dirichlet = 0.5 * eps * float(np.sum(_dirichlet_density(grid)[mask])) * h2
     magnetostatic = 0.5 / eps * float(np.sum(H * H)) * h2
-    norm2 = np.sum(m * m, axis=-1)
-    penalty = 0.5 / eps * float(np.sum(((1.0 - norm2) ** 2)[mask])) * h2
-    m3_term = 0.5 / eps * float(np.sum((m[:, :, 2] ** 4)[mask])) * h2
+    m3_term = 0.5 / eps * float(np.sum((grid.values[:, :, 2] ** 4)[grid.mask])) * h2
     total = dirichlet + magnetostatic + penalty + m3_term
     return EnergyBreakdown(dirichlet=dirichlet, magnetostatic=magnetostatic,
                            penalty=penalty, m3_term=m3_term, total=total,
@@ -194,18 +202,10 @@ def evaluate_F_eps(grid: GridField, eps: float,
 
 def evaluate_E_AG(grid: GridField, eps: float) -> EnergyBreakdown:
     """Elastic + unit-length penalty only."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    h2 = grid.h * grid.h
-    m = grid.values
-    mask = grid.mask
-    dirichlet = 0.5 * eps * float(np.sum(_dirichlet_density(grid)[mask])) * h2
-    norm2 = np.sum(m * m, axis=-1)
-    penalty = 0.5 / eps * float(np.sum(((1.0 - norm2) ** 2)[mask])) * h2
-    total = dirichlet + penalty
+    dirichlet, penalty = _local_terms(grid, eps)
     return EnergyBreakdown(dirichlet=dirichlet, magnetostatic=0.0,
-                           penalty=penalty, m3_term=0.0, total=total,
-                           epsilon=eps)
+                           penalty=penalty, m3_term=0.0,
+                           total=dirichlet + penalty, epsilon=eps)
 
 
 def stray_field_l2(grid: GridField, H: Optional[np.ndarray] = None) -> float:

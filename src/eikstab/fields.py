@@ -14,7 +14,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.optimize import minimize
 
-from .geometry import BoundaryCurve
+from .geometry import BoundaryCurve, ngon_sector
 
 TWO_PI = 2.0 * math.pi
 
@@ -176,18 +176,14 @@ def distgrad_field(ngon_curve: BoundaryCurve) -> UnitField:
 
 def _distgrad_raw(field: UnitField, X):
     m = field.meta
-    n, rot = m["n"], m["rotation"]
-    rel = X - m["center"]
-    theta = np.arctan2(rel[:, 1], rel[:, 0]) - rot
-    sector = np.floor_divide(theta % TWO_PI, TWO_PI / n).astype(int) % n
-    values = np.empty_like(rel)
-    region = np.empty(len(rel), dtype=int)
-    values[:] = m["strip_values"][sector]
-    region[:] = sector
+    n = m["n"]
+    sector = ngon_sector(field.domain, X)
+    values = m["strip_values"][sector]
+    region = sector.copy()
     # a sector point can fall in the patch at either sector corner
     for shift in (0, 1):
         k = (sector + shift) % n
-        u = rel - m["vertices"][k]
+        u = X - m["vertices"][k]
         nu = np.hypot(u[:, 0], u[:, 1])
         ang = np.arctan2(u[:, 1], u[:, 0])
         hit = (np.abs(_wrap(ang - m["phis"][k])) <= math.pi / n + 1e-15) & (nu > 0)

@@ -16,7 +16,7 @@ renormalized to unit length on evaluation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +38,8 @@ class BoundaryCurve:
     param_offset : shift applied to the public parameter; geometry is
         invariant under it, which reparametrization tests exploit.
     meta : family-specific payload (centers, axes, vertex data, ...).
+    spec : canonical curve spec, ``kind[:key=value,...]``, as the command
+        line parses it.
     """
 
     kind: str
@@ -47,6 +49,7 @@ class BoundaryCurve:
     param_offset: float = 0.0
     orientation_ccw: bool = True
     meta: dict = field(default_factory=dict)
+    spec: str = ""
 
     def __post_init__(self):
         self._starts = np.concatenate([[0.0], np.cumsum([p.length for p in self.pieces])])
@@ -90,14 +93,7 @@ class BoundaryCurve:
         return self._eval(s, "curvature")
 
     def with_param_offset(self, delta: float) -> "BoundaryCurve":
-        return BoundaryCurve(
-            kind=self.kind,
-            pieces=self.pieces,
-            perimeter=self.perimeter,
-            curvature_bound=self.curvature_bound,
-            param_offset=(self.param_offset + delta) % self.perimeter,
-            meta=self.meta,
-        )
+        return replace(self, param_offset=(self.param_offset + delta) % self.perimeter)
 
     # -- quadrature -----------------------------------------------------
 
@@ -153,28 +149,24 @@ class BoundaryCurve:
         if self.kind == "ellipse":
             return self.pieces[0].implicit(pts) < 0.0
         if self.kind == "rounded_ngon":
-            return self._ngon_signed_gap(pts) < 0.0
+            return self._ngon_inside(pts)
         return self.pieces[0].winding_inside(pts)
 
-    def _ngon_signed_gap(self, pts):
-        """dist(x, inner polygon) - arc radius; negative inside the domain."""
-        v = self.meta["vertices"]          # (n, 2) inner polygon vertices
-        n_out = self.meta["side_normals"]  # (n, 2)
-        apothem = self.meta["apothem"]
-        r = self.meta["arc_radius"]
-        rel = pts[:, None, :] - v[None, :, :]
-        margins = pts @ n_out.T - apothem  # (m, n)
-        inside_poly = np.all(margins <= 0.0, axis=1)
-        # distance to polygon boundary for outside points: min point-segment
-        edges = np.roll(v, -1, axis=0) - v   # (n, 2)
-        elen = np.linalg.norm(edges, axis=1)
-        edir = edges / elen[:, None]
-        t = np.einsum("mnd,nd->mn", rel, edir)
-        t = np.clip(t, 0.0, elen[None, :])
-        foot = v[None, :, :] + t[..., None] * edir[None, :, :]
-        dist_seg = np.linalg.norm(pts[:, None, :] - foot, axis=2).min(axis=1)
-        d_poly = np.where(inside_poly, 0.0, dist_seg)
-        return d_poly - r
+    def _ngon_inside(self, pts):
+        """dist(x, inner polygon) < arc radius, against the polygon edge of
+        the point's sector only: in sector k the nearest polygon point lies
+        on the closed edge from vertex k to vertex k+1."""
+        m = self.meta
+        k = ngon_sector(self, pts)
+        v = m["vertices"]
+        edges = np.roll(v, -1, axis=0) - v
+        elen = np.hypot(edges[:, 0], edges[:, 1])
+        edir = (edges / elen[:, None])[k]
+        rel = pts - v[k]
+        t = np.clip(np.sum(rel * edir, axis=1), 0.0, elen[k])
+        off = rel - t[:, None] * edir
+        in_poly = np.sum(pts * m["side_normals"][k], axis=1) <= m["apothem"][k]
+        return in_poly | (np.hypot(off[:, 0], off[:, 1]) < m["arc_radius"])
 
     def dist_to_boundary(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -201,16 +193,32 @@ class BoundaryCurve:
         return sorted(out)
 
     def ray_exit(self, x, d, tol: float = 1e-12):
-        """Smallest ray parameter t > tol where x + t d meets the curve."""
-        best = math.inf
+        """Smallest ray parameter t > tol where x + t d meets the curve.
+
+        Takes one ray (x, d of shape (2,)) and returns a float, or a batch
+        (shape (n, 2)) and returns an (n,) array; d must be a unit vector.
+        Rays that never meet the curve get inf.
+        """
+        X = np.atleast_2d(np.asarray(x, dtype=float))
+        D = np.atleast_2d(np.asarray(d, dtype=float))
+        best = np.full(len(X), np.inf)
         for piece in self.pieces:
-            for t in piece.ray_hits(x, d):
-                if tol < t < best:
-                    best = t
-        return best
+            best = np.minimum(best, piece.ray_hits(X, D, tol))
+        return float(best[0]) if np.ndim(x) == 1 else best
 
 
 # -- constructors --------------------------------------------------------
+
+
+def _spec(kind: str, rotation: float, **keys) -> str:
+    """Canonical spec; numbers print as %g when that reads back exactly,
+    and a zero rotation is left out."""
+    def num(x):
+        return f"{x:g}" if float(f"{x:g}") == x else repr(float(x))
+
+    if rotation:
+        keys["rotation"] = rotation
+    return kind + ":" + ",".join(f"{k}={num(v)}" for k, v in keys.items())
 
 
 def make_circle(center=(0.0, 0.0)) -> BoundaryCurve:
@@ -223,6 +231,7 @@ def make_circle(center=(0.0, 0.0)) -> BoundaryCurve:
         perimeter=TWO_PI,
         curvature_bound=1.0,
         meta={"center": center},
+        spec="circle",
     )
 
 
@@ -241,6 +250,7 @@ def make_ellipse(aspect: float, rotation: float = 0.0, center=(0.0, 0.0)) -> Bou
         curvature_bound=kmax,
         meta={"a": piece.a, "b": piece.b, "rotation": rotation,
               "center": np.asarray(center, dtype=float)},
+        spec=_spec("ellipse", aspect=aspect, rotation=rotation),
     )
 
 
@@ -292,7 +302,21 @@ def make_rounded_ngon(n: int, rotation: float = 0.0, center=(0.0, 0.0)) -> Bound
             "inradius": lam * (1.0 + math.cos(math.pi / n)) / 2.0,
             "circumradius": lam,
         },
+        spec=_spec("rounded_ngon", n=n, rotation=rotation),
     )
+
+
+def ngon_sector(curve: BoundaryCurve, pts) -> np.ndarray:
+    """Sector of each point of the plane about a rounded n-gon's center.
+
+    Sector k holds the polar angles [phi_k, phi_k+1) about the center, with
+    phi_k the direction of inner-polygon vertex k: the wedge of flat side k,
+    whose points are nearest to side k or to the arcs at its two ends.
+    """
+    m = curve.meta
+    rel = pts - m["center"]
+    theta = np.arctan2(rel[:, 1], rel[:, 0]) - m["rotation"]
+    return np.floor_divide(theta % TWO_PI, TWO_PI / m["n"]).astype(int) % m["n"]
 
 
 def make_spline_curve(points) -> BoundaryCurve:
@@ -309,7 +333,7 @@ def make_spline_curve(points) -> BoundaryCurve:
         piece = SplinePiece(np.asarray(piece._poly[:-1]) * (TWO_PI / piece.length))
     s_dense = np.linspace(0.0, piece.length, 4096, endpoint=False)
     kmax = float(np.abs(piece.curvature(s_dense)).max())
-    area2 = 0.0  # orientation check via the shoelace of the cached polyline
+    # orientation check via the shoelace of the cached polyline
     poly = piece._poly[:-1]
     area2 = float(np.sum(poly[:, 0] * np.roll(poly[:, 1], -1) - np.roll(poly[:, 0], -1) * poly[:, 1]))
     if area2 < 0:
@@ -320,6 +344,7 @@ def make_spline_curve(points) -> BoundaryCurve:
         perimeter=piece.length,
         curvature_bound=kmax,
         meta={"n_samples": len(pts)},
+        spec="spline",
     )
 
 

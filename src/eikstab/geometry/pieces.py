@@ -2,8 +2,8 @@
 
 Every piece maps a local arc-length coordinate ``u`` in ``[0, length]`` to
 points on a planar curve, oriented counterclockwise.  Pieces also answer
-exact segment/ray intersection queries, which the star-region, clearance
-and trajectory machinery all rely on.
+exact segment intersection queries and vectorized ray exits, which the
+star-region, clearance and trajectory machinery all rely on.
 """
 from __future__ import annotations
 
@@ -96,10 +96,6 @@ class ArcPiece:
         d_end = np.minimum(np.hypot(*(pts - e0).T), np.hypot(*(pts - e1).T))
         return np.where(on_arc, radial, d_end)
 
-    def _param_from_angle(self, ang: float) -> float:
-        rel = (ang - self.a0) % _TWO_PI
-        return rel * self.radius
-
     def segment_hits(self, p, q):
         """Intersections with segment p->q as (t_seg in [0,1], u) pairs."""
         p = _as_xy(p)
@@ -123,27 +119,25 @@ class ArcPiece:
                     out.append((min(max(t, 0.0), 1.0), min(rel * self.radius, self.length)))
         return out
 
-    def ray_hits(self, x, d):
-        """Positive ray parameters t where x + t*d meets the arc."""
-        x = np.asarray(x, dtype=float)
-        d = np.asarray(d, dtype=float)
-        f = x - self.center
-        A = d @ d
-        B = 2.0 * (f @ d)
-        C = f @ f - self.radius**2
-        disc = B * B - 4 * A * C
-        if A == 0 or disc < 0:
-            return []
-        sq = math.sqrt(disc)
-        hits = []
-        for t in ((-B - sq) / (2 * A), (-B + sq) / (2 * A)):
-            if t > 0:
-                p = x + t * d
-                ang = math.atan2(p[1] - self.center[1], p[0] - self.center[0])
-                rel = (ang - self.a0) % _TWO_PI
-                if rel <= self.a1 - self.a0 + 1e-12:
-                    hits.append(t)
-        return hits
+    def ray_hits(self, x, d, tol):
+        """First ray parameter t > tol where x + t d meets the arc, else inf.
+
+        x, d: (n, 2) origins and unit directions; returns (n,).
+        """
+        rel = x - self.center
+        b = np.sum(rel * d, axis=1)
+        disc = b * b - (np.sum(rel * rel, axis=1) - self.radius * self.radius)
+        ok = disc >= 0.0
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        mid = 0.5 * (self.a0 + self.a1)
+        half = 0.5 * (self.a1 - self.a0)
+        best = np.full(len(x), np.inf)
+        for root in (-b + sq, -b - sq):
+            hit = rel + root[:, None] * d
+            ang = np.arctan2(hit[:, 1], hit[:, 0])
+            in_win = np.abs((ang - mid + math.pi) % _TWO_PI - math.pi) <= half + 1e-12
+            best = np.where(ok & (root > tol) & in_win, root, best)
+        return best
 
 
 class SegmentPiece:
@@ -186,24 +180,21 @@ class SegmentPiece:
             return []
         rel = self.p0 - p
         t = (rel[0] * e[1] - rel[1] * e[0]) / denom
-        v = (rel[0] * d[1] - rel[1] * d[0]) / -denom
+        v = (rel[0] * d[1] - rel[1] * d[0]) / denom
         if -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= v <= 1 + 1e-12:
             return [(min(max(t, 0.0), 1.0), min(max(v, 0.0), 1.0) * self.length)]
         return []
 
-    def ray_hits(self, x, d):
-        x = np.asarray(x, dtype=float)
-        d = np.asarray(d, dtype=float)
-        e = self.p1 - self.p0
-        denom = d[0] * e[1] - d[1] * e[0]
-        if abs(denom) < 1e-15:
-            return []
+    def ray_hits(self, x, d, tol):
+        """First ray parameter t > tol where x + t d meets the segment, else inf."""
+        e = self.dir
+        den = d[:, 0] * e[1] - d[:, 1] * e[0]
         rel = self.p0 - x
-        t = (rel[0] * e[1] - rel[1] * e[0]) / denom
-        v = (rel[0] * d[1] - rel[1] * d[0]) / denom
-        if t > 0 and -1e-12 <= v <= 1 + 1e-12:
-            return [t]
-        return []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (rel[:, 0] * e[1] - rel[:, 1] * e[0]) / den
+            v = (rel[:, 0] * d[:, 1] - rel[:, 1] * d[:, 0]) / den
+        ok = (np.abs(den) > 1e-14) & (t > tol) & (v >= -1e-9) & (v <= self.length + 1e-9)
+        return np.where(ok, t, np.inf)
 
 
 class EllipsePiece:
@@ -337,17 +328,20 @@ class EllipsePiece:
             out.append((min(max(t, 0.0), 1.0), float(self._s_of_theta(th))))
         return out
 
-    def ray_hits(self, x, d):
-        p = self._to_local(x)[0]
-        dd = np.asarray(d, dtype=float) @ self._R
-        A = (dd[0] / self.a) ** 2 + (dd[1] / self.b) ** 2
-        B = 2 * (p[0] * dd[0] / self.a**2 + p[1] * dd[1] / self.b**2)
-        C = (p[0] / self.a) ** 2 + (p[1] / self.b) ** 2 - 1.0
+    def ray_hits(self, x, d, tol):
+        """First ray parameter t > tol where x + t d meets the ellipse, else
+        inf; d nonzero."""
+        p = self._to_local(x)
+        dd = d @ self._R
+        A = (dd[:, 0] / self.a) ** 2 + (dd[:, 1] / self.b) ** 2
+        B = 2 * (p[:, 0] * dd[:, 0] / self.a**2 + p[:, 1] * dd[:, 1] / self.b**2)
+        C = (p[:, 0] / self.a) ** 2 + (p[:, 1] / self.b) ** 2 - 1.0
         disc = B * B - 4 * A * C
-        if A == 0 or disc < 0:
-            return []
-        sq = math.sqrt(disc)
-        return [t for t in ((-B - sq) / (2 * A), (-B + sq) / (2 * A)) if t > 0]
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        best = np.full(len(p), np.inf)
+        for t in ((-B + sq) / (2 * A), (-B - sq) / (2 * A)):
+            best = np.where((disc >= 0) & (t > tol), t, best)
+        return best
 
 
 class SplinePiece:
@@ -448,8 +442,15 @@ class SplinePiece:
         d = q - p
         return [(t, u) for t, u in self._crossings(p, d, 1.0 + 1e-12)]
 
-    def ray_hits(self, x, d):
-        return [t for t, _ in self._crossings(np.asarray(x, float), np.asarray(d, float), math.inf)]
+    def ray_hits(self, x, d, tol):
+        """First ray parameter t > tol where x + t d meets the spline, else
+        inf; one root search per ray."""
+        best = np.full(len(x), np.inf)
+        for i in range(len(x)):
+            for t, _ in self._crossings(x[i], d[i], math.inf):
+                if tol < t < best[i]:
+                    best[i] = t
+        return best
 
     def winding_inside(self, pts):
         """Even-odd containment against the dense polyline."""

@@ -32,17 +32,24 @@ def circ_dist(a, b):
     return np.abs(_wrap(np.asarray(a) - np.asarray(b)))
 
 
-def jump_rule(theta_J: float, m_far, s: float) -> Tuple[float, float, bool]:
+def jump_rule(theta_J, m_far, s):
     """Crossing rule at a jump: (new direction, added variation, crossed).
 
     Crossing is allowed when the far trace admits the direction; otherwise
-    the direction reflects specularly across the jump tangent.
+    the direction reflects specularly across the jump tangent.  Vectorized
+    over hits (theta_J, s of shape (n,), m_far of shape (n, 2)); scalar
+    arguments give Python scalars back.
     """
-    e = np.array([math.cos(s), math.sin(s)])
-    if float(np.dot(m_far, e)) > 0.0:
-        return s, 0.0, True
-    s_new = (2.0 * theta_J - s) % TWO_PI
-    return s_new, float(circ_dist(s, s_new)), False
+    theta_J = np.asarray(theta_J, dtype=float)
+    m_far = np.asarray(m_far, dtype=float)
+    s = np.asarray(s, dtype=float)
+    crossed = m_far[..., 0] * np.cos(s) + m_far[..., 1] * np.sin(s) > 0.0
+    s_ref = (2.0 * theta_J - s) % TWO_PI
+    s_new = np.where(crossed, s, s_ref)
+    dmu = np.where(crossed, 0.0, circ_dist(s, s_ref))
+    if s.ndim == 0:
+        return float(s_new), float(dmu), bool(crossed)
+    return s_new, dmu, crossed
 
 
 @dataclass(frozen=True)
@@ -54,75 +61,30 @@ class Trajectory:
     termination: str  # boundary | time-horizon | center
 
 
+_TERMINATIONS = ("time-horizon", "boundary", "center")
+
+
 def trace(field: UnitField, x0, s0: float, t0: float = 0.0,
-          T: float = 3.0 * math.pi, max_events: int = 1_000_000,
-          _skip_interior_check: bool = False) -> Trajectory:
-    """Exact characteristic through (x0, s0): straight flight, ray events."""
+          T: float = 3.0 * math.pi) -> Trajectory:
+    """Exact characteristic through (x0, s0), traced by the batch engine
+    as a batch of one curve."""
     x = np.asarray(x0, dtype=float).copy()
     s = float(s0) % TWO_PI
-    curve = field.domain
-    if not _skip_interior_check:
-        if not bool(curve.inside(x[None, :])[0]):
-            raise ValueError("start point must be interior")
-        if jump_distance(field, x[None, :])[0] <= 1e-12:
-            raise ValueError("start point lies on the jump set")
-        m0 = field_eval(field, x)
-        if float(m0 @ [math.cos(s), math.sin(s)]) <= 0.0:
-            raise ValueError("start direction not admitted by the field")
+    if not bool(field.domain.inside(x[None, :])[0]):
+        raise ValueError("start point must be interior")
+    if jump_distance(field, x[None, :])[0] <= 1e-12:
+        raise ValueError("start point lies on the jump set")
+    m0 = field_eval(field, x)
+    if float(m0 @ [math.cos(s), math.sin(s)]) <= 0.0:
+        raise ValueError("start direction not admitted by the field")
 
-    t = float(t0)
-    mu = 0.0
-    bps = [(t, x.copy(), s)]
-    segs = field.jump_set
-    center = np.asarray(field.meta.get("center", (0.0, 0.0)), dtype=float)
-    termination = "time-horizon"
-    for _ in range(max_events):
-        d = np.array([math.cos(s), math.sin(s)])
-        u_exit = curve.ray_exit(x, d, tol=1e-9)
-        u_cap = T - t
-        u_seg, hit = math.inf, None
-        for seg in segs:
-            e = (np.asarray(seg.p1) - np.asarray(seg.p0))
-            L = math.hypot(*e)
-            e = e / L
-            den = d[0] * e[1] - d[1] * e[0]
-            if abs(den) < 1e-14:
-                continue
-            rel = np.asarray(seg.p0) - x
-            u = (rel[0] * e[1] - rel[1] * e[0]) / den
-            v = (rel[0] * d[1] - rel[1] * d[0]) / den
-            if 1e-9 < u < u_seg and -1e-9 <= v <= L + 1e-9:
-                u_seg, hit = u, seg
-        u = min(u_exit, u_cap, u_seg)
-        if u_cap <= min(u_exit, u_seg):
-            x = x + u * d
-            t = T
-            bps.append((t, x.copy(), s))
-            termination = "time-horizon"
-            break
-        if u_exit <= u_seg:
-            x = x + u * d
-            t += u
-            bps.append((t, x.copy(), s))
-            termination = "boundary"
-            break
-        x = x + u * d
-        t += u
-        if math.hypot(*(x - center)) < 1e-9 and len(segs) > 2:
-            bps.append((t, x.copy(), s))
-            termination = "center"
-            break
-        side = d[0] * (-math.sin(hit.theta_J)) + d[1] * math.cos(hit.theta_J)
-        far = hit.m_plus if side < 0.0 else hit.m_minus
-        s_new, dmu, _ = jump_rule(hit.theta_J, far, s)
-        if dmu > 0.0:
-            mu += dmu
-            s = s_new
-            bps.append((t, x.copy(), s))
-    else:
-        raise RuntimeError("runaway trajectory: event cap exceeded")
-    return Trajectory(t_minus=t0, t_plus=t, breakpoints=bps, mu=mu,
-                      termination=termination)
+    mu, death, term, _, _, bp_rows = _advance_batch(
+        field, x[None, :].copy(), np.array([s]), np.array([float(t0)]), T)
+    bps = [(float(t0), x, s)]
+    for _, t, xs, ss in bp_rows:
+        bps.append((float(t[0]), xs[0], float(ss[0])))
+    return Trajectory(t_minus=t0, t_plus=float(death[0]), breakpoints=bps,
+                      mu=float(mu[0]), termination=_TERMINATIONS[term[0]])
 
 
 # -- ensemble specification ----------------------------------------------
@@ -214,57 +176,6 @@ def _segment_data(field: UnitField):
     return P0, E, L, theta, m_minus, m_plus
 
 
-def _exit_batch(curve: BoundaryCurve, X, D):
-    """Vectorized first boundary hit along rays from interior points."""
-    n = len(X)
-    if curve.kind == "circle":
-        c = np.asarray(curve.meta["center"], dtype=float)
-        rel = X - c
-        b = np.sum(rel * D, axis=1)
-        disc = b * b - (np.sum(rel * rel, axis=1) - 1.0)
-        return -b + np.sqrt(np.maximum(disc, 0.0))
-    if curve.kind == "rounded_ngon":
-        verts = np.asarray(curve.meta["vertices"], dtype=float)
-        r = curve.meta["arc_radius"]
-        nv = len(verts)
-        phis = curve.meta["rotation"] + TWO_PI * np.arange(nv) / nv
-        best = np.full(n, np.inf)
-        for k in range(nv):
-            rel = X - verts[k]
-            b = np.sum(rel * D, axis=1)
-            c0 = np.sum(rel * rel, axis=1) - r * r
-            disc = b * b - c0
-            ok = disc >= 0.0
-            sq = np.sqrt(np.maximum(disc, 0.0))
-            for root in (-b - sq, -b + sq):
-                u = np.where(ok, root, np.inf)
-                hitp = rel + u[:, None] * D
-                ang = np.arctan2(hitp[:, 1], hitp[:, 0])
-                in_win = np.abs(_wrap(ang - phis[k])) <= math.pi / nv + 1e-12
-                best = np.minimum(best, np.where((u > 1e-9) & in_win, u, np.inf))
-            # flat side k: joins the offset points of arcs k and k+1
-            n_side = np.array([math.cos(phis[k] + math.pi / nv),
-                               math.sin(phis[k] + math.pi / nv)])
-            p0 = verts[k] + r * n_side
-            p1 = verts[(k + 1) % nv] + r * n_side
-            e = p1 - p0
-            Ls = math.hypot(*e)
-            e = e / Ls
-            den = D[:, 0] * e[1] - D[:, 1] * e[0]
-            relp = p0 - X
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u = (relp[:, 0] * e[1] - relp[:, 1] * e[0]) / den
-                v = (relp[:, 0] * D[:, 1] - relp[:, 1] * D[:, 0]) / den
-            cand = np.where((np.abs(den) > 1e-14) & (u > 1e-9)
-                            & (v >= -1e-9) & (v <= Ls + 1e-9), u, np.inf)
-            best = np.minimum(best, cand)
-        return best
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = curve.ray_exit(X[i], D[i], tol=1e-9)
-    return out
-
-
 def _advance_batch(field: UnitField, x, s, t, T):
     """Run one batch of curves to completion (event-synchronous lockstep).
 
@@ -289,7 +200,7 @@ def _advance_batch(field: UnitField, x, s, t, T):
             break
         idx = np.flatnonzero(alive)
         d = np.stack([np.cos(s[idx]), np.sin(s[idx])], axis=-1)
-        u_exit = _exit_batch(field.domain, x[idx], d)
+        u_exit = field.domain.ray_exit(x[idx], d, tol=1e-9)
         u_cap = T - t[idx]
         if nseg:
             rel = P0[None, :, :] - x[idx][:, None, :]
@@ -337,24 +248,21 @@ def _advance_batch(field: UnitField, x, s, t, T):
                 ii = ii[~at_center]
             if len(ii):
                 k = which[jj]
-                dvec = d[jj]
-                side = np.sum(dvec * n_J[k], axis=1)
+                side = np.sum(d[jj] * n_J[k], axis=1)
                 far = np.where(side[:, None] < 0.0, m_plus[k], m_minus[k])
-                adm = np.sum(far * dvec, axis=1) > 0.0
-                refl = ~adm
+                s_new, dmu, crossed = jump_rule(theta_J[k], far, s[ii])
+                refl = ~crossed
                 if refl.any():
                     rr = np.flatnonzero(refl)
-                    s_new = (2.0 * theta_J[k[rr]] - s[ii[rr]]) % TWO_PI
-                    dmu = circ_dist(s[ii[rr]], s_new)
-                    mu[ii[rr]] += dmu
+                    mu[ii[rr]] += dmu[rr]
                     ev_rows.append((ii[rr], t[ii[rr]].copy(),
-                                    x[ii[rr]].copy(), dmu, k[rr],
-                                    np.sign(side[rr]), s_new))
-                    s[ii[rr]] = s_new
+                                    x[ii[rr]].copy(), dmu[rr], k[rr],
+                                    np.sign(side[rr]), s_new[rr]))
+                    s[ii[rr]] = s_new[rr]
                     bp_rows.append((ii[rr], t[ii[rr]].copy(),
-                                    x[ii[rr]].copy(), s_new.copy()))
-                if adm.any():
-                    aa = np.flatnonzero(adm)
+                                    x[ii[rr]].copy(), s_new[rr]))
+                if crossed.any():
+                    aa = np.flatnonzero(crossed)
                     cross_rows.append((ii[aa], t[ii[aa]].copy(),
                                        x[ii[aa]].copy(), k[aa],
                                        np.sign(side[aa]), s[ii[aa]].copy()))
@@ -836,10 +744,7 @@ def planar_jump_rate(X: float, n_crossings: int = 1_000_000,
     wr = np.arccos(1.0 - u * (1.0 - math.cos(X)))
     s_hit = np.where(from_left, sl, math.pi / 2 + wr)
     far = np.where(from_left[:, None], m_right[None, :], m_left[None, :])
-    e = np.stack([np.cos(s_hit), np.sin(s_hit)], axis=-1)
-    adm = np.sum(far * e, axis=1) > 0.0
-    s_new = (2.0 * theta_J - s_hit) % TWO_PI
-    mu = np.where(adm, 0.0, circ_dist(s_hit, s_new))
+    _, mu, _ = jump_rule(theta_J, far, s_hit)
     # total hit flux per unit length and time is exactly 2
     rate = 2.0 * float(mu.mean())
     se = 2.0 * float(mu.std(ddof=1)) / math.sqrt(n_crossings)

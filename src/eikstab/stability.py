@@ -78,17 +78,6 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-def curve_label(curve: BoundaryCurve) -> str:
-    m = curve.meta
-    if curve.kind == "rounded_ngon":
-        return f"rounded_ngon:n={m['n']}"
-    if curve.kind == "ellipse":
-        return f"ellipse:aspect={m['a'] / m['b']:g}"
-    if curve.kind == "circle":
-        return "circle"
-    return curve.kind
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     curve_id: str
@@ -123,7 +112,7 @@ def check_main2(curve: BoundaryCurve, unit_field) -> StabilityReport:
         "hausdorff_over_sqrt_nu_ars": _ratio(haus, math.sqrt(nu_a)),
         "l4_over_nu_ars_power_2_3": _ratio(l4, nu_a ** (2.0 / 3.0)),
     }
-    return StabilityReport(curve_id=curve_label(curve),
+    return StabilityReport(curve_id=curve.spec,
                            lhs_normal_dev=lhs,
                            best_center=(float(center[0]), float(center[1])),
                            hausdorff=haus, nu_ars=nu_a, nu_cubic=nu_c,

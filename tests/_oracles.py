@@ -1,6 +1,7 @@
 """Brute-force reference computations kept independent of the package's
-optimizers.  Only elementary numpy is used; geometry (points, tangents)
-is passed in by the caller."""
+optimizers and batch kernels.  Only elementary numpy is used; geometry
+comes from the caller (points, tangents) or from a curve's stored data
+and segment intersections, never from its ray exits or inside tests."""
 
 import math
 
@@ -125,3 +126,81 @@ def certified_defect(X, T, x0, R, tol=1e-6):
         quad = h * np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
         C = (C[:, None, :] + quad[None, :, :]).reshape(-1, 2)
     return lo, hi
+
+
+def ngon_signed_gap(curve, pts, block=8192):
+    """dist(x, inner polygon) - arc radius of a rounded n-gon, negative
+    inside, against every polygon edge (O(n) per point)."""
+    v = curve.meta["vertices"]
+    n_out = curve.meta["side_normals"]
+    apothem = curve.meta["apothem"]
+    r = curve.meta["arc_radius"]
+    edges = np.roll(v, -1, axis=0) - v
+    elen = np.linalg.norm(edges, axis=1)
+    edir = edges / elen[:, None]
+    out = np.empty(len(pts))
+    for i in range(0, len(pts), block):
+        P = pts[i:i + block]
+        inside_poly = np.all(P @ n_out.T - apothem <= 0.0, axis=1)
+        rel = P[:, None, :] - v[None, :, :]
+        t = np.clip(np.einsum("mnd,nd->mn", rel, edir), 0.0, elen[None, :])
+        foot = v[None, :, :] + t[..., None] * edir[None, :, :]
+        dist_seg = np.linalg.norm(P[:, None, :] - foot, axis=2).min(axis=1)
+        out[i:i + block] = np.where(inside_poly, 0.0, dist_seg) - r
+    return out
+
+
+def first_exit(curve, x, d, tol=1e-9, reach=4.0):
+    """First boundary hit t > tol along x + t d, from the curve's segment
+    intersections with x -> x + reach d (reach exceeds every diameter of a
+    perimeter-2 pi domain); inf when there is none."""
+    hits = [reach * t for t, _ in curve.segment_hits(x, x + reach * d)
+            if reach * t > tol]
+    return min(hits, default=math.inf)
+
+
+def trace_reference(field, x0, s0, T):
+    """Scalar event loop of one characteristic: straight flight to the
+    first of boundary exit (from segment intersections), jump-segment hit
+    and time horizon; at a jump the direction crosses when the far trace
+    admits it and otherwise reflects across the jump tangent.
+
+    Returns (termination, t_plus, mu).
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    s = float(s0) % TWO_PI
+    t, mu = 0.0, 0.0
+    center = np.asarray(field.meta.get("center", (0.0, 0.0)), dtype=float)
+    for _ in range(100_000):
+        d = np.array([math.cos(s), math.sin(s)])
+        u_exit = first_exit(field.domain, x, d)
+        u_cap = T - t
+        u_seg, hit = math.inf, None
+        for seg in field.jump_set:
+            e = np.asarray(seg.p1) - np.asarray(seg.p0)
+            L = math.hypot(*e)
+            e = e / L
+            den = d[0] * e[1] - d[1] * e[0]
+            if abs(den) < 1e-14:
+                continue
+            rel = np.asarray(seg.p0) - x
+            u = (rel[0] * e[1] - rel[1] * e[0]) / den
+            v = (rel[0] * d[1] - rel[1] * d[0]) / den
+            if 1e-9 < u < u_seg and -1e-9 <= v <= L + 1e-9:
+                u_seg, hit = u, seg
+        if u_cap <= min(u_exit, u_seg):
+            return "time-horizon", T, mu
+        u = min(u_exit, u_seg)
+        x, t = x + u * d, t + u
+        if u_exit <= u_seg:
+            return "boundary", t, mu
+        if math.hypot(*(x - center)) < 1e-9:
+            return "center", t, mu
+        side = d[0] * -math.sin(hit.theta_J) + d[1] * math.cos(hit.theta_J)
+        far = hit.m_plus if side < 0.0 else hit.m_minus
+        if float(np.dot(far, d)) > 0.0:
+            continue
+        s_new = (2.0 * hit.theta_J - s) % TWO_PI
+        mu += abs((s - s_new + math.pi) % TWO_PI - math.pi)
+        s = s_new
+    raise RuntimeError("reference trace: event cap exceeded")

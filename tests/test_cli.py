@@ -61,6 +61,17 @@ def test_unknown_flag_is_usage_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_flag_of_another_command_is_usage_error(tmp_path, capsys):
+    # defect draws no plot and runs no workers: the flags are rejected,
+    # not ignored
+    rc = run_cli(["defect", "--curve", "circle", "--triple", "0.3,2.1,4.4",
+                  "--plot", tmp_path / "x.svg", "--workers", "9",
+                  "--out", tmp_path / "x.json"])
+    capsys.readouterr()
+    assert rc == 2
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
@@ -368,6 +379,17 @@ def test_curve_spec_both_syntaxes_agree(tmp_path, capsys):
     capsys.readouterr()
     ra, rb = load(a), load(b)
     assert ra["results"] == rb["results"]
+
+
+@pytest.mark.parametrize("spec", ["ellipse:aspect=1.3,rotation=0.4",
+                                  "rounded_ngon:n=7,rotation=0.25",
+                                  "rounded_ngon:n=32", "circle"])
+def test_curve_spec_round_trips(spec):
+    curve = cli.parse_curve_spec(spec)
+    assert curve.spec == spec
+    again = cli.parse_curve_spec(curve.spec)
+    s = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    assert np.array_equal(again.point(s), curve.point(s))
 
 
 def test_spline_curve_from_points_file(tmp_path, capsys):

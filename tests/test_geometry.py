@@ -18,6 +18,7 @@ from eikstab.geometry import (
     star_region,
 )
 from _domains import blob_points, dumbbell_curve
+from _oracles import first_exit, ngon_signed_gap
 
 TWO_PI = 2.0 * math.pi
 
@@ -339,3 +340,45 @@ def test_ray_exit_lands_on_boundary():
             assert curve.inside((x + (t - 1e-6) * d)[None])[0]
             assert not curve.inside((x + (t + 1e-6) * d)[None])[0]
             done += 1
+
+
+@pytest.mark.parametrize("curve", [
+    make_circle(),
+    make_ellipse(1.3, rotation=0.4),
+    make_rounded_ngon(3),
+    make_rounded_ngon(8),
+    make_rounded_ngon(32),
+    make_spline_curve(blob_points()),
+], ids=lambda c: c.spec)
+def test_ray_exit_batch_matches_segment_hits(curve):
+    # one batch call against the first crossing of each ray's chord,
+    # found by the pieces' segment intersections
+    rng = np.random.default_rng(32)
+    P = rng.uniform(-1.0, 1.0, (2000, 2))
+    X = P[curve.inside(P)][:300]
+    s = rng.uniform(0.0, TWO_PI, len(X))
+    D = np.column_stack([np.cos(s), np.sin(s)])
+    # plus rays from inside each arc's disk to 1e-4 either side of every
+    # piece junction: they cross the arc's circle just outside its window
+    ends = np.cumsum([p.length for p in curve.pieces]) - curve.param_offset
+    O = curve.point(ends) - 0.3 * curve.normal(ends)
+    for side in (-1e-4, 1e-4):
+        V = curve.point(ends + side) - O
+        X = np.vstack([X, O])
+        D = np.vstack([D, V / np.hypot(V[:, 0], V[:, 1])[:, None]])
+    t = curve.ray_exit(X, D, tol=1e-9)
+    expect = np.array([first_exit(curve, x, d) for x, d in zip(X, D)])
+    assert np.all(np.isfinite(expect))
+    assert np.max(np.abs(t - expect)) < 1e-12
+    assert curve.ray_exit(X[0], D[0], tol=1e-9) == t[0]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 32, 128])
+def test_ngon_inside_matches_gap_oracle(n):
+    # the sector rule checks one polygon edge; the oracle checks all n
+    curve = make_rounded_ngon(n, rotation=0.3)
+    rng = np.random.default_rng(n)
+    s = rng.uniform(0.0, TWO_PI, 50_000)
+    near = curve.point(s) + rng.uniform(-1e-6, 1e-6, len(s))[:, None] * curve.normal(s)
+    P = np.vstack([rng.uniform(-1.3, 1.3, (150_000, 2)), near])
+    assert np.array_equal(curve.inside(P), ngon_signed_gap(curve, P) < 0.0)
