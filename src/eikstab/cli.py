@@ -316,6 +316,7 @@ def cmd_defect_integral(args) -> Tuple[dict, dict, List[dict]]:
         "standard_error": res.standard_error,
         "mode": res.mode,
         "n_evals": res.n_evals,
+        "symmetry_order": res.symmetry_order,
         "region": region_spec,
     }
     asserts = [report.assertion("integral_nonnegative", res.value, 0.0,

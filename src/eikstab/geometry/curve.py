@@ -40,6 +40,11 @@ class BoundaryCurve:
     meta : family-specific payload (centers, axes, vertex data, ...).
     spec : canonical curve spec, ``kind[:key=value,...]``, as the command
         line parses it.
+    rotation_order : g such that the rotation by 2*pi/g about the
+        centroid maps the curve onto itself and shifts the parameter by
+        perimeter/g: n for the rounded n-gon, 2 for the ellipse, 1
+        otherwise (the circle's defect vanishes identically, so its full
+        symmetry buys nothing).
     """
 
     kind: str
@@ -50,6 +55,7 @@ class BoundaryCurve:
     orientation_ccw: bool = True
     meta: dict = field(default_factory=dict)
     spec: str = ""
+    rotation_order: int = 1
 
     def __post_init__(self):
         self._starts = np.concatenate([[0.0], np.cumsum([p.length for p in self.pieces])])
@@ -251,6 +257,7 @@ def make_ellipse(aspect: float, rotation: float = 0.0, center=(0.0, 0.0)) -> Bou
         meta={"a": piece.a, "b": piece.b, "rotation": rotation,
               "center": np.asarray(center, dtype=float)},
         spec=_spec("ellipse", aspect=aspect, rotation=rotation),
+        rotation_order=2,
     )
 
 
@@ -303,6 +310,7 @@ def make_rounded_ngon(n: int, rotation: float = 0.0, center=(0.0, 0.0)) -> Bound
             "circumradius": lam,
         },
         spec=_spec("rounded_ngon", n=n, rotation=rotation),
+        rotation_order=n,
     )
 
 

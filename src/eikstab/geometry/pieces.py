@@ -28,6 +28,17 @@ def _rot(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _nearest_node(pts, nodes) -> np.ndarray:
+    """Index of the nearest of the (k, 2) nodes for each of the (m, 2)
+    points, 256 points at a time so the distance matrix stays (256, k)
+    instead of (m, k)."""
+    idx = np.empty(len(pts), dtype=int)
+    for i in range(0, len(pts), 256):
+        d2 = ((pts[i:i + 256, None, :] - nodes[None, :, :]) ** 2).sum(-1)
+        idx[i:i + 256] = np.argmin(d2, axis=1)
+    return idx
+
+
 def _golden_min(f, lo: float, hi: float, iters: int = 90) -> float:
     """Golden-section minimum value of f on [lo, hi]."""
     phi = (math.sqrt(5) - 1) / 2
@@ -288,8 +299,7 @@ class EllipsePiece:
     def nearest_dist(self, pts):
         loc = self._to_local(pts)
         th_grid, dense = self._dense
-        d2 = ((loc[:, None, :] - dense[None, :, :]) ** 2).sum(-1)
-        idx = np.argmin(d2, axis=1)
+        idx = _nearest_node(loc, dense)
         h = th_grid[1] - th_grid[0]
         out = np.empty(len(loc))
         for i, j in enumerate(idx):
@@ -398,8 +408,7 @@ class SplinePiece:
     def nearest_dist(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         # coarse nearest polyline node, then golden refine on |g(s) - p|^2
-        d2 = ((pts[:, None, :] - self._poly[None, :, :]) ** 2).sum(-1)
-        idx = np.argmin(d2, axis=1)
+        idx = _nearest_node(pts, self._poly)
         out = np.empty(len(pts))
         h = self._poly_s[1] - self._poly_s[0]
         for i, j in enumerate(idx):

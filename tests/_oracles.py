@@ -82,8 +82,10 @@ def certified_defect(X, T, x0, R, tol=1e-6):
     Bounding the two pieces apart (rather than f(c) + 2r/d) keeps cells
     where the objective is flat at 0 prunable.  Cells whose bound is within
     tol of lo are dropped; the rest, starting from a 64 x 64 cover, are
-    halved until hi - lo <= tol.  If the level or cell cap stops the search
-    first, the interval returned is still valid but wider than tol.
+    halved until hi - lo <= tol, or until no child meets the disk any more
+    (the parent cells only seemed to: the test is conservative).  If the
+    level or cell cap stops the search first, the interval returned is
+    still valid but wider than tol.
     """
     X = np.asarray(X, float)
     T = np.asarray(T, float)
@@ -102,6 +104,9 @@ def certified_defect(X, T, x0, R, tol=1e-6):
         rc = np.hypot(rel[:, 0], rel[:, 1])
         meets = rc <= half + r                     # cell meets the disk
         C, rel, rc = C[meets], rel[meets], rc[meets]
+        if len(C) == 0:                            # the children all miss it
+            hi = max(lo, hi_dropped)
+            break
 
         # feasible value: the centre, or its projection onto the rim
         scale = np.minimum(1.0, half / np.maximum(rc, 1e-300))

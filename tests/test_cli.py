@@ -245,6 +245,7 @@ def test_defect_integral_star_region(tmp_path, capsys):
     assert res["mode"] == "tensor"
     assert res["value"] >= 0.0
     assert res["region"] == "star:0.05"
+    assert (res["symmetry_order"], res["n_evals"]) == (1, 12**3)
 
 
 def test_nu_cost_table_csv(tmp_path, capsys):

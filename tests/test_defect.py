@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eikstab.geometry import (
+    Disk,
     make_circle,
     make_ellipse,
     make_rounded_ngon,
@@ -123,6 +124,17 @@ def test_ellipse_triple_matches_oracle(ellipse13):
     assert abs(res.a - orc) < 1e-4
 
 
+def test_certified_oracle_stops_when_no_cell_meets_disk(ellipse13):
+    # every child cell of a level falls outside the disk here; the search
+    # must stop with hi = max(lo, hi_dropped) instead of reducing an empty
+    # cell set
+    c, d = ellipse13
+    t = np.array([0.697582, 0.210834, 3.316632])
+    lo, hi = certified_defect(c.point(t), c.tangent(t), d.center_xy, d.radius)
+    assert 0.0709632 <= lo <= hi <= 0.0709640
+    assert defect_a(c, d, t).a <= hi + 1e-12
+
+
 def test_defect_dominates_oracle_and_is_certified(ellipse13, ngon6):
     # grid+polish never loses to the exhaustive grid, and the reported
     # value is attained by the objective at the reported z0
@@ -231,6 +243,58 @@ def test_batch_agrees_with_single(ellipse13, ngon6):
         assert np.median(np.abs(bv - av)) < 5e-4
 
 
+def test_batch_rotation_equivariant():
+    # a shift by perimeter/order rotates the triple about the disk center,
+    # which the per-triple frame of defect_batch undoes; the last triple, a
+    # node of the M=16 product rule, has seeds on a line through x_1 when
+    # x_1 lies on a ray of the seed grid
+    rng = np.random.default_rng(12)
+    node = np.array([[4.0 + 1.0 / 6.0, 12.5, 8.0 + 5.0 / 6.0]]) * TWO_PI / 16
+    for curve in (make_rounded_ngon(8), make_ellipse(1.3),
+                  make_ellipse(1.3, rotation=0.4, center=(0.1, 0.2))):
+        disk = max_inscribed_disk(curve)
+        tr = np.vstack([rng.random((200, 3)) * TWO_PI, node])
+        a0 = defect_batch(curve, disk, tr)
+        a1 = defect_batch(curve, disk, tr + TWO_PI / curve.rotation_order)
+        assert a0.max() > 0.1
+        assert np.max(np.abs(a0 - a1)) < 1e-7
+
+
+def _full_product_sum(curve, disk, M):
+    # every one of the M^3 product triples, nodes at phases 1/6, 1/2, 5/6
+    h = TWO_PI / M
+    nodes = [(np.arange(M) + ph) * h for ph in (1.0 / 6.0, 0.5, 5.0 / 6.0)]
+    tr = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1).reshape(-1, 3)
+    a = defect_batch(curve, disk, tr)
+    return float(np.sum(a * a)) * h**3
+
+
+def test_integral_symmetry_block_equals_full_sum():
+    for curve, g in ((make_rounded_ngon(8), 8), (make_ellipse(1.3), 2)):
+        disk = max_inscribed_disk(curve)
+        r = integral_a2(curve, disk, M=8)
+        assert r.symmetry_order == g
+        assert r.n_evals == 8**3 // g
+        full = _full_product_sum(curve, disk, 8)
+        assert abs(r.value - full) <= 1e-8 * full
+
+
+def test_integral_symmetry_falls_back_to_full_rule(ngon6):
+    # 9 nodes share no factor with the 8-gon's order or the ellipse's
+    for curve in (make_rounded_ngon(8), make_ellipse(1.3)):
+        r = integral_a2(curve, max_inscribed_disk(curve), M=9)
+        assert (r.symmetry_order, r.n_evals) == (1, 9**3)
+    # 8 nodes share the factor 2 with the 6-gon's order
+    c, d = ngon6
+    assert integral_a2(c, d, M=8).symmetry_order == 2
+    # a star region has no rotation symmetry of its own
+    r = integral_a2(c, d, region=star_region(c, d, 0.03), M=8)
+    assert (r.symmetry_order, r.n_evals) == (1, 8**3)
+    # nor does a disk off the symmetry center
+    r = integral_a2(c, Disk(center=(1e-3, 0.0), radius=d.radius), M=8)
+    assert (r.symmetry_order, r.n_evals) == (1, 8**3)
+
+
 def test_integral_circle_zero():
     c = make_circle()
     d = max_inscribed_disk(c)
@@ -238,6 +302,7 @@ def test_integral_circle_zero():
     assert r.value <= 1e-10
     assert r.mode == "tensor"
     assert r.n_evals == 16**3
+    assert r.symmetry_order == 1
 
 
 def test_integral_weights_sum(ngon6):
