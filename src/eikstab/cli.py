@@ -9,7 +9,6 @@ means the invocation itself was invalid.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -148,7 +147,7 @@ def default_field_kind(curve: BoundaryCurve) -> str:
     return "distgrad" if curve.kind == "rounded_ngon" else "vortex"
 
 
-def build_field(curve: BoundaryCurve, kind: Optional[str], alpha: int = 1):
+def build_field(curve: BoundaryCurve, kind: Optional[str]):
     kind = kind or default_field_kind(curve)
     if kind == "distgrad":
         try:
@@ -157,7 +156,7 @@ def build_field(curve: BoundaryCurve, kind: Optional[str], alpha: int = 1):
             raise UsageError(f"field 'distgrad': {exc}")
     if kind == "vortex":
         center = max_inscribed_disk(curve).center_xy
-        return fields.vortex(curve, center, alpha=alpha)
+        return fields.vortex(curve, center)
     raise UsageError(f"unknown field kind {kind!r}")
 
 
@@ -187,8 +186,6 @@ def _convert(key: str, raw: str, kind: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "flag":
-            return raw.lower() in ("1", "true", "yes", "on")
         return raw
     except ValueError:
         raise UsageError(f"config key {key!r} has invalid value {raw!r}")

@@ -12,8 +12,8 @@ estimates' right-hand side through its squared integral over triples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
@@ -22,10 +22,6 @@ from .geometry import BoundaryCurve, Disk, StarRegion
 
 TWO_PI = 2.0 * math.pi
 
-# the 8 antipodal sign choices for the three line directions
-_SIGNS = np.array([[s1, s2, s3] for s1 in (1.0, -1.0)
-                   for s2 in (1.0, -1.0) for s3 in (1.0, -1.0)])
-
 
 @dataclass
 class DefectResult:
@@ -33,7 +29,6 @@ class DefectResult:
     z0: np.ndarray
     alphas: np.ndarray          # line directions, radians mod 2pi
     signs: tuple                # True = direction points from x_k toward z0
-    objective_trace: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -65,7 +60,7 @@ class IntegralResult:
 
 
 def _covering_arc_excess(alpha):
-    """max(l - pi, 0) where l is the shortest arc containing the 3 angles.
+    """l - pi where l is the shortest arc containing the 3 angles.
 
     alpha: (..., 3) angles. l = 2pi - largest circular gap.
     """
@@ -74,25 +69,36 @@ def _covering_arc_excess(alpha):
     g2 = a[..., 2] - a[..., 1]
     g3 = TWO_PI - (a[..., 2] - a[..., 0])
     maxgap = np.maximum(np.maximum(g1, g2), g3)
-    return np.maximum(TWO_PI - maxgap - math.pi, 0.0)
+    return TWO_PI - maxgap - math.pi
 
 
-def _objective_batch(X, T, Z):
-    """Best positive-part defect objective for many (triple, z0) pairs.
+def _forced_pattern(X, T, Z):
+    """tau_k . u_k and the line angles of the forced sign pattern.
 
+    A positive objective forces the sign choice sigma_k = -sign(tau_k . u_k)
+    (any other sign makes some margin negative), so the line through x_k
+    runs along u_k where tau_k . u_k <= 0 and against it elsewhere.
     X, T : (B, 3, 2) points and tangents.  Z : (B, G, 2) candidate z0.
-    Returns (B, G) values.  A positive objective forces the sign choice
-    sigma_k = -sign(tau_k . u_k) (any other sign makes some margin
-    negative), so the 8-way sign maximum reduces to that single pattern;
-    values are reported clipped at 0 accordingly.
+    Returns (d, alpha), each (B, G, 3).
     """
     V = Z[:, :, None, :] - X[:, None, :, :]           # (B, G, 3, 2)
     norm = np.sqrt(np.sum(V * V, axis=-1))
     U = V / norm[..., None]
-    d = np.sum(T[:, None, :, :] * U, axis=-1)          # tau_k . u_k, (B, G, 3)
-    margin = np.min(np.abs(d), axis=-1)
+    d = np.sum(T[:, None, :, :] * U, axis=-1)
     alpha = np.arctan2(U[..., 1], U[..., 0]) + np.where(d > 0, math.pi, 0.0)
-    return np.maximum(np.minimum(margin, _covering_arc_excess(alpha)), 0.0)
+    return d, alpha
+
+
+def _objective_batch(X, T, Z):
+    """Defect objective of the forced sign pattern for many (triple, z0) pairs.
+
+    Returns (B, G) values min(min_k |tau_k . u_k|, l - pi), unclipped: they
+    are negative where the covering arc is shorter than pi, so a search
+    that sees no positive value still has a slope to climb.  The defect is
+    the positive part of the maximum over z0.
+    """
+    d, alpha = _forced_pattern(X, T, Z)
+    return np.minimum(np.min(np.abs(d), axis=-1), _covering_arc_excess(alpha))
 
 
 def _polar_grid(center, radius, nr, ntheta):
@@ -102,9 +108,8 @@ def _polar_grid(center, radius, nr, ntheta):
     return center + np.column_stack([(R * np.cos(TH)).ravel(), (R * np.sin(TH)).ravel()])
 
 
-def defect_batch(curve: BoundaryCurve, disk: Disk, triples: np.ndarray,
-                 refine_rounds: int = 4, n_seeds: int = 3) -> np.ndarray:
-    """Vectorized defect values for many triples (grid + local grid refinement).
+def _search(curve: BoundaryCurve, disk: Disk, triples: np.ndarray):
+    """Grid search of the defect objective over z0 for many triples.
 
     Each triple is first turned into its own frame: the disk center x0 at
     the origin and x_1 on the ray at angle pi/98, a quarter step of the
@@ -114,20 +119,16 @@ def defect_batch(curve: BoundaryCurve, disk: Disk, triples: np.ndarray,
     invariant under that rotation, and the search below then is too, so a
     rotation of the domain about x0 leaves the values unchanged up to
     rounding (the symmetry reduction of integral_a2 relies on this).  In
-    that frame the batch shares a 33x49 polar z0 grid, keeps the top
-    n_seeds grid points per triple (secondary basins), and shrinks a 7x7
-    local grid around each.
+    that frame the batch shares a 33x49 polar z0 grid over the closed
+    half-radius disk, keeps the top 3 grid points per triple (secondary
+    basins), and shrinks a 7x7 local grid around each in four rounds.
 
-    The result is a lower bound of the max, attained at a feasible z0.
-    Against the certified branch-and-bound interval of tests/_oracles.py
-    on 300 random triples (100 each on the 8-gon, the 16-gon and the
-    ellipse of aspect 1.3) the shortfall has a median of 1.0e-4 but
-    reaches 1.7e-2 where the peak is narrow, and the sums of a^2 come out
-    0.7-0.9% low (0.4-1.5% without the frame change).  defect_a is the
-    tight one: within 7.6e-7 on criterion 3's 20 triples.
+    Returns the refined seed values, (B, 3), and their z0 in world
+    coordinates, (B, 3, 2).  Each value is attained by the objective at
+    its z0.
     """
     triples = np.asarray(triples, dtype=float)
-    B = len(triples)
+    B, n_seeds = len(triples), 3
     x0, half = disk.center_xy, disk.radius / 2.0
     X = curve.point(triples.ravel()).reshape(B, 3, 2) - x0
     T = curve.tangent(triples.ravel()).reshape(B, 3, 2)
@@ -155,7 +156,7 @@ def defect_batch(curve: BoundaryCurve, disk: Disk, triples: np.ndarray,
 
     h = half / 16.0
     off = np.array([[i, j] for i in range(-3, 4) for j in range(-3, 4)], dtype=float)
-    for _ in range(refine_rounds):
+    for _ in range(4):
         cand = best_z[:, None, :] + h * off[None, :, :]
         # clip to the closed ball of radius R/2
         rr = np.hypot(cand[..., 0], cand[..., 1])
@@ -166,87 +167,79 @@ def defect_batch(curve: BoundaryCurve, disk: Disk, triples: np.ndarray,
         best_val = np.where(take, vals[np.arange(BK), idx], best_val)
         best_z = np.where(take[:, None], cand[np.arange(BK), idx], best_z)
         h /= 4.0
-    return np.maximum(best_val.reshape(B, n_seeds).max(axis=1), 0.0)
+    z = best_z.reshape(B, n_seeds, 2)
+    world = np.stack([c * z[..., 0] - s * z[..., 1],
+                      s * z[..., 0] + c * z[..., 1]], axis=-1)
+    return best_val.reshape(B, n_seeds), x0 + world
+
+
+def defect_batch(curve: BoundaryCurve, disk: Disk, triples: np.ndarray) -> np.ndarray:
+    """Defect values for many triples: the positive part of the best of
+    _search's refined seeds.
+
+    The result is a lower bound of the max, attained at a feasible z0.
+    Against the certified branch-and-bound interval of tests/_oracles.py
+    on 300 random triples (75 each on the 8-gon, the 16-gon, the ellipse
+    of aspect 1.3 and that ellipse rotated and shifted) the shortfall has
+    a median of 9e-5 but reaches 1.2e-2 where the peak is narrow, and the
+    sums of a^2 come out 0.3-0.6% low.  defect_a polishes the same seeds
+    and is never below this value.
+    """
+    vals, _ = _search(curve, disk, triples)
+    return np.maximum(vals.max(axis=1), 0.0)
 
 
 def _check_triple(curve, triple):
     t = np.asarray(triple, dtype=float)
     if t.shape != (3,):
         raise ValueError("triple must be three boundary parameters")
-    per = curve.perimeter
-    for i in range(3):
-        for j in range(i + 1, 3):
-            d = abs((t[i] - t[j] + per / 2) % per - per / 2)
-            if d <= 1e-6:
-                raise ValueError("triple points must be pairwise distinct")
+    if not _pairwise_ok(t[None, :], curve.perimeter)[0]:
+        raise ValueError("triple points must be pairwise distinct")
     return t
 
 
 def defect_a(curve: BoundaryCurve, disk: Disk, triple) -> DefectResult:
-    """Defect of one boundary triple by polar-grid search and polish.
+    """Defect of one boundary triple: defect_batch's search plus a polish.
 
-    The outer maximization runs over z0 in the closed half-radius disk and
-    the 8 antipodal sign choices; each sign choice gets a Nelder-Mead
-    polish from its best grid point and from the incircle candidate.  The
-    result is the best value found, a certified lower bound of the true max.
+    z0 ranges over the closed half-radius disk about the disk center.
+    Nelder-Mead maximizes the objective from each of _search's 3 refined
+    seeds and from the incircle candidate, so the value is never below
+    defect_batch's.  The result is the best value found, a certified lower
+    bound of the true max, attained at z0.  On a zero-defect triple z0 is
+    some point of the zero plateau.
     """
     t = _check_triple(curve, triple)
-    X = curve.point(t)
-    T = curve.tangent(t)
+    X = curve.point(t)[None]
+    T = curve.tangent(t)[None]
     x0, half = disk.center_xy, disk.radius / 2.0
-
-    Z = _polar_grid(x0, half, 33, 33)
-    V = Z[:, None, :] - X[None, :, :]
-    norm = np.sqrt(np.sum(V * V, axis=-1))
-    U = V / norm[..., None]
-    d = np.sum(T[None, :, :] * U, axis=-1)
-    base = np.arctan2(U[..., 1], U[..., 0])
-
-    def objective(z, sg):
-        v = z[None, :] - X
-        n = np.hypot(v[:, 0], v[:, 1])
-        u = v / n[:, None]
-        m2 = np.min(-sg * np.sum(T * u, axis=1))
-        alpha = np.arctan2(u[:, 1], u[:, 0]) + np.where(sg > 0, 0.0, math.pi)
-        return min(m2, float(_covering_arc_excess(alpha[None, :])[0]))
 
     def clipped(z):
         w = z - x0
         r = np.hypot(w[0], w[1])
         return x0 + w * (half / r) if r > half else z
 
-    seeds_extra = []
-    inc_center, inc_radius = incircle_candidate(curve, t)
-    if np.isfinite(inc_center).all():
-        seeds_extra.append(clipped(inc_center))
+    def objective(z):
+        return float(_objective_batch(X, T, z[None, None, :])[0, 0])
 
-    best = DefectResult(a=-np.inf, z0=x0, alphas=np.zeros(3), signs=(True,) * 3)
-    trace = {"grid": "33x33 polar", "polish": "nelder-mead", "starts": []}
-    for si, sg in enumerate(_SIGNS):
-        m2 = np.min(-sg[None, :] * d, axis=1)
-        alpha = base + np.where(sg > 0, 0.0, math.pi)[None, :]
-        vals = np.minimum(m2, _covering_arc_excess(alpha))
-        starts = [Z[int(np.argmax(vals))]] + seeds_extra
-        for z_start in starts:
-            res = minimize(lambda p: -objective(clipped(p), sg), z_start,
-                           method="Nelder-Mead",
-                           options={"xatol": 1e-11, "fatol": 1e-13,
-                                    "maxiter": 600, "maxfev": 1200})
-            val = -float(res.fun)
-            trace["starts"].append((si, float(val)))
-            if val > best.a:
-                z = clipped(res.x)
-                v = z - X
-                u = v / np.hypot(v[:, 0], v[:, 1])[:, None]
-                best = DefectResult(
-                    a=val, z0=z,
-                    alphas=np.mod(np.arctan2(u[:, 1], u[:, 0])
-                                  + np.where(sg > 0, 0.0, math.pi), TWO_PI),
-                    signs=tuple(bool(s > 0) for s in sg),
-                )
-    best.objective_trace = trace
-    best.a = max(best.a, 0.0)
-    return best
+    _, seeds = _search(curve, disk, t[None])
+    starts = list(seeds[0])
+    inc_center, _ = incircle_candidate(curve, t)
+    if np.isfinite(inc_center).all():
+        starts.append(clipped(inc_center))
+
+    best_val, best_z = -np.inf, x0
+    for z_start in starts:
+        res = minimize(lambda p: -objective(clipped(p)), z_start,
+                       method="Nelder-Mead",
+                       options={"xatol": 1e-11, "fatol": 1e-13,
+                                "maxiter": 600, "maxfev": 1200})
+        val = -float(res.fun)
+        if val > best_val:
+            best_val, best_z = val, clipped(res.x)
+    d, alpha = _forced_pattern(X, T, best_z[None, None, :])
+    return DefectResult(a=max(best_val, 0.0), z0=best_z,
+                        alphas=np.mod(alpha[0, 0], TWO_PI),
+                        signs=tuple(bool(v <= 0) for v in d[0, 0]))
 
 
 def incircle_candidate(curve: BoundaryCurve, triple):
@@ -428,11 +421,10 @@ def _pairwise_ok(triples, per):
 
 
 def lipschitz_probe(curve: BoundaryCurve, disk: Disk, pairs: int = 1000,
-                    seed: int = 0, min_sep: float = 1e-3,
-                    max_sep: float = 0.3) -> float:
+                    seed: int = 0) -> float:
     """Empirical Lipschitz ratio of a over random triple pairs.
 
-    Perturbs each sampled triple by geodesic offsets in [min_sep, max_sep]
+    Perturbs each sampled triple by geodesic offsets in [1e-3, 0.3]
     per coordinate and returns max |a - a'| / dist with the l1 product
     geodesic metric.  Diagnostic: reported, not compared to a constant.
     """
@@ -441,7 +433,7 @@ def lipschitz_probe(curve: BoundaryCurve, disk: Disk, pairs: int = 1000,
     per = curve.perimeter
     rng = np.random.Generator(np.random.Philox(key=seed))
     base = rng.random((pairs, 3)) * per
-    delta = rng.uniform(min_sep, max_sep, size=(pairs, 3)) * rng.choice(
+    delta = rng.uniform(1e-3, 0.3, size=(pairs, 3)) * rng.choice(
         [-1.0, 1.0], size=(pairs, 3))
     other = np.mod(base + delta, per)
     ok = _pairwise_ok(base, per) & _pairwise_ok(other, per)

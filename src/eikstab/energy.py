@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -183,14 +183,12 @@ def _local_terms(grid: GridField, eps: float):
     return dirichlet, penalty
 
 
-def evaluate_F_eps(grid: GridField, eps: float,
-                   H: Optional[np.ndarray] = None) -> EnergyBreakdown:
+def evaluate_F_eps(grid: GridField, eps: float) -> EnergyBreakdown:
     """Elastic + stray-field + unit-length penalty + third-component terms.
 
     The two-term energy of the same grid is ``dirichlet + penalty``."""
     dirichlet, penalty = _local_terms(grid, eps)
-    if H is None:
-        H = solve_stray_field(grid)
+    H = solve_stray_field(grid)
     h2 = grid.h * grid.h
     magnetostatic = 0.5 / eps * float(np.sum(H * H)) * h2
     m3_term = 0.5 / eps * float(np.sum((grid.values[:, :, 2] ** 4)[grid.mask])) * h2
@@ -208,7 +206,6 @@ def evaluate_E_AG(grid: GridField, eps: float) -> EnergyBreakdown:
                            total=dirichlet + penalty, epsilon=eps)
 
 
-def stray_field_l2(grid: GridField, H: Optional[np.ndarray] = None) -> float:
-    if H is None:
-        H = solve_stray_field(grid)
+def stray_field_l2(grid: GridField) -> float:
+    H = solve_stray_field(grid)
     return math.sqrt(float(np.sum(H * H)) * grid.h * grid.h)

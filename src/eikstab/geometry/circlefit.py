@@ -58,8 +58,7 @@ def _radial_sup(curve: BoundaryCurve, center) -> float:
     return best
 
 
-def best_circle_center(curve: BoundaryCurve, objective: str = "hausdorff",
-                       seed=None):
+def best_circle_center(curve: BoundaryCurve, objective: str = "hausdorff"):
     """Center minimizing the Hausdorff distance to the unit circle, or the
     squared normal-deviation functional when ``objective='normal_deviation'``.
 
@@ -77,9 +76,7 @@ def best_circle_center(curve: BoundaryCurve, objective: str = "hausdorff",
     else:
         raise ValueError(f"unknown objective: {objective!r}")
 
-    seeds = [curve.centroid() if seed is None else np.asarray(seed, dtype=float)]
-    if seed is None:
-        seeds.append(max_inscribed_disk(curve).center_xy)
+    seeds = [curve.centroid(), max_inscribed_disk(curve).center_xy]
     best_val, best_x = np.inf, seeds[0]
     for s0 in seeds:
         res = minimize(fun, s0, method="Nelder-Mead",

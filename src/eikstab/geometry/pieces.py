@@ -232,6 +232,7 @@ class EllipsePiece:
         speed = np.hypot(self.a * np.sin(theta), self.b * np.cos(theta))
         cum = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) * 0.5 * np.diff(theta))])
         self.length = float(cum[-1])
+        self._table = (theta, cum)
         self._theta_of_s = PchipInterpolator(cum, theta)
 
     def _theta(self, u):
@@ -240,25 +241,16 @@ class EllipsePiece:
         # Newton refinement on ds/dtheta = speed(theta)
         for _ in range(3):
             speed = np.hypot(self.a * np.sin(th), self.b * np.cos(th))
-            resid = self._arclen(th) - u
+            resid = self._s_of_theta(th) - u
             th = th - resid / speed
         return th
 
-    def _arclen(self, theta):
-        """Exact-enough arclength of [0, theta] by per-query Gauss on the table grid."""
-        # the pchip table is only ~1e-13 off after Newton; evaluate via the
-        # inverse relation instead of re-integrating: use high-res interpolation
-        theta = np.asarray(theta, dtype=float)
-        return self._s_of_theta(theta)
-
     @property
     def _s_of_theta(self):
+        """Cubic spline of the cumulative-length table, built on first use."""
         interp = getattr(self, "_s_interp", None)
         if interp is None:
-            th = np.linspace(0.0, _TWO_PI, self._TABLE_N + 1)
-            speed = np.hypot(self.a * np.sin(th), self.b * np.cos(th))
-            cum = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) * 0.5 * np.diff(th))])
-            interp = CubicSpline(th, cum)
+            interp = CubicSpline(*self._table)
             self._s_interp = interp
         return interp
 
@@ -462,16 +454,20 @@ class SplinePiece:
         return best
 
     def winding_inside(self, pts):
-        """Even-odd containment against the dense polyline."""
+        """Even-odd containment against the dense polyline, 256 points at a
+        time so the crossing matrices stay (256, 8192) instead of (m, 8192)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         poly = self._poly[:-1]
         x0, y0 = poly[:, 0], poly[:, 1]
         x1 = np.roll(x0, -1)
         y1 = np.roll(y0, -1)
-        px = pts[:, 0][:, None]
-        py = pts[:, 1][:, None]
-        cond = (y0[None, :] > py) != (y1[None, :] > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_int = x0[None, :] + (py - y0[None, :]) * (x1 - x0)[None, :] / (y1 - y0)[None, :]
-        crosses = cond & (px < x_int)
-        return (crosses.sum(axis=1) % 2) == 1
+        out = np.empty(len(pts), dtype=bool)
+        for i in range(0, len(pts), 256):
+            px = pts[i:i + 256, 0][:, None]
+            py = pts[i:i + 256, 1][:, None]
+            cond = (y0[None, :] > py) != (y1[None, :] > py)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x_int = x0[None, :] + (py - y0[None, :]) * (x1 - x0)[None, :] / (y1 - y0)[None, :]
+            crosses = cond & (px < x_int)
+            out[i:i + 256] = (crosses.sum(axis=1) % 2) == 1
+        return out

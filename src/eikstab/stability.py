@@ -8,7 +8,7 @@ center on the left, the jump dissipation on the right.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,7 +88,6 @@ class StabilityReport:
     nu_cubic: float
     l4_deviation: float
     ratios: Dict[str, float]
-    tolerances: Dict[str, float] = dfield(default_factory=dict)
 
     def __post_init__(self):
         if self.lhs_normal_dev < 0 or self.hausdorff < 0:

@@ -382,3 +382,15 @@ def test_ngon_inside_matches_gap_oracle(n):
     near = curve.point(s) + rng.uniform(-1e-6, 1e-6, len(s))[:, None] * curve.normal(s)
     P = np.vstack([rng.uniform(-1.3, 1.3, (150_000, 2)), near])
     assert np.array_equal(curve.inside(P), ngon_signed_gap(curve, P) < 0.0)
+
+
+def test_spline_inside_matches_circle():
+    # a spline through circle samples; 1001 points, not a multiple of the
+    # containment block, all more than 1e-3 from the circle
+    th = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    curve = make_spline_curve(np.column_stack([np.cos(th), np.sin(th)]))
+    rng = np.random.default_rng(8)
+    P = rng.uniform(-1.3, 1.3, (3000, 2))
+    P = P[np.abs(np.hypot(P[:, 0], P[:, 1]) - 1.0) > 1e-3][:1001]
+    assert len(P) == 1001
+    assert np.array_equal(curve.inside(P), np.hypot(P[:, 0], P[:, 1]) < 1.0)
