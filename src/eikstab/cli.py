@@ -141,14 +141,10 @@ def parse_curve_spec(text: str) -> BoundaryCurve:
     return make_spline_curve(np.asarray(rows))
 
 
-def default_field_kind(curve: BoundaryCurve) -> str:
-    # distgrad exists only on the rounded-polygon family; the vortex is the
-    # comparison field everywhere else (jump-free, so nu = 0).
-    return "distgrad" if curve.kind == "rounded_ngon" else "vortex"
-
-
 def build_field(curve: BoundaryCurve, kind: Optional[str]):
-    kind = kind or default_field_kind(curve)
+    # distgrad needs the medial star; the vortex is the comparison field
+    # everywhere else (jump-free, so nu = 0).
+    kind = kind or ("vortex" if curve.medial_star is None else "distgrad")
     if kind == "distgrad":
         try:
             return fields.distgrad_field(curve)

@@ -1,20 +1,21 @@
 """Exact unit-length divergence-free fields: vortices and distance gradients.
 
-Fields are stored as analytic region decompositions (constant-direction
-strips and vortex patches) plus an explicit jump set, so evaluation, traces,
-and flux probes carry no discretization error.
+A field is its regions plus its jump set: constant-direction strips and
+vortex patches, each evaluated by one rule, and straight jump segments with
+one-sided traces.  Evaluation, traces and flux probes read only these
+pieces, so they carry no discretization error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .geometry import BoundaryCurve, ngon_sector
+from .geometry import BoundaryCurve
 
 TWO_PI = 2.0 * math.pi
 
@@ -25,11 +26,6 @@ class OnJumpError(ValueError):
 
 def _wrap(x):
     return (np.asarray(x) + math.pi) % TWO_PI - math.pi
-
-
-def _rot90(v):
-    v = np.asarray(v, dtype=float)
-    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -72,29 +68,50 @@ class JumpSegment:
 
 @dataclass(frozen=True)
 class StripRegion:
-    """Constant-direction region; polygon holds its closure for plotting."""
+    """Constant-direction region."""
 
-    index: int
     value: np.ndarray
-    polygon: np.ndarray
 
 
 @dataclass(frozen=True)
 class VortexPatch:
-    index: int
+    """alpha * i (x - center)/|x - center| on the points that see the center
+    within half_width of the axis, window = (axis, half_width); a patch
+    without a window covers the whole plane."""
+
     center: np.ndarray
     alpha: int
-    window: Optional[Tuple[float, float]] = None  # direction window, None = full
+    window: Optional[Tuple[float, float]] = None
 
 
 @dataclass(frozen=True)
 class UnitField:
+    """A unit field is its regions plus its jump set.
+
+    With strips, regions holds strip k for sector k of the domain's medial
+    star and, after the strips, patch k at spoke k, which can cut into the
+    strips on both sides of the spoke.  A field without strips is one full
+    patch.  kind names the construction in reports.
+    """
+
     domain: BoundaryCurve
     regions: tuple
     jump_set: Tuple[JumpSegment, ...]
-    boundary_trace: Callable[[np.ndarray], np.ndarray]
     kind: str
-    meta: dict = dfield(default_factory=dict)
+
+    @property
+    def strips(self) -> Tuple[StripRegion, ...]:
+        return tuple(r for r in self.regions if isinstance(r, StripRegion))
+
+    @property
+    def patches(self) -> Tuple[VortexPatch, ...]:
+        return tuple(r for r in self.regions if isinstance(r, VortexPatch))
+
+    def boundary_trace(self, s) -> np.ndarray:
+        """Sign of m . tau at the boundary parameters s (m = +-tau there)."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        m, _ = eval_many(self, self.domain.point(s), extend=True)
+        return np.sign(np.sum(m * self.domain.tangent(s), axis=-1))
 
 
 def vortex(curve: BoundaryCurve, center, alpha: int = 1) -> UnitField:
@@ -104,18 +121,8 @@ def vortex(curve: BoundaryCurve, center, alpha: int = 1) -> UnitField:
     center = np.asarray(center, dtype=float)
     if not bool(curve.inside(center[None, :])[0]):
         raise ValueError("vortex center must lie strictly inside the domain")
-
-    def trace(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        rel = curve.point(s) - center
-        rel = rel / np.linalg.norm(rel, axis=-1, keepdims=True)
-        val = np.sum(alpha * _rot90(rel) * curve.tangent(s), axis=-1)
-        return np.sign(val)
-
-    patch = VortexPatch(index=0, center=center, alpha=alpha)
-    return UnitField(domain=curve, regions=(patch,), jump_set=(),
-                     boundary_trace=trace, kind="vortex",
-                     meta={"center": center, "alpha": alpha})
+    patch = VortexPatch(center=center, alpha=alpha)
+    return UnitField(domain=curve, regions=(patch,), jump_set=(), kind="vortex")
 
 
 def distgrad_field(ngon_curve: BoundaryCurve) -> UnitField:
@@ -123,91 +130,44 @@ def distgrad_field(ngon_curve: BoundaryCurve) -> UnitField:
 
     n constant strips (one per flat side, field parallel to the side) and n
     vortex patches around the arc centers; the gradient jumps exactly on the
-    n segments joining the domain center to the arc centers.
+    n spokes of the domain's medial star.
     """
-    if ngon_curve.kind != "rounded_ngon":
+    star = ngon_curve.medial_star
+    if star is None:
         raise ValueError("distgrad_field needs a rounded n-gon")
-    meta = ngon_curve.meta
-    n, rot = meta["n"], meta["rotation"]
-    c0 = np.asarray(meta["center"], dtype=float)
-    verts = np.asarray(meta["vertices"], dtype=float)
-    r = meta["arc_radius"]
-    phis = rot + TWO_PI * np.arange(n) / n
-    psis = phis + math.pi / n
+    phis, half = star.axes, star.half_width
+    n = len(phis)
+    psis = phis + half
     strip_values = np.stack([np.sin(psis), -np.cos(psis)], axis=-1)
-    amp = 2.0 * math.sin(math.pi / n)
+    amp = 2.0 * math.sin(half)
 
     jumps = []
     for k in range(n):
         jumps.append(JumpSegment(
-            p0=c0.copy(), p1=verts[k], theta_J=float(_wrap(phis[k])),
+            p0=star.hub.copy(), p1=star.vertices[k],
+            theta_J=float(_wrap(phis[k])),
             m_minus=strip_values[k], m_plus=strip_values[k - 1],
-            amplitude=amp, half_angle=math.pi / n))
+            amplitude=amp, half_angle=half))
 
-    regions = []
-    outward = np.stack([np.cos(psis), np.sin(psis)], axis=-1)
-    for k in range(n):
-        kk = (k + 1) % n
-        poly = np.stack([c0, verts[k], verts[k] + r * outward[k],
-                         verts[kk] + r * outward[k], verts[kk]])
-        regions.append(StripRegion(index=k, value=strip_values[k], polygon=poly))
-    cuts = []
-    for k in range(n):
-        regions.append(VortexPatch(
-            index=n + k, center=verts[k], alpha=-1,
-            window=(float(phis[k] - math.pi / n), float(phis[k] + math.pi / n))))
-        for ang in (phis[k] - math.pi / n, phis[k] + math.pi / n):
-            e = np.array([math.cos(ang), math.sin(ang)])
-            cuts.append((verts[k], verts[k] + r * e))
-
-    def trace(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return -np.ones(s.shape[0])
-
+    regions = [StripRegion(value=strip_values[k]) for k in range(n)]
+    regions += [VortexPatch(center=star.vertices[k], alpha=-1,
+                            window=(float(phis[k]), half)) for k in range(n)]
     return UnitField(domain=ngon_curve, regions=tuple(regions),
-                     jump_set=tuple(jumps), boundary_trace=trace,
-                     kind="distgrad",
-                     meta={"n": n, "rotation": rot, "center": c0,
-                           "vertices": verts, "phis": phis,
-                           "strip_values": strip_values,
-                           "amplitude": amp, "half_angle": math.pi / n,
-                           "cut_segments": tuple(cuts)})
+                     jump_set=tuple(jumps), kind="distgrad")
 
 
-def _distgrad_raw(field: UnitField, X):
-    m = field.meta
-    n = m["n"]
-    sector = ngon_sector(field.domain, X)
-    values = m["strip_values"][sector]
-    region = sector.copy()
-    # a sector point can fall in the patch at either sector corner
-    for shift in (0, 1):
-        k = (sector + shift) % n
-        u = X - m["vertices"][k]
-        nu = np.hypot(u[:, 0], u[:, 1])
-        ang = np.arctan2(u[:, 1], u[:, 0])
-        hit = (np.abs(_wrap(ang - m["phis"][k])) <= math.pi / n + 1e-15) & (nu > 0)
-        if np.any(hit):
-            values[hit] = -_rot90(u[hit] / nu[hit, None])
-            region[hit] = n + k[hit]
-    return values, region
-
-
-def _vortex_raw(field: UnitField, X):
-    rel = X - field.meta["center"]
-    nu = np.hypot(rel[:, 0], rel[:, 1])
-    safe = nu > 0
-    values = np.zeros_like(rel)
-    values[safe] = field.meta["alpha"] * _rot90(rel[safe] / nu[safe, None])
-    return values, np.zeros(len(rel), dtype=int)
+def _vortex_rule(rel, nu, alpha):
+    """The patch rule alpha * i (x - c)/|x - c| from rel = x - c, nu = |rel|."""
+    u = rel / nu[:, None]
+    return alpha * np.stack([-u[:, 1], u[:, 0]], axis=-1)
 
 
 def eval_many(field: UnitField, pts, extend: bool = False):
     """Vectorized evaluation: returns (values (n,2), region ids (n,)).
 
-    With extend=True the analytic region formulas are evaluated on all of
-    the plane (no inside or jump-set checks); exact singular points get a
-    zero vector.
+    A region id indexes field.regions.  With extend=True the region
+    formulas are evaluated on all of the plane (no inside or jump-set
+    checks); exact singular points get a zero vector.
     """
     X = np.atleast_2d(np.asarray(pts, dtype=float))
     if not extend:
@@ -216,13 +176,37 @@ def eval_many(field: UnitField, pts, extend: bool = False):
         d = jump_distance(field, X)
         if d.size and d.min() <= 1e-12:
             raise OnJumpError("point on the jump set; use the traces")
-    if field.kind == "vortex":
-        if not extend:
-            rel = X - field.meta["center"]
-            if np.min(np.hypot(rel[:, 0], rel[:, 1])) <= 1e-12:
-                raise OnJumpError("vortex center; value undefined")
-        return _vortex_raw(field, X)
-    return _distgrad_raw(field, X)
+    strips, patches = field.strips, field.patches
+    if strips:
+        region = field.domain.medial_star.sector(X)
+        values = np.array([r.value for r in strips])[region]
+        # a sector point can fall in the patch at either of its spokes
+        near = (region.copy(), (region + 1) % len(strips))
+    else:
+        values = np.zeros_like(X)
+        region = np.zeros(len(X), dtype=int)
+        near = (0,)  # the one full patch, for every point
+    centers = np.array([p.center for p in patches])
+    alphas = np.array([p.alpha for p in patches], dtype=float)
+    # a full patch is a window of infinite half-width; the slack keeps
+    # the points of a window edge in the patch
+    windowed = any(p.window for p in patches)
+    axis, half = np.array([p.window or (0.0, math.inf) for p in patches]).T
+    limit = half + 1e-15
+    for k in near:
+        rel = X - centers[k]
+        nu = np.hypot(rel[:, 0], rel[:, 1])
+        if not extend and np.any(nu <= 1e-12):
+            raise OnJumpError("vortex center; value undefined")
+        hit = nu > 0
+        if windowed:
+            ang = np.arctan2(rel[:, 1], rel[:, 0])
+            hit &= np.abs(_wrap(ang - axis[k])) <= limit[k]
+        if np.any(hit):
+            kh = k[hit] if np.ndim(k) else k
+            values[hit] = _vortex_rule(rel[hit], nu[hit], alphas[kh, None])
+            region[hit] = len(strips) + kh
+    return values, region
 
 
 def field_eval(field: UnitField, x) -> np.ndarray:
@@ -239,8 +223,6 @@ def field_region(field: UnitField, x) -> int:
 def jump_distance(field: UnitField, pts) -> np.ndarray:
     """Distance from each point to the jump set (inf if the set is empty)."""
     X = np.atleast_2d(np.asarray(pts, dtype=float))
-    if not field.jump_set:
-        return np.full(len(X), np.inf)
     best = np.full(len(X), np.inf)
     for seg in field.jump_set:
         d = np.asarray(seg.p1) - np.asarray(seg.p0)
@@ -276,20 +258,25 @@ def circle_cut_angles(field: UnitField, center, radius: float,
                       extra_segments=()) -> np.ndarray:
     """Sorted angles where a circle crosses lines of non-smoothness.
 
-    Covers the jump segments and the strip/patch interface rays, plus the
-    ray toward a vortex core; quadrature split at these angles sees only
-    smooth integrands.  extra_segments adds caller-known kink lines.
+    Covers the jump segments, the window edges of the vortex patches and
+    the direction of each full patch's core; quadrature split at these
+    angles sees only smooth integrands.  extra_segments adds caller-known
+    kink lines.
     """
     center = np.asarray(center, dtype=float)
-    pieces = [(s.p0, s.p1) for s in field.jump_set]
-    pieces += list(field.meta.get("cut_segments", ()))
-    pieces += list(extra_segments)
+    pieces = [(s.p0, s.p1) for s in field.jump_set] + list(extra_segments)
     cuts = [0.0, TWO_PI]
+    for p in field.patches:
+        if p.window is None:
+            rel = p.center - center
+            cuts.append(math.atan2(rel[1], rel[0]) % TWO_PI)
+            continue
+        # window edges are rays; 8 exceeds every chord of the domain
+        for ang in (p.window[0] - p.window[1], p.window[0] + p.window[1]):
+            pieces.append((p.center, p.center + 8.0 * np.array(
+                [math.cos(ang), math.sin(ang)])))
     for p0, p1 in pieces:
         cuts.extend(segment_circle_angles(p0, p1, center, radius))
-    if field.kind == "vortex":
-        rel = field.meta["center"] - center
-        cuts.append(math.atan2(rel[1], rel[0]) % TWO_PI)
     return np.unique(np.asarray(cuts))
 
 
@@ -337,7 +324,7 @@ def l4_vortex_deviation(field: UnitField, center, alpha: int,
     nu = np.hypot(rel[:, 0], rel[:, 1])
     ok = nu > 1e-12
     v = np.zeros_like(rel)
-    v[ok] = alpha * _rot90(rel[ok] / nu[ok, None])
+    v[ok] = _vortex_rule(rel[ok], nu[ok], alpha)
     diff = np.sum((m - v) ** 2, axis=1)
     return float(np.sum(diff * diff) * hx * hy)
 

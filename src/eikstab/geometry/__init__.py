@@ -6,7 +6,6 @@ from .curve import (
     make_rounded_ngon,
     make_spline_curve,
     ngon_scale,
-    ngon_sector,
     rounded_ngon_side_midpoints,
     rounded_ngon_vertex_params,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "make_spline_curve",
     "max_inscribed_disk",
     "ngon_scale",
-    "ngon_sector",
     "rounded_ngon_side_midpoints",
     "rounded_ngon_vertex_params",
     "segment_clearance",

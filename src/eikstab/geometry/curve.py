@@ -17,12 +17,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
 from .pieces import ArcPiece, EllipsePiece, SegmentPiece, SplinePiece, _rot
 
 TWO_PI = 2.0 * math.pi
+
+
+@dataclass(frozen=True)
+class MedialStar:
+    """Medial axis of a domain that is a star of straight spokes.
+
+    Spoke k runs from the hub along the direction axes[k] to vertices[k],
+    the centre of a corner arc; the points nearest that arc see its centre
+    within half_width of axes[k].
+    """
+
+    hub: np.ndarray
+    vertices: np.ndarray
+    axes: np.ndarray
+    half_width: float
+
+    def sector(self, pts) -> np.ndarray:
+        """Sector of each point of the plane: sector k holds the polar
+        angles [axes[k], axes[k+1]) about the hub, the wedge of flat side k,
+        whose points are nearest to side k or to the arcs at its two ends."""
+        n = len(self.axes)
+        rel = pts - self.hub
+        theta = np.arctan2(rel[:, 1], rel[:, 0]) - self.axes[0]
+        return np.floor_divide(theta % TWO_PI, TWO_PI / n).astype(int) % n
 
 
 @dataclass
@@ -45,6 +70,8 @@ class BoundaryCurve:
         perimeter/g: n for the rounded n-gon, 2 for the ellipse, 1
         otherwise (the circle's defect vanishes identically, so its full
         symmetry buys nothing).
+    medial_star : the medial axis when it is a star of straight spokes
+        (the rounded n-gon), else None.
     """
 
     kind: str
@@ -56,6 +83,7 @@ class BoundaryCurve:
     meta: dict = field(default_factory=dict)
     spec: str = ""
     rotation_order: int = 1
+    medial_star: Optional[MedialStar] = None
 
     def __post_init__(self):
         self._starts = np.concatenate([[0.0], np.cumsum([p.length for p in self.pieces])])
@@ -163,7 +191,7 @@ class BoundaryCurve:
         the point's sector only: in sector k the nearest polygon point lies
         on the closed edge from vertex k to vertex k+1."""
         m = self.meta
-        k = ngon_sector(self, pts)
+        k = self.medial_star.sector(pts)
         v = m["vertices"]
         edges = np.roll(v, -1, axis=0) - v
         elen = np.hypot(edges[:, 0], edges[:, 1])
@@ -311,20 +339,9 @@ def make_rounded_ngon(n: int, rotation: float = 0.0, center=(0.0, 0.0)) -> Bound
         },
         spec=_spec("rounded_ngon", n=n, rotation=rotation),
         rotation_order=n,
+        medial_star=MedialStar(hub=center, vertices=verts, axes=phis,
+                               half_width=math.pi / n),
     )
-
-
-def ngon_sector(curve: BoundaryCurve, pts) -> np.ndarray:
-    """Sector of each point of the plane about a rounded n-gon's center.
-
-    Sector k holds the polar angles [phi_k, phi_k+1) about the center, with
-    phi_k the direction of inner-polygon vertex k: the wedge of flat side k,
-    whose points are nearest to side k or to the arcs at its two ends.
-    """
-    m = curve.meta
-    rel = pts - m["center"]
-    theta = np.arctan2(rel[:, 1], rel[:, 0]) - m["rotation"]
-    return np.floor_divide(theta % TWO_PI, TWO_PI / m["n"]).astype(int) % m["n"]
 
 
 def make_spline_curve(points) -> BoundaryCurve:

@@ -203,19 +203,12 @@ def _entropy_kink_segments(field: UnitField, entropy: Entropy):
         return []
     psis = {(b + math.pi / 2) % TWO_PI for b in entropy.breakpoints}
     psis |= {(b - math.pi / 2) % TWO_PI for b in entropy.breakpoints}
-    cores = []
-    if field.kind == "vortex":
-        cores.append((np.asarray(field.meta["center"], float),
-                      field.meta["alpha"]))
-    elif field.kind == "distgrad":
-        for v in field.meta["vertices"]:
-            cores.append((np.asarray(v, float), -1))
     segs = []
-    for c, alpha in cores:
+    for p in field.patches:
         for psi in psis:
-            ang = psi - alpha * math.pi / 2
+            ang = psi - p.alpha * math.pi / 2
             e = np.array([math.cos(ang), math.sin(ang)])
-            segs.append((c, c + 8.0 * e))
+            segs.append((p.center, p.center + 8.0 * e))
     return segs
 
 

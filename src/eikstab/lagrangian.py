@@ -16,15 +16,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .fields import UnitField, eval_many, field_eval, jump_distance
+from .fields import UnitField, _wrap, eval_many, field_eval, jump_distance
 from .geometry import BoundaryCurve
 
 TWO_PI = 2.0 * math.pi
 BATCH = 16384
-
-
-def _wrap(x):
-    return (np.asarray(x) + math.pi) % TWO_PI - math.pi
 
 
 def circ_dist(a, b):
@@ -176,6 +172,13 @@ def _segment_data(field: UnitField):
     return P0, E, L, theta, m_minus, m_plus
 
 
+def _hub(field: UnitField):
+    """The endpoint that all jump segments share; at infinity without one."""
+    ends = [{tuple(seg.p0), tuple(seg.p1)} for seg in field.jump_set]
+    shared = set.intersection(*ends) if len(ends) > 1 else set()
+    return np.array(shared.pop() if shared else (np.inf, np.inf))
+
+
 def _advance_batch(field: UnitField, x, s, t, T):
     """Run one batch of curves to completion (event-synchronous lockstep).
 
@@ -186,7 +189,7 @@ def _advance_batch(field: UnitField, x, s, t, T):
     P0, E, L, theta_J, m_minus, m_plus = _segment_data(field)
     nseg = len(L)
     n_J = np.stack([-np.sin(theta_J), np.cos(theta_J)], axis=-1) if nseg else None
-    center = np.asarray(field.meta.get("center", (0.0, 0.0)), dtype=float)
+    hub = _hub(field)
     alive = np.ones(n, dtype=bool)
     mu = np.zeros(n)
     death = np.full(n, T)
@@ -236,8 +239,8 @@ def _advance_batch(field: UnitField, x, s, t, T):
         if hit_seg.any():
             jj = np.flatnonzero(hit_seg)
             ii = idx[jj]
-            at_center = np.hypot(x[ii, 0] - center[0],
-                                 x[ii, 1] - center[1]) < 1e-9
+            at_center = np.hypot(x[ii, 0] - hub[0],
+                                 x[ii, 1] - hub[1]) < 1e-9
             if at_center.any():
                 cc = ii[at_center]
                 alive[cc] = False

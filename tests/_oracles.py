@@ -175,7 +175,10 @@ def trace_reference(field, x0, s0, T):
     x = np.asarray(x0, dtype=float).copy()
     s = float(s0) % TWO_PI
     t, mu = 0.0, 0.0
-    center = np.asarray(field.meta.get("center", (0.0, 0.0)), dtype=float)
+    # the hub: the endpoint that all jump segments share
+    ends = [{tuple(seg.p0), tuple(seg.p1)} for seg in field.jump_set]
+    shared = set.intersection(*ends) if len(ends) > 1 else set()
+    hub = np.asarray(shared.pop(), dtype=float) if shared else None
     for _ in range(100_000):
         d = np.array([math.cos(s), math.sin(s)])
         u_exit = first_exit(field.domain, x, d)
@@ -199,7 +202,7 @@ def trace_reference(field, x0, s0, T):
         x, t = x + u * d, t + u
         if u_exit <= u_seg:
             return "boundary", t, mu
-        if math.hypot(*(x - center)) < 1e-9:
+        if hub is not None and math.hypot(*(x - hub)) < 1e-9:
             return "center", t, mu
         side = d[0] * -math.sin(hit.theta_J) + d[1] * math.cos(hit.theta_J)
         far = hit.m_plus if side < 0.0 else hit.m_minus

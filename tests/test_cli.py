@@ -54,6 +54,21 @@ def test_unknown_curve_kind_names_kind(tmp_path, capsys):
     assert "kind" in err and "wobble" in err
 
 
+@pytest.mark.parametrize("curve,field", [("ellipse:aspect=1.3", "distgrad"),
+                                         ("circle", "bogus")])
+def test_field_without_construction_names_field(tmp_path, curve, field):
+    # distgrad exists only on a domain with the n-gon medial star; an
+    # unknown family is a usage error, not a crash
+    proc = subprocess.run(
+        [sys.executable, "-m", "eikstab.cli", "nu", "--curve", curve,
+         "--field", field, "--out", str(tmp_path / "x.json")],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"'{field}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_unknown_flag_is_usage_error(tmp_path, capsys):
     rc = run_cli(["nu", "--curve", "circle", "--bogus", "2",
                   "--out", tmp_path / "x.json"])

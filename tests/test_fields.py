@@ -9,6 +9,7 @@ from eikstab.fields import (
     JumpSegment,
     OnJumpError,
     best_vortex_fit,
+    circle_cut_angles,
     distgrad_field,
     eval_many,
     field_eval,
@@ -84,13 +85,26 @@ def test_distgrad_structure(f6):
     assert set(np.asarray(f6.boundary_trace(s)).tolist()) == {-1.0}
 
 
+def test_distgrad_regions(f6):
+    strips, patches = f6.strips, f6.patches
+    # region ids index the strips first, then the patches
+    assert len(strips) == 6 and len(patches) == 6
+    assert all(a is b for a, b in zip(f6.regions, strips + patches))
+    for k, p in enumerate(patches):
+        assert p.alpha == -1
+        assert np.array_equal(p.center, f6.jump_set[k].p1)
+        assert p.window == (float(TWO_PI * k / 6), math.pi / 6)
+    assert vortex(make_circle(), (0.1, 0.0), 1).strips == ()
+
+
 def test_distgrad_region_values(f6):
-    meta = f6.meta
-    p = 0.5 * (meta["vertices"][0] + meta["vertices"][1])
+    vertices = [p.center for p in f6.patches]
+    p = 0.5 * (vertices[0] + vertices[1])
     assert field_region(f6, p) == 0
-    assert np.allclose(field_eval(f6, p), meta["strip_values"][0], atol=1e-15)
-    v0 = meta["vertices"][0]
-    q = v0 + 0.1 * np.array([math.cos(meta["phis"][0]), math.sin(meta["phis"][0])])
+    assert np.allclose(field_eval(f6, p), f6.strips[0].value, atol=1e-15)
+    v0 = vertices[0]
+    axis0 = f6.patches[0].window[0]
+    q = v0 + 0.1 * np.array([math.cos(axis0), math.sin(axis0)])
     assert field_region(f6, q) == 6
     u = (q - v0) / np.hypot(*(q - v0))
     assert np.allclose(field_eval(f6, q), [u[1], -u[0]], atol=1e-15)
@@ -105,18 +119,51 @@ def test_boundary_trace_is_negative_tangent(f6):
 
 def test_interface_continuity(f6):
     # strip and patch formulas agree exactly on the shared rays
-    meta = f6.meta
-    for k in range(6):
+    for k, patch in enumerate(f6.patches):
+        axis, half = patch.window
         for t in np.linspace(0.05, 0.95, 9):
             for sgn in (1, -1):
-                ang = meta["phis"][k] + sgn * math.pi / 6
-                p = meta["vertices"][k] + t * 0.45 * np.array(
+                ang = axis + sgn * half
+                p = patch.center + t * 0.45 * np.array(
                     [math.cos(ang), math.sin(ang)])
-                u = p - meta["vertices"][k]
+                u = p - patch.center
                 nu = np.hypot(*u)
                 patch_val = -np.array([-u[1], u[0]]) / nu
                 ks = k if sgn > 0 else (k - 1) % 6
-                assert np.abs(patch_val - meta["strip_values"][ks]).max() < 1e-10
+                assert np.abs(patch_val - f6.strips[ks].value).max() < 1e-10
+
+
+def _line_circle_angles(p0, e, t_max, c, rho):
+    """Angles about c where |p0 + t e - c| = rho for 0 <= t <= t_max."""
+    b = float(e @ (p0 - c))
+    disc = b * b - float((p0 - c) @ (p0 - c)) + rho * rho
+    if disc < 0:
+        return []
+    ts = [t for t in (-b - math.sqrt(disc), -b + math.sqrt(disc))
+          if 0.0 <= t <= t_max]
+    return [math.atan2(*(p0 + t * e - c)[::-1]) % TWO_PI for t in ts]
+
+
+def test_circle_cut_angles(f6):
+    # a circle about a point of spoke 0 that crosses both window rays of
+    # patch 0 and only the near part of spoke 0
+    v0 = f6.patches[0].center
+    c, rho = v0 - np.array([0.1, 0.0]), 0.15
+    spoke = f6.jump_set[0]
+    expect = _line_circle_angles(spoke.p0, np.array([1.0, 0.0]),
+                                 spoke.length, c, rho)
+    assert len(expect) == 1
+    for ang in (-math.pi / 6, math.pi / 6):
+        hits = _line_circle_angles(
+            v0, np.array([math.cos(ang), math.sin(ang)]), math.inf, c, rho)
+        assert len(hits) == 1
+        expect += hits
+    got = circle_cut_angles(f6, c, rho)
+    assert np.allclose(got, sorted([0.0, TWO_PI] + expect), atol=1e-12)
+    # a vortex is cut along the direction of its core
+    fv = vortex(make_circle(), (0.1, 0.2), 1)
+    got = circle_cut_angles(fv, (-0.3, 0.1), 0.2)
+    assert np.allclose(got, [0.0, math.atan2(0.1, 0.4), TWO_PI], atol=1e-15)
 
 
 def test_divergence_probes(f6):

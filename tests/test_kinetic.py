@@ -175,9 +175,9 @@ def test_ngon_smooth_disk_fluxes():
     f6 = distgrad_field(g6)
     ent = entropy_sigma2()
     # strip interior and patch interior probes
-    mid = 0.5 * (f6.meta["vertices"][0] + f6.meta["vertices"][1])
+    mid = 0.5 * (f6.patches[0].center + f6.patches[1].center)
     assert abs(entropy_disk_flux(f6, ent, mid * 1.05, 0.04)) < 1e-10
-    v0 = f6.meta["vertices"][0]
+    v0 = f6.patches[0].center
     patch_pt = v0 + 0.3 * np.array([math.cos(0.0), math.sin(0.0)])
     assert abs(entropy_disk_flux(f6, ent, patch_pt, 0.05)) < 1e-10
     with pytest.raises(ValueError):
