@@ -13,7 +13,8 @@ import math
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,28 +56,20 @@ def parse_curve_spec(text: str) -> BoundaryCurve:
     """Parse 'circle', 'ellipse:aspect=1.3', 'rounded_ngon:n=8', or the
     equivalent comma list 'kind=rounded_ngon,n=8'."""
     text = text.strip()
-    if "=" in text.split(":", 1)[0]:
-        parts = [p for p in text.split(",") if p]
-        kv = {}
-        for part in parts:
-            key, eq, val = part.partition("=")
-            if not eq:
-                raise CurveSpecError(
-                    f"curve spec entry {key!r} is not key=value", key)
-            kv[key.strip()] = val.strip()
+    kind, _, rest = text.partition(":")
+    keyed = "=" in kind  # the comma-list form carries the kind as a key
+    kv = {}
+    for part in (p for p in (text if keyed else rest).split(",") if p):
+        key, eq, val = part.partition("=")
+        if not eq:
+            raise CurveSpecError(
+                f"curve spec entry {key!r} is not key=value", key)
+        kv[key.strip()] = val.strip()
+    if keyed:
         kind = kv.pop("kind", None)
         if kind is None:
             raise CurveSpecError("curve spec is missing the 'kind' key",
                                  "kind")
-    else:
-        kind, _, rest = text.partition(":")
-        kv = {}
-        for part in (p for p in rest.split(",") if p):
-            key, eq, val = part.partition("=")
-            if not eq:
-                raise CurveSpecError(
-                    f"curve spec entry {key!r} is not key=value", key)
-            kv[key.strip()] = val.strip()
     if kind not in _CURVE_KEYS:
         raise CurveSpecError(f"unknown curve kind {kind!r}", "kind")
     bad = set(kv) - _CURVE_KEYS[kind]
@@ -176,34 +169,66 @@ def parse_config_file(path: str) -> Dict[str, str]:
     return out
 
 
-def _convert(key: str, raw: str, kind: str):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
-    except ValueError:
-        raise UsageError(f"config key {key!r} has invalid value {raw!r}")
+def _switch(raw: str) -> bool:
+    """On/off value of a config key that mirrors a bare flag."""
+    value = {"true": True, "1": True, "false": False, "0": False}.get(
+        raw.lower())
+    if value is None:
+        raise ValueError(raw)
+    return value
 
 
-def resolve(args: argparse.Namespace, types: Dict[str, str],
-            defaults: Dict[str, object]) -> Dict[str, object]:
-    """Flags win; config file fills the gaps; hard defaults last."""
+@dataclass(frozen=True)
+class Option:
+    """One option of one command, declared once.
+
+    Its flag is --name with '_' written '-'.  A value comes from the flag,
+    else from the --config file, else from the default; flag_only options
+    (output paths, workers, timing) skip the config file and stay out of
+    the report's config.  required is True or the reason the message
+    gives; choices lists the allowed values.
+    """
+
+    name: str
+    convert: Callable[[str], object] = str
+    default: object = None
+    required: Union[bool, str] = False
+    choices: Tuple[str, ...] = ()
+    flag_only: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+def resolve(args: argparse.Namespace,
+            options: Sequence[Option]) -> Dict[str, object]:
+    """Flags win; config file fills the gaps; hard defaults last.  Then
+    every required value must be set and every value an allowed choice."""
+    keyed = {o.name: o for o in options if not o.flag_only}
     cfg = parse_config_file(args.config) if args.config else {}
-    unknown = set(cfg) - set(types)
+    unknown = set(cfg) - set(keyed)
     if unknown:
         raise UsageError(
             f"config key {sorted(unknown)[0]!r} is not valid for this command")
     out: Dict[str, object] = {}
-    for key, kind in types.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            out[key] = flag_val
-        elif key in cfg:
-            out[key] = _convert(key, cfg[key], kind)
-        else:
-            out[key] = defaults.get(key)
+    for key, opt in keyed.items():
+        value = getattr(args, key)
+        if value is None and key in cfg:
+            try:
+                value = opt.convert(cfg[key])
+            except ValueError:
+                raise UsageError(
+                    f"config key {key!r} has invalid value {cfg[key]!r}")
+        if value is None:
+            value = opt.default
+        if opt.required and value in (None, ""):
+            why = f" ({opt.required})" if isinstance(opt.required, str) else ""
+            raise UsageError(f"{opt.flag} is required{why}")
+        if opt.choices and value not in opt.choices:
+            raise UsageError(f"{opt.flag} must be "
+                             + " or ".join(map(repr, opt.choices)))
+        out[key] = value
     return out
 
 
@@ -223,14 +248,10 @@ def _series_csv_path(plot_path: str, csv_opt: Optional[str]) -> str:
     return root + ".csv"
 
 
-def cmd_gen_domain(args) -> Tuple[dict, dict, List[dict]]:
-    cfg = resolve(args, {"curve": "str", "samples": "int"},
-                  {"curve": None, "samples": 512})
-    if not cfg["curve"]:
-        raise UsageError("--curve is required")
+def cmd_gen_domain(cfg, args) -> Tuple[dict, List[dict]]:
     curve = parse_curve_spec(cfg["curve"])
     disk = max_inscribed_disk(curve)
-    table = curve.sample_table(int(cfg["samples"]))
+    table = curve.sample_table(cfg["samples"])
     if args.csv:
         report.write_csv(args.csv,
                          ["s", "x", "y", "tau_x", "tau_y", "kappa"], table)
@@ -241,30 +262,27 @@ def cmd_gen_domain(args) -> Tuple[dict, dict, List[dict]]:
         "inscribed_center": list(disk.center_xy),
         "inscribed_radius": disk.radius,
         "bbox": list(curve.bbox()),
-        "samples": int(cfg["samples"]),
+        "samples": cfg["samples"],
     }
     asserts = [report.assertion(
         "perimeter_two_pi", abs(curve.perimeter - TWO_PI), 1e-9,
         abs(curve.perimeter - TWO_PI) <= 1e-9, target=0.0)]
-    return cfg, results, asserts
+    return results, asserts
 
 
-def cmd_defect(args) -> Tuple[dict, dict, List[dict]]:
-    cfg = resolve(args, {"curve": "str", "triple": "str"},
-                  {"curve": None, "triple": None})
-    if not cfg["curve"]:
-        raise UsageError("--curve is required")
-    if not cfg["triple"]:
-        raise UsageError("--triple is required")
+def cmd_defect(cfg, args) -> Tuple[dict, List[dict]]:
     curve = parse_curve_spec(cfg["curve"])
     try:
-        triple = [float(v) for v in str(cfg["triple"]).split(",")]
+        triple = [float(v) for v in cfg["triple"].split(",")]
     except ValueError:
-        raise UsageError("--triple must be three comma-separated numbers")
+        triple = []
     if len(triple) != 3:
         raise UsageError("--triple must be three comma-separated numbers")
     disk = max_inscribed_disk(curve)
-    res = defect.defect_a(curve, disk, triple)
+    try:
+        res = defect.defect_a(curve, disk, triple)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     results = {
         "a": res.a,
         "z0": list(res.z0),
@@ -274,22 +292,16 @@ def cmd_defect(args) -> Tuple[dict, dict, List[dict]]:
     }
     asserts = [report.assertion("defect_nonnegative", res.a, 0.0,
                                 res.a >= 0.0)]
-    return cfg, results, asserts
+    return results, asserts
 
 
-def cmd_defect_integral(args) -> Tuple[dict, dict, List[dict]]:
-    types = {"curve": "str", "region": "str", "nodes": "int", "mc": "int",
-             "seed": "int"}
-    cfg = resolve(args, types, {"curve": None, "region": "full",
-                                "nodes": 24, "mc": None, "seed": None})
-    if not cfg["curve"]:
-        raise UsageError("--curve is required")
+def cmd_defect_integral(cfg, args) -> Tuple[dict, List[dict]]:
     if cfg["mc"] is not None and cfg["seed"] is None:
         raise UsageError("--seed is required with --mc")
     curve = parse_curve_spec(cfg["curve"])
     disk = max_inscribed_disk(curve)
-    region_spec = str(cfg["region"])
-    region = None
+    region_spec = cfg["region"]
+    eta = None
     if region_spec != "full":
         head, _, tail = region_spec.partition(":")
         if head != "star" or not tail:
@@ -299,11 +311,13 @@ def cmd_defect_integral(args) -> Tuple[dict, dict, List[dict]]:
             eta = float(tail)
         except ValueError:
             raise UsageError("--region star eta must be numeric")
-        region = star_region(curve, disk, eta)
-    res = defect.integral_a2(curve, disk, region=region,
-                             M=int(cfg["nodes"]),
-                             mc_samples=cfg["mc"],
-                             seed=cfg["seed"] if cfg["seed"] is not None else 0)
+    try:
+        region = None if eta is None else star_region(curve, disk, eta)
+        res = defect.integral_a2(
+            curve, disk, region=region, M=cfg["nodes"], mc_samples=cfg["mc"],
+            seed=cfg["seed"] if cfg["seed"] is not None else 0)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     results = {
         "value": res.value,
         "standard_error": res.standard_error,
@@ -314,22 +328,13 @@ def cmd_defect_integral(args) -> Tuple[dict, dict, List[dict]]:
     }
     asserts = [report.assertion("integral_nonnegative", res.value, 0.0,
                                 res.value >= 0.0)]
-    return cfg, results, asserts
+    return results, asserts
 
 
-_COST_ALIAS = {"ars": "ars_wall", "ars_wall": "ars_wall", "cubic": "cubic"}
-
-
-def cmd_nu(args) -> Tuple[dict, dict, List[dict]]:
-    types = {"curve": "str", "cost": "str", "field": "str"}
-    cfg = resolve(args, types, {"curve": None, "cost": "ars", "field": None})
-    if not cfg["curve"]:
-        raise UsageError("--curve is required")
-    if cfg["cost"] not in _COST_ALIAS:
-        raise UsageError("--cost must be 'ars' or 'cubic'")
+def cmd_nu(cfg, args) -> Tuple[dict, List[dict]]:
     curve = parse_curve_spec(cfg["curve"])
     f = build_field(curve, cfg["field"])
-    rep = kinetic.nu_total(f, _COST_ALIAS[cfg["cost"]])
+    rep = kinetic.nu_total(f, _COST_KIND[cfg["cost"]])
     if args.csv:
         report.write_csv(args.csv, ["amplitude", "ars", "cubic"],
                          kinetic.cost_table())
@@ -343,37 +348,24 @@ def cmd_nu(args) -> Tuple[dict, dict, List[dict]]:
     }
     asserts = [report.assertion("nu_nonnegative", rep.nu_total, 0.0,
                                 rep.nu_total >= 0.0)]
-    return cfg, results, asserts
+    return results, asserts
 
 
-def cmd_lagrangian(args) -> Tuple[dict, dict, List[dict]]:
-    types = {"curve": "str", "field": "str", "curves": "int",
-             "horizon": "float", "seed": "int", "boundary_rate": "float"}
-    cfg = resolve(args, types, {"curve": None, "field": None,
-                                "curves": 100_000, "horizon": None,
-                                "seed": None, "boundary_rate": None})
-    if not cfg["curve"]:
-        raise UsageError("--curve is required")
-    if cfg["seed"] is None:
-        raise UsageError("--seed is required (stochastic command)")
+def cmd_lagrangian(cfg, args) -> Tuple[dict, List[dict]]:
     curve = parse_curve_spec(cfg["curve"])
     f = build_field(curve, cfg["field"])
     horizon = cfg["horizon"] if cfg["horizon"] is not None else 3.0 * math.pi
     try:
         if cfg["boundary_rate"] is None:
-            spec = lagrangian.balanced_spec(f, int(cfg["curves"]),
-                                            horizon=float(horizon),
-                                            seed=int(cfg["seed"]))
+            spec = lagrangian.balanced_spec(f, cfg["curves"], horizon=horizon,
+                                            seed=cfg["seed"])
         else:
             spec = lagrangian.EnsembleSpec(
-                field=f, horizon=float(horizon),
-                interior_count=int(cfg["curves"]),
-                boundary_rate=float(cfg["boundary_rate"]),
-                seed=int(cfg["seed"]))
+                field=f, horizon=horizon, interior_count=cfg["curves"],
+                boundary_rate=cfg["boundary_rate"], seed=cfg["seed"])
+        ens = lagrangian.sample_ensemble(spec, workers=args.workers)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    workers = args.workers if args.workers else 1
-    ens = lagrangian.sample_ensemble(spec, workers=int(workers))
     rate = lagrangian.dissipation_decomposition(ens)
     nu = kinetic.nu_total(f, "ars_wall").nu_total
     if args.traj_csv:
@@ -408,23 +400,15 @@ def cmd_lagrangian(args) -> Tuple[dict, dict, List[dict]]:
         asserts.append(report.assertion("dissipation_vanishes", rate.rate,
                                         1e-6, abs(rate.rate) <= 1e-6,
                                         target=0.0))
-    return cfg, results, asserts
+    return results, asserts
 
 
-def cmd_energy(args) -> Tuple[dict, dict, List[dict]]:
-    types = {"curve": "str", "field": "str", "eps": "float", "grid": "int",
-             "functional": "str"}
-    cfg = resolve(args, types, {"curve": None, "field": None, "eps": 0.02,
-                                "grid": 1024, "functional": "F"})
-    if not cfg["curve"]:
-        raise UsageError("--curve is required")
-    if cfg["functional"] not in ("F", "AG"):
-        raise UsageError("--functional must be 'F' or 'AG'")
+def cmd_energy(cfg, args) -> Tuple[dict, List[dict]]:
     curve = parse_curve_spec(cfg["curve"])
     f = build_field(curve, cfg["field"])
-    eps = float(cfg["eps"])
+    eps = cfg["eps"]
     try:
-        grid = energy.mollify_field(f, eps, int(cfg["grid"]))
+        grid = energy.mollify_field(f, eps, cfg["grid"])
     except ValueError as exc:
         raise UsageError(str(exc))
     if cfg["functional"] == "F":
@@ -470,18 +454,14 @@ def cmd_energy(args) -> Tuple[dict, dict, List[dict]]:
         asserts.append(report.assertion(
             "dominates_two_term_energy", bd.total - ag_total, 0.0,
             bd.total >= ag_total - 1e-12, target=0.0))
-    return cfg, results, asserts
+    return results, asserts
 
 
 def _finite_or_none(x: float) -> Optional[float]:
     return float(x) if math.isfinite(x) else None
 
 
-def cmd_stability(args) -> Tuple[dict, dict, List[dict]]:
-    cfg = resolve(args, {"curve": "str", "field": "str"},
-                  {"curve": None, "field": None})
-    if not cfg["curve"]:
-        raise UsageError("--curve is required")
+def cmd_stability(cfg, args) -> Tuple[dict, List[dict]]:
     curve = parse_curve_spec(cfg["curve"])
     f = build_field(curve, cfg["field"])
     rep = stability.check_main2(curve, f)
@@ -505,22 +485,18 @@ def cmd_stability(args) -> Tuple[dict, dict, List[dict]]:
                          1e-9, cs_ok, target=0.0),
         report.assertion("center_inside_domain", inside, 0.0, inside),
     ]
-    return cfg, results, asserts
+    return results, asserts
 
 
-def cmd_sharpness(args) -> Tuple[dict, dict, List[dict]]:
-    cfg = resolve(args, {"n": "str", "cost": "str"},
-                  {"n": "8,16,32,64", "cost": "ars"})
+def cmd_sharpness(cfg, args) -> Tuple[dict, List[dict]]:
     try:
-        ns = [int(v) for v in str(cfg["n"]).split(",") if v]
+        ns = [int(v) for v in cfg["n"].split(",") if v]
     except ValueError:
         raise UsageError("--n must be a comma list of integers")
     if not ns:
         raise UsageError("--n must be a comma list of integers")
-    if cfg["cost"] not in _COST_ALIAS:
-        raise UsageError("--cost must be 'ars' or 'cubic'")
     try:
-        tab = stability.sharpness_sweep(ns, _COST_ALIAS[cfg["cost"]])
+        tab = stability.sharpness_sweep(ns, _COST_KIND[cfg["cost"]])
     except ValueError as exc:
         raise UsageError(str(exc))
     header = ["n", "lhs_normal_dev", "nu", "n2_lhs", "n2_nu", "lhs_over_nu"]
@@ -558,7 +534,7 @@ def cmd_sharpness(args) -> Tuple[dict, dict, List[dict]]:
         rel = abs(row["n2_nu"] - limit) / limit
         asserts.append(report.assertion(
             "n2_nu_limit", row["n2_nu"], 0.02, rel <= 0.02, target=limit))
-    return cfg, results, asserts
+    return results, asserts
 
 
 # ------------------------------------------------------------------ selftest
@@ -701,9 +677,8 @@ def _selftest_checks(quick: bool) -> List[Tuple[str, Callable[[], tuple]]]:
     return checks
 
 
-def cmd_selftest(args) -> Tuple[dict, dict, List[dict]]:
-    quick = bool(args.quick)
-    cfg = {"quick": quick}
+def cmd_selftest(cfg, args) -> Tuple[dict, List[dict]]:
+    quick = cfg["quick"]
     asserts = []
     for name, fn in _selftest_checks(quick):
         try:
@@ -715,19 +690,42 @@ def cmd_selftest(args) -> Tuple[dict, dict, List[dict]]:
     results = {"n_checks": len(asserts),
                "n_failed": sum(1 for a in asserts if not a["passed"]),
                "tier": "quick" if quick else "full"}
-    return cfg, results, asserts
+    return results, asserts
 
 
-COMMANDS: Dict[str, Callable] = {
-    "gen-domain": cmd_gen_domain,
-    "defect": cmd_defect,
-    "defect-integral": cmd_defect_integral,
-    "nu": cmd_nu,
-    "lagrangian": cmd_lagrangian,
-    "energy": cmd_energy,
-    "stability": cmd_stability,
-    "sharpness": cmd_sharpness,
-    "selftest": cmd_selftest,
+# ------------------------------------------------------------ command table
+
+_COST_KIND = {"ars": "ars_wall", "cubic": "cubic"}
+
+_CURVE = Option("curve", required=True)
+_FIELD = Option("field")
+_COST = Option("cost", default="ars", choices=tuple(_COST_KIND))
+_CSV = Option("csv", flag_only=True)
+_COMMON = (Option("out", flag_only=True), Option("config", flag_only=True),
+           Option("timing", _switch, False, flag_only=True))
+
+COMMANDS: Dict[str, Tuple[Callable, Tuple[Option, ...]]] = {
+    "gen-domain": (cmd_gen_domain, (
+        _CURVE, Option("samples", int, 512), _CSV)),
+    "defect": (cmd_defect, (_CURVE, Option("triple", required=True))),
+    "defect-integral": (cmd_defect_integral, (
+        _CURVE, Option("region", default="full"), Option("nodes", int, 24),
+        Option("mc", int), Option("seed", int))),
+    "nu": (cmd_nu, (_CURVE, _COST, _FIELD, _CSV)),
+    "lagrangian": (cmd_lagrangian, (
+        _CURVE, _FIELD, Option("curves", int, 100_000),
+        Option("horizon", float), Option("boundary_rate", float),
+        Option("traj_csv", flag_only=True),
+        Option("workers", int, 1, flag_only=True),
+        Option("seed", int, required="stochastic command"))),
+    "energy": (cmd_energy, (
+        _CURVE, _FIELD, Option("eps", float, 0.02), Option("grid", int, 1024),
+        Option("functional", default="F", choices=("F", "AG")), _CSV)),
+    "stability": (cmd_stability, (_CURVE, _FIELD)),
+    "sharpness": (cmd_sharpness, (
+        Option("n", default="8,16,32,64"), _COST,
+        Option("plot", flag_only=True), _CSV)),
+    "selftest": (cmd_selftest, (Option("quick", _switch, False),)),
 }
 
 
@@ -738,75 +736,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eikstab",
         description="Line-energy domain stability toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--config", default=None)
-        sp.add_argument("--timing", action="store_true")
-
-    sp = sub.add_parser("gen-domain")
-    sp.add_argument("--curve")
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--csv", default=None)
-    common(sp)
-
-    sp = sub.add_parser("defect")
-    sp.add_argument("--curve")
-    sp.add_argument("--triple")
-    common(sp)
-
-    sp = sub.add_parser("defect-integral")
-    sp.add_argument("--curve")
-    sp.add_argument("--region", default=None)
-    sp.add_argument("--nodes", type=int, default=None)
-    sp.add_argument("--mc", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("nu")
-    sp.add_argument("--curve")
-    sp.add_argument("--cost", default=None)
-    sp.add_argument("--field", default=None)
-    sp.add_argument("--csv", default=None)
-    common(sp)
-
-    sp = sub.add_parser("lagrangian")
-    sp.add_argument("--curve")
-    sp.add_argument("--field", default=None)
-    sp.add_argument("--curves", type=int, default=None)
-    sp.add_argument("--horizon", type=float, default=None)
-    sp.add_argument("--boundary-rate", dest="boundary_rate", type=float,
-                    default=None)
-    sp.add_argument("--traj-csv", dest="traj_csv", default=None)
-    sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("energy")
-    sp.add_argument("--curve")
-    sp.add_argument("--field", default=None)
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--functional", default=None)
-    sp.add_argument("--csv", default=None)
-    common(sp)
-
-    sp = sub.add_parser("stability")
-    sp.add_argument("--curve")
-    sp.add_argument("--field", default=None)
-    common(sp)
-
-    sp = sub.add_parser("sharpness")
-    sp.add_argument("--n", default=None)
-    sp.add_argument("--cost", default=None)
-    sp.add_argument("--plot", default=None)
-    sp.add_argument("--csv", default=None)
-    common(sp)
-
-    sp = sub.add_parser("selftest")
-    sp.add_argument("--quick", action="store_true")
-    common(sp)
-
+    for name, (_, options) in COMMANDS.items():
+        sp = sub.add_parser(name)
+        for opt in options + _COMMON:
+            # a config value fills in only where the flag left None
+            default = opt.default if opt.flag_only else None
+            kind = ({"action": "store_true"} if opt.convert is _switch
+                    else {"type": opt.convert})
+            sp.add_argument(opt.flag, default=default, **kind)
     return p
 
 
@@ -816,9 +753,11 @@ def run(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    handler, options = COMMANDS[args.command]
     t0 = time.perf_counter()
     try:
-        config, results, asserts = COMMANDS[args.command](args)
+        config = resolve(args, options)
+        results, asserts = handler(config, args)
     except CurveSpecError as exc:
         print(f"error: invalid curve spec: {exc}", file=sys.stderr)
         return 2

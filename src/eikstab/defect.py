@@ -357,6 +357,8 @@ def integral_a2(curve: BoundaryCurve, disk: Disk,
     if M < 8:
         raise ValueError("need M >= 8 nodes per factor")
     if mc_samples is not None:
+        if mc_samples < 1:
+            raise ValueError("need mc_samples >= 1")
         return _integral_a2_mc(curve, disk, region, mc_samples, seed, batch)
 
     params, weights, L = _region_nodes(curve, region, M)

@@ -67,6 +67,8 @@ def _square_box(curve, pad: float):
 
 def raster_field(field: UnitField, grid_n: int, pad: float = 0.5) -> GridField:
     """Sample the field (analytically extended) on a padded square grid."""
+    if grid_n < 1:
+        raise ValueError("need grid_n >= 1 cells per side")
     curve = field.domain
     box = _square_box(curve, pad)
     h = (box[1] - box[0]) / grid_n

@@ -167,7 +167,8 @@ def eval_many(field: UnitField, pts, extend: bool = False):
 
     A region id indexes field.regions.  With extend=True the region
     formulas are evaluated on all of the plane (no inside or jump-set
-    checks); exact singular points get a zero vector.
+    checks).  There the centre of a full patch gets a zero vector, while
+    the centre of a windowed patch keeps the value of its strip.
     """
     X = np.atleast_2d(np.asarray(pts, dtype=float))
     if not extend:
@@ -213,11 +214,6 @@ def field_eval(field: UnitField, x) -> np.ndarray:
     """Exact field value at one strictly interior, off-jump point."""
     v, _ = eval_many(field, np.asarray(x, dtype=float)[None, :])
     return v[0]
-
-
-def field_region(field: UnitField, x) -> int:
-    _, r = eval_many(field, np.asarray(x, dtype=float)[None, :])
-    return int(r[0])
 
 
 def jump_distance(field: UnitField, pts) -> np.ndarray:
@@ -344,25 +340,3 @@ def best_vortex_fit(field: UnitField, grid_n: int = 128):
         if res.fun < best[0]:
             best = (float(res.fun), np.asarray(res.x), alpha)
     return best
-
-
-def raster_table(field: UnitField, grid_n: int = 128) -> np.ndarray:
-    """Interior raster with columns (x, y, m1, m2, region) for export."""
-    x0, x1, y0, y1 = field.domain.bbox()
-    cx = np.linspace(x0, x1, grid_n)
-    cy = np.linspace(y0, y1, grid_n)
-    P = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
-    P = P[field.domain.inside(P)]
-    m, reg = eval_many(field, P, extend=True)
-    return np.column_stack([P, m, reg.astype(float)])
-
-
-def jump_table(field: UnitField) -> np.ndarray:
-    """Jump-set summary with one row per segment for export.
-
-    Columns: x0, y0, x1, y1, theta_J, amplitude, half_angle.
-    """
-    if not field.jump_set:
-        return np.zeros((0, 7))
-    return np.array([[*seg.p0, *seg.p1, seg.theta_J, seg.amplitude,
-                      seg.half_angle] for seg in field.jump_set])

@@ -113,18 +113,23 @@ def em_mass(field: UnitField) -> float:
     return math.pi * field.domain.area()
 
 
-def _influx_window(theta_m, psi):
-    """Admitted inward directions in the inward-normal frame.
+def _influx_at(field: UnitField, sb):
+    """Boundary points at the parameters sb, their inward-normal angles and
+    the admitted inward directions in the inward-normal frame.
 
-    In the frame phi = s - (psi + pi/2) the influx weight is cos(phi) on
+    In the frame phi = s - inward the influx weight is cos(phi) on
     (-pi/2, pi/2) and the trace admits phi in (delta - pi/2, delta + pi/2)
-    with delta the wrapped trace angle.  Returns the intersection; an
-    empty window comes out with hi <= lo.
+    with delta the wrapped trace angle.  Returns (pts, inward, lo, hi) with
+    [lo, hi] the intersection; an empty window comes out with hi <= lo.
     """
-    delta = _wrap(np.asarray(theta_m) - (np.asarray(psi) + math.pi / 2))
+    pts = field.domain.point(sb)
+    tau = field.domain.tangent(sb)
+    m, _ = eval_many(field, pts, extend=True)
+    inward = np.arctan2(tau[:, 1], tau[:, 0]) + math.pi / 2
+    delta = _wrap(np.arctan2(m[:, 1], m[:, 0]) - inward)
     lo = np.maximum(-math.pi / 2, delta - math.pi / 2)
     hi = np.minimum(math.pi / 2, delta + math.pi / 2)
-    return lo, hi
+    return pts, inward, lo, hi
 
 
 def boundary_influx_rate(field: UnitField, order: int = 32) -> float:
@@ -134,12 +139,7 @@ def boundary_influx_rate(field: UnitField, order: int = 32) -> float:
     integral is in closed form per boundary node.
     """
     nodes, weights = field.domain.quad_nodes(order)
-    pts = field.domain.point(nodes)
-    tau = field.domain.tangent(nodes)
-    m, _ = eval_many(field, pts, extend=True)
-    psi = np.arctan2(tau[:, 1], tau[:, 0])
-    theta_m = np.arctan2(m[:, 1], m[:, 0])
-    lo, hi = _influx_window(theta_m, psi)
+    _, _, lo, hi = _influx_at(field, nodes)
     return float(np.sum(weights * np.clip(np.sin(hi) - np.sin(lo), 0.0, None)))
 
 
@@ -295,12 +295,7 @@ def _interior_starts(field: UnitField, count, rng):
 def _birth_table(field: UnitField, n_table: int = 8192):
     """Cumulative influx-rate table over the boundary parameter."""
     sb = np.linspace(0.0, field.domain.perimeter, n_table, endpoint=False)
-    pts = field.domain.point(sb)
-    tau = field.domain.tangent(sb)
-    m, _ = eval_many(field, pts, extend=True)
-    psi = np.arctan2(tau[:, 1], tau[:, 0])
-    theta_m = np.arctan2(m[:, 1], m[:, 0])
-    lo, hi = _influx_window(theta_m, psi)
+    _, _, lo, hi = _influx_at(field, sb)
     dens = np.clip(np.sin(hi) - np.sin(lo), 0.0, None)
     h = field.domain.perimeter / n_table
     cum = np.concatenate([[0.0], np.cumsum(dens) * h])
@@ -317,13 +312,7 @@ def _boundary_starts(field: UnitField, count, T, rng, table):
     frac = (u - cum[j]) / np.maximum(cum[j + 1] - cum[j], 1e-300)
     sb = sb_grid[j] + frac * h
     t0 = rng.uniform(0.0, T, count)
-    pts = field.domain.point(sb)
-    tau = field.domain.tangent(sb)
-    m, _ = eval_many(field, pts, extend=True)
-    psi = np.arctan2(tau[:, 1], tau[:, 0])
-    theta_m = np.arctan2(m[:, 1], m[:, 0])
-    inward = psi + math.pi / 2
-    lo, hi = _influx_window(theta_m, psi)
+    pts, inward, lo, hi = _influx_at(field, sb)
     hi = np.maximum(hi, lo + 1e-12)
     v = rng.uniform(0.0, 1.0, count)
     # direction density cos(.) on [lo, hi] in the inward frame; the CDF
@@ -393,6 +382,8 @@ def sample_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
     Batches use counter-based streams keyed (seed, batch index) and are
     reduced in batch order, so the result does not depend on `workers`.
     """
+    if workers < 1:
+        raise ValueError("need workers >= 1")
     field = spec.field
     T = spec.horizon
     rate = boundary_influx_rate(field)
@@ -595,13 +586,7 @@ def influx_check(result: EnsembleResult, bins: Tuple[int, int] = (16, 16),
     np.add.at(emp, (ib, isb), w)
 
     fine_b = P * (np.arange(nb * sub) + 0.5) / (nb * sub)
-    pts = field.domain.point(fine_b)
-    tau = field.domain.tangent(fine_b)
-    m, _ = eval_many(field, pts, extend=True)
-    psi = np.arctan2(tau[:, 1], tau[:, 0])
-    theta_m = np.arctan2(m[:, 1], m[:, 0])
-    inward = psi + math.pi / 2
-    lo, hi = _influx_window(theta_m, psi)
+    _, inward, lo, hi = _influx_at(field, fine_b)
     exact = np.zeros((nb, ns))
     hsb = TWO_PI / ns
     dl = P / (nb * sub)

@@ -69,6 +69,42 @@ def test_field_without_construction_names_field(tmp_path, curve, field):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["defect-integral", "--curve", "circle", "--nodes", "5"], "nodes"),
+    (["defect-integral", "--curve", "circle", "--mc", "0", "--seed", "1"],
+     "mc"),
+    (["defect-integral", "--curve", "circle", "--mc", "-3", "--seed", "1"],
+     "mc"),
+    (["energy", "--curve", "circle", "--grid", "0"], "grid"),
+    (["defect", "--curve", "circle", "--triple", "1,1,2"], "triple"),
+    (["lagrangian", "--curve", "circle", "--curves", "100", "--seed", "1",
+      "--workers", "0"], "workers"),
+], ids=["nodes", "mc-zero", "mc-negative", "grid", "triple", "workers"])
+def test_out_of_range_value_is_usage_error(tmp_path, argv, option):
+    # the library entry point rejects the value; the command maps it to
+    # exit 2 instead of a traceback or a silently replaced value
+    proc = subprocess.run(
+        [sys.executable, "-m", "eikstab.cli", *argv,
+         "--out", str(tmp_path / "x.json")],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert option in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_selftest_reads_config_file(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("wibble=1\n")
+    for cfg, named in ((tmp_path / "missing.cfg", "missing.cfg"),
+                       (bad, "wibble")):
+        rc = run_cli(["selftest", "--quick", "--config", cfg,
+                      "--out", tmp_path / "x.json"])
+        err = capsys.readouterr().err
+        assert rc == 2 and named in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_unknown_flag_is_usage_error(tmp_path, capsys):
     rc = run_cli(["nu", "--curve", "circle", "--bogus", "2",
                   "--out", tmp_path / "x.json"])

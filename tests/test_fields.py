@@ -13,12 +13,9 @@ from eikstab.fields import (
     distgrad_field,
     eval_many,
     field_eval,
-    field_region,
     flux_probe,
     jump_distance,
-    jump_table,
     l4_vortex_deviation,
-    raster_table,
     vortex,
 )
 
@@ -100,14 +97,22 @@ def test_distgrad_regions(f6):
 def test_distgrad_region_values(f6):
     vertices = [p.center for p in f6.patches]
     p = 0.5 * (vertices[0] + vertices[1])
-    assert field_region(f6, p) == 0
+    assert eval_many(f6, p)[1][0] == 0
     assert np.allclose(field_eval(f6, p), f6.strips[0].value, atol=1e-15)
     v0 = vertices[0]
     axis0 = f6.patches[0].window[0]
     q = v0 + 0.1 * np.array([math.cos(axis0), math.sin(axis0)])
-    assert field_region(f6, q) == 6
+    assert eval_many(f6, q)[1][0] == 6
     u = (q - v0) / np.hypot(*(q - v0))
     assert np.allclose(field_eval(f6, q), [u[1], -u[0]], atol=1e-15)
+    # singular points under extend: a windowed patch centre keeps its strip
+    # value, the centre of a full patch gets a zero vector
+    m, r = eval_many(f6, v0, extend=True)
+    assert np.allclose(m[0], [0.5, -math.sqrt(3.0) / 2.0], atol=1e-15)
+    assert r[0] == 0
+    m, _ = eval_many(vortex(make_circle(), (0.1, 0.0), 1), (0.1, 0.0),
+                     extend=True)
+    assert np.array_equal(m[0], [0.0, 0.0])
 
 
 def test_boundary_trace_is_negative_tangent(f6):
@@ -295,15 +300,3 @@ def test_large_n_limit_is_negative_vortex():
     assert sup * 64 < 10.0
     # the opposite orientation misses by an order-one amount
     assert np.abs(m + vneg).max() > 1.5
-
-
-def test_export_tables(f6):
-    rt = raster_table(f6, 64)
-    assert rt.shape[1] == 5
-    assert np.abs(np.hypot(rt[:, 2], rt[:, 3]) - 1.0).max() < 1e-9
-    assert rt[:, 4].min() >= 0 and rt[:, 4].max() <= 11
-    jt = jump_table(f6)
-    assert jt.shape == (6, 7)
-    assert np.allclose(jt[:, 5], 1.0)
-    circ = make_circle()
-    assert jump_table(vortex(circ, (0.0, 0.0), 1)).shape == (0, 7)
