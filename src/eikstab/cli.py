@@ -250,8 +250,11 @@ def _series_csv_path(plot_path: str, csv_opt: Optional[str]) -> str:
 
 def cmd_gen_domain(cfg, args) -> Tuple[dict, List[dict]]:
     curve = parse_curve_spec(cfg["curve"])
+    try:
+        table = curve.sample_table(cfg["samples"])
+    except ValueError as exc:
+        raise UsageError(str(exc))
     disk = max_inscribed_disk(curve)
-    table = curve.sample_table(cfg["samples"])
     if args.csv:
         report.write_csv(args.csv,
                          ["s", "x", "y", "tau_x", "tau_y", "kappa"], table)
@@ -765,9 +768,8 @@ def run(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     timing = time.perf_counter() - t0 if args.timing else None
-    rep = report.build_report(args.command, config,
-                              getattr(args, "seed", None), results, asserts,
-                              timing_s=timing)
+    rep = report.build_report(args.command, config, config.get("seed"),
+                              results, asserts, timing_s=timing)
     out = _out_path(args, args.command)
     report.write_json(rep, out)
     status = "ok" if rep["passed"] else "FAIL"

@@ -359,6 +359,8 @@ def integral_a2(curve: BoundaryCurve, disk: Disk,
     if mc_samples is not None:
         if mc_samples < 1:
             raise ValueError("need mc_samples >= 1")
+        if not 0 <= seed < 2 ** 128:
+            raise ValueError("need 0 <= seed < 2**128")
         return _integral_a2_mc(curve, disk, region, mc_samples, seed, batch)
 
     params, weights, L = _region_nodes(curve, region, M)

@@ -21,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .pieces import ArcPiece, EllipsePiece, SegmentPiece, SplinePiece, _rot
+from .pieces import (ArcPiece, EllipsePiece, SegmentPiece, SplinePiece,
+                     arc_ray_hits, segment_ray_hits)
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,6 +90,14 @@ class BoundaryCurve:
         self._starts = np.concatenate([[0.0], np.cumsum([p.length for p in self.pieces])])
         if abs(self._starts[-1] - self.perimeter) > 1e-9:
             raise ValueError("piece lengths do not sum to the stated perimeter")
+        if self.medial_star is not None:
+            # arc k and side k of the rounded n-gon as arrays indexed by k,
+            # for the ray exit's per-ray gather
+            arcs, sides = self.pieces[0::2], self.pieces[1::2]
+            self._arc_table = tuple(np.array([getattr(a, f) for a in arcs])
+                                    for f in ("center", "radius", "mid", "half"))
+            self._side_table = tuple(np.array([getattr(p, f) for p in sides])
+                                     for f in ("p0", "dir", "length"))
 
     # -- parametrization ------------------------------------------------
 
@@ -158,6 +167,8 @@ class BoundaryCurve:
 
     def sample_table(self, n: int) -> np.ndarray:
         """Equispaced export table with columns (s, x, y, tau_x, tau_y, kappa)."""
+        if n < 1:
+            raise ValueError("need samples >= 1")
         s = np.linspace(0.0, self.perimeter, n, endpoint=False)
         g = self.point(s)
         t = self.tangent(s)
@@ -183,13 +194,14 @@ class BoundaryCurve:
         if self.kind == "ellipse":
             return self.pieces[0].implicit(pts) < 0.0
         if self.kind == "rounded_ngon":
-            return self._ngon_inside(pts)
+            return self._ngon_gap(pts) < 0.0
         return self.pieces[0].winding_inside(pts)
 
-    def _ngon_inside(self, pts):
-        """dist(x, inner polygon) < arc radius, against the polygon edge of
-        the point's sector only: in sector k the nearest polygon point lies
-        on the closed edge from vertex k to vertex k+1."""
+    def _ngon_gap(self, pts):
+        """dist(x, inner polygon) - arc radius, against the polygon edge of
+        the point's sector only (in sector k the nearest polygon point lies
+        on the closed edge from vertex k to vertex k+1); -inf inside the
+        polygon.  Negative exactly inside the domain, <= 0 on its closure."""
         m = self.meta
         k = self.medial_star.sector(pts)
         v = m["vertices"]
@@ -200,10 +212,44 @@ class BoundaryCurve:
         t = np.clip(np.sum(rel * edir, axis=1), 0.0, elen[k])
         off = rel - t[:, None] * edir
         in_poly = np.sum(pts * m["side_normals"][k], axis=1) <= m["apothem"][k]
-        return in_poly | (np.hypot(off[:, 0], off[:, 1]) < m["arc_radius"])
+        return np.where(in_poly, -np.inf,
+                        np.hypot(off[:, 0], off[:, 1]) - m["arc_radius"])
 
     def dist_to_boundary(self, pts) -> np.ndarray:
+        """Distance from each point (n, 2) to the curve.
+
+        On a curve with a medial star (the rounded n-gon) a point of sector
+        k is nearest to arc k, side k or arc k+1, pieces 2k, 2k+1 and
+        2k+2 mod 2n, at every point of the plane; only those three are
+        measured.  On a spoke line, and so at the hub, pieces of two
+        sectors are equally near and rounding picks the smaller one, so
+        points within 1e-12 of a spoke line bounding their sector take the
+        minimum over all pieces, as every point of the other curves does.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        star = self.medial_star
+        if star is None:
+            return self._all_pieces_dist(pts)
+        n = len(star.axes)
+        sector = star.sector(pts)
+        rel = pts - star.hub
+        tie = np.zeros(len(pts), dtype=bool)
+        for a in (star.axes[sector], star.axes[(sector + 1) % n]):
+            tie |= np.abs(np.cos(a) * rel[:, 1] - np.sin(a) * rel[:, 0]) < 1e-12
+        sector[tie] = -1
+        d = np.empty(len(pts))
+        for k in np.unique(sector):
+            m = sector == k
+            if k < 0:
+                d[m] = self._all_pieces_dist(pts[m])
+                continue
+            q = pts[m]
+            d[m] = np.minimum(np.minimum(self.pieces[2 * k].nearest_dist(q),
+                                         self.pieces[2 * k + 1].nearest_dist(q)),
+                              self.pieces[(2 * k + 2) % (2 * n)].nearest_dist(q))
+        return d
+
+    def _all_pieces_dist(self, pts):
         d = np.full(len(pts), np.inf)
         for p in self.pieces:
             d = np.minimum(d, p.nearest_dist(pts))
@@ -232,13 +278,58 @@ class BoundaryCurve:
         Takes one ray (x, d of shape (2,)) and returns a float, or a batch
         (shape (n, 2)) and returns an (n,) array; d must be a unit vector.
         Rays that never meet the curve get inf.
+
+        On a curve with a medial star (the rounded n-gon) a ray that leaves
+        the closed domain through arc k, side k or arc k+1 crosses the
+        circumscribed circle in sector k (an arc straddles two sectors), so
+        only the three pieces of that crossing's sector are tested.  A ray
+        whose origin lies outside the domain, that hits none of the three,
+        or whose hit lands outside the sector takes the minimum over all
+        pieces instead.  On a convex domain only the pieces through the exit
+        point report a hit, and the pieces of other sectors end half an arc
+        away from the sector's edges, so both give the same bits.
         """
         X = np.atleast_2d(np.asarray(x, dtype=float))
         D = np.atleast_2d(np.asarray(d, dtype=float))
+        if self.medial_star is None:
+            best = self._all_pieces_exit(X, D, tol)
+        else:
+            best = self._ngon_ray_exit(X, D, tol)
+        return float(best[0]) if np.ndim(x) == 1 else best
+
+    def _all_pieces_exit(self, X, D, tol):
         best = np.full(len(X), np.inf)
         for piece in self.pieces:
             best = np.minimum(best, piece.ray_hits(X, D, tol))
-        return float(best[0]) if np.ndim(x) == 1 else best
+        return best
+
+    def _ngon_ray_exit(self, X, D, tol):
+        star = self.medial_star
+        n = len(star.axes)
+        rel = X - star.hub
+        b = np.sum(rel * D, axis=1)
+        rho2 = np.sum(rel * rel, axis=1)
+        big = self.meta["circumradius"]
+        t_far = -b + np.sqrt(np.maximum(b * b - (rho2 - big * big), 0.0))
+        k = star.sector(X + t_far[:, None] * D)
+        k1 = (k + 1) % n
+        center, radius, mid, half = self._arc_table
+        p0, e, length = self._side_table
+        best = np.minimum(
+            np.minimum(arc_ray_hits(X, D, center[k], radius[k], mid[k],
+                                    half[k], tol),
+                       segment_ray_hits(X, D, p0[k], e[k], length[k], tol)),
+            arc_ray_hits(X, D, center[k1], radius[k1], mid[k1], half[k1], tol))
+        hit = np.isfinite(best)
+        redo = ~hit | (star.sector(X + np.where(hit, best, 0.0)[:, None] * D) != k)
+        # an origin outside the inscribed circle may lie outside the domain,
+        # where the first hit is an entry, not an exit
+        near_rim = rho2 > self.meta["inradius"] ** 2
+        if near_rim.any():
+            redo[near_rim] |= self._ngon_gap(X[near_rim]) > 0.0
+        if redo.any():
+            best[redo] = self._all_pieces_exit(X[redo], D[redo], tol)
+        return best
 
 
 # -- constructors --------------------------------------------------------

@@ -58,6 +58,46 @@ def _golden_min(f, lo: float, hi: float, iters: int = 90) -> float:
     return min(fc, fd)
 
 
+def arc_ray_hits(x, d, center, radius, mid, half, tol):
+    """First ray parameter t > tol where x + t d meets a circular arc, else
+    inf.
+
+    x, d: (n, 2) origins and unit directions.  The arc is the part of the
+    circle (center, radius) whose outward directions lie within half of the
+    angle mid; one arc for all rays, or one per ray ((n, 2) centers and (n,)
+    radius, mid, half).
+    """
+    rel = x - center
+    b = np.sum(rel * d, axis=1)
+    disc = b * b - (np.sum(rel * rel, axis=1) - radius * radius)
+    ok = disc >= 0.0
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    best = np.full(len(x), np.inf)
+    for root in (-b + sq, -b - sq):
+        hit = rel + root[:, None] * d
+        ang = np.arctan2(hit[:, 1], hit[:, 0])
+        in_win = np.abs((ang - mid + math.pi) % _TWO_PI - math.pi) <= half + 1e-12
+        best = np.where(ok & (root > tol) & in_win, root, best)
+    return best
+
+
+def segment_ray_hits(x, d, p0, e, length, tol):
+    """First ray parameter t > tol where x + t d meets the segment from p0
+    along the unit vector e, of the given length; else inf.
+
+    x, d: (..., 2) origins and unit directions; the segment parameters
+    broadcast against them, so (n, 1, 2) rays against (k, 2) segments give
+    an (n, k) table.
+    """
+    den = d[..., 0] * e[..., 1] - d[..., 1] * e[..., 0]
+    rel = p0 - x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (rel[..., 0] * e[..., 1] - rel[..., 1] * e[..., 0]) / den
+        v = (rel[..., 0] * d[..., 1] - rel[..., 1] * d[..., 0]) / den
+    ok = (np.abs(den) > 1e-14) & (t > tol) & (v >= -1e-9) & (v <= length + 1e-9)
+    return np.where(ok, t, np.inf)
+
+
 class ArcPiece:
     """Counterclockwise circular arc.
 
@@ -77,6 +117,9 @@ class ArcPiece:
         self.a0 = float(a0)
         self.a1 = float(a1)
         self.length = self.radius * (self.a1 - self.a0)
+        self.mid = 0.5 * (self.a0 + self.a1)
+        self.half = 0.5 * (self.a1 - self.a0)
+        self.ends = (self.point(0.0), self.point(self.length))
 
     def _ang(self, u):
         return self.a0 + np.asarray(u, dtype=float) / self.radius
@@ -102,8 +145,7 @@ class ArcPiece:
         rel = np.mod(ang - self.a0, _TWO_PI)
         on_arc = rel <= (self.a1 - self.a0)
         radial = np.abs(rho - self.radius)
-        e0 = self.point(0.0)
-        e1 = self.point(self.length)
+        e0, e1 = self.ends
         d_end = np.minimum(np.hypot(*(pts - e0).T), np.hypot(*(pts - e1).T))
         return np.where(on_arc, radial, d_end)
 
@@ -135,20 +177,8 @@ class ArcPiece:
 
         x, d: (n, 2) origins and unit directions; returns (n,).
         """
-        rel = x - self.center
-        b = np.sum(rel * d, axis=1)
-        disc = b * b - (np.sum(rel * rel, axis=1) - self.radius * self.radius)
-        ok = disc >= 0.0
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        mid = 0.5 * (self.a0 + self.a1)
-        half = 0.5 * (self.a1 - self.a0)
-        best = np.full(len(x), np.inf)
-        for root in (-b + sq, -b - sq):
-            hit = rel + root[:, None] * d
-            ang = np.arctan2(hit[:, 1], hit[:, 0])
-            in_win = np.abs((ang - mid + math.pi) % _TWO_PI - math.pi) <= half + 1e-12
-            best = np.where(ok & (root > tol) & in_win, root, best)
-        return best
+        return arc_ray_hits(x, d, self.center, self.radius, self.mid,
+                            self.half, tol)
 
 
 class SegmentPiece:
@@ -198,14 +228,7 @@ class SegmentPiece:
 
     def ray_hits(self, x, d, tol):
         """First ray parameter t > tol where x + t d meets the segment, else inf."""
-        e = self.dir
-        den = d[:, 0] * e[1] - d[:, 1] * e[0]
-        rel = self.p0 - x
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (rel[:, 0] * e[1] - rel[:, 1] * e[0]) / den
-            v = (rel[:, 0] * d[:, 1] - rel[:, 1] * d[:, 0]) / den
-        ok = (np.abs(den) > 1e-14) & (t > tol) & (v >= -1e-9) & (v <= self.length + 1e-9)
-        return np.where(ok, t, np.inf)
+        return segment_ray_hits(x, d, self.p0, self.dir, self.length, tol)
 
 
 class EllipsePiece:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .fields import UnitField, _wrap, eval_many, field_eval, jump_distance
 from .geometry import BoundaryCurve
+from .geometry.pieces import segment_ray_hits
 
 TWO_PI = 2.0 * math.pi
 BATCH = 16384
@@ -104,6 +105,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.interior_count < 0 or self.boundary_rate < 0:
             raise ValueError("counts must be nonnegative")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("need 0 <= seed < 2**64")
         if self.horizon < domain_diameter(self.field.domain):
             raise ValueError("horizon shorter than the domain diameter")
 
@@ -179,6 +182,69 @@ def _hub(field: UnitField):
     return np.array(shared.pop() if shared else (np.inf, np.inf))
 
 
+def _fan(field: UnitField):
+    """The domain's medial star when the jump set is its spokes, segment k
+    running from the hub to vertex k; else None."""
+    star = field.domain.medial_star
+    if star is None or len(field.jump_set) != len(star.vertices):
+        return None
+    for seg, v in zip(field.jump_set, star.vertices):
+        if not (np.array_equal(seg.p0, star.hub) and np.array_equal(seg.p1, v)):
+            return None
+    return star
+
+
+def _jump_hits(x, d, segments, fan, u_stop):
+    """First jump-segment hit of each ray: (ray parameter, segment index),
+    inf where the ray meets no segment.
+
+    Without a fan every ray is tested against every segment.  With one (see
+    _fan), a ray is tested against the two spokes of the sector it heads
+    into.  All spokes lie in the disk of radius max(L) about the hub; when
+    the ray's part inside that disk, cut at u_stop and at the nearer of the
+    two hits, starts and ends in the closed sector, it stays there (the
+    sector is convex) and no other spoke can come first.  Rays that fail
+    this, or whose line passes within 1e-7 of the hub, where all spokes
+    meet, are tested against every segment.  Both tests share one kernel,
+    so they give the same bits.
+    """
+    P0, E, L = segments
+    if fan is None:
+        sure = np.zeros(len(x), dtype=bool)
+        u_seg = np.full(len(x), np.inf)
+        which = np.zeros(len(x), dtype=int)
+    else:
+        n = len(L)
+        rel = x - fan.hub
+        b = np.sum(rel * d, axis=1)
+        reach = L.max() + 1e-8
+        disc = b * b - (np.sum(rel * rel, axis=1) - reach * reach)
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        t0 = np.maximum(-b - sq, 0.0)
+        k0 = fan.sector(x + (t0 + 1e-9)[:, None] * d)
+        k1 = (k0 + 1) % n
+        h0 = segment_ray_hits(x, d, P0[k0], E[k0], L[k0], 1e-9)
+        h1 = segment_ray_hits(x, d, P0[k1], E[k1], L[k1], 1e-9)
+        u_seg = np.minimum(h0, h1)
+        which = np.where(h1 < h0, k1, k0)
+        t_end = np.minimum(np.minimum(u_stop, u_seg), -b + sq)
+        sure = np.abs(rel[:, 0] * d[:, 1] - rel[:, 1] * d[:, 0]) > 1e-7
+        for t in (t0, t_end):
+            q = rel + t[:, None] * d
+            sure &= E[k0, 0] * q[:, 1] - E[k0, 1] * q[:, 0] >= -1e-12
+            sure &= q[:, 0] * E[k1, 1] - q[:, 1] * E[k1, 0] >= -1e-12
+        # a ray whose part inside the disk ends before it starts meets no
+        # spoke before u_stop
+        sure |= (disc <= 0.0) | (t_end <= t0)
+    redo = np.flatnonzero(~sure)
+    if len(redo):
+        uu = segment_ray_hits(x[redo, None, :], d[redo, None, :],
+                              P0, E, L, 1e-9)
+        u_seg[redo] = uu.min(axis=1)
+        which[redo] = uu.argmin(axis=1)
+    return u_seg, which
+
+
 def _advance_batch(field: UnitField, x, s, t, T):
     """Run one batch of curves to completion (event-synchronous lockstep).
 
@@ -190,6 +256,7 @@ def _advance_batch(field: UnitField, x, s, t, T):
     nseg = len(L)
     n_J = np.stack([-np.sin(theta_J), np.cos(theta_J)], axis=-1) if nseg else None
     hub = _hub(field)
+    fan = _fan(field)
     alive = np.ones(n, dtype=bool)
     mu = np.zeros(n)
     death = np.full(n, T)
@@ -206,18 +273,8 @@ def _advance_batch(field: UnitField, x, s, t, T):
         u_exit = field.domain.ray_exit(x[idx], d, tol=1e-9)
         u_cap = T - t[idx]
         if nseg:
-            rel = P0[None, :, :] - x[idx][:, None, :]
-            den = d[:, 0:1] * E[None, :, 1] - d[:, 1:2] * E[None, :, 0]
-            num_u = rel[:, :, 0] * E[None, :, 1] - rel[:, :, 1] * E[None, :, 0]
-            num_v = rel[:, :, 0] * d[:, 1:2] - rel[:, :, 1] * d[:, 0:1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                uu = num_u / den
-                vv = num_v / den
-            bad = (np.abs(den) < 1e-14) | (uu <= 1e-9) \
-                | (vv < -1e-9) | (vv > L[None, :] + 1e-9)
-            uu = np.where(bad, np.inf, uu)
-            u_seg = uu.min(axis=1)
-            which = uu.argmin(axis=1)
+            u_seg, which = _jump_hits(x[idx], d, (P0, E, L), fan,
+                                      np.minimum(u_exit, u_cap))
         else:
             u_seg = np.full(len(idx), np.inf)
             which = np.zeros(len(idx), dtype=int)

@@ -79,7 +79,14 @@ def test_field_without_construction_names_field(tmp_path, curve, field):
     (["defect", "--curve", "circle", "--triple", "1,1,2"], "triple"),
     (["lagrangian", "--curve", "circle", "--curves", "100", "--seed", "1",
       "--workers", "0"], "workers"),
-], ids=["nodes", "mc-zero", "mc-negative", "grid", "triple", "workers"])
+    (["lagrangian", "--curve", "circle", "--curves", "100", "--seed", "-1"],
+     "seed"),
+    (["defect-integral", "--curve", "circle", "--mc", "10", "--seed", "-1"],
+     "seed"),
+    (["gen-domain", "--curve", "circle", "--samples", "-1"], "samples"),
+    (["gen-domain", "--curve", "circle", "--samples", "0"], "samples"),
+], ids=["nodes", "mc-zero", "mc-negative", "grid", "triple", "workers",
+        "seed-lagrangian", "seed-mc", "samples-negative", "samples-zero"])
 def test_out_of_range_value_is_usage_error(tmp_path, argv, option):
     # the library entry point rejects the value; the command maps it to
     # exit 2 instead of a traceback or a silently replaced value
@@ -208,6 +215,21 @@ def test_config_file_merges_under_flags(tmp_path, capsys):
     assert cfg["curves"] == 4000       # from config file
     assert cfg["horizon"] == 3.0       # flag wins
     assert cfg["seed"] == 3
+
+
+def test_config_file_seed_is_the_report_seed(tmp_path, capsys):
+    # the top-level seed is the one the computation used, from the flag or
+    # else from the config file
+    cfgf = tmp_path / "mc.cfg"
+    cfgf.write_text("seed=5\nmc=200\n")
+    for flags, seed in (([], 5), (["--seed", "7"], 7)):
+        out = tmp_path / "di.json"
+        rc = run_cli(["defect-integral", "--curve", "rounded_ngon:n=8",
+                      "--config", cfgf, "--out", out, *flags])
+        capsys.readouterr()
+        assert rc == 0
+        rep = load(out)
+        assert rep["seed"] == rep["config"]["seed"] == seed
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -17,6 +17,7 @@ from eikstab.geometry import (
     segment_clearance,
     star_region,
 )
+from eikstab.geometry.pieces import ArcPiece, SegmentPiece
 from _domains import blob_points, dumbbell_curve
 from _oracles import first_exit, ngon_signed_gap
 
@@ -342,6 +343,14 @@ def test_ray_exit_lands_on_boundary():
             done += 1
 
 
+def _junction_rays(curve):
+    """Rays from 0.3 inside each piece junction to 1e-4 either side of it."""
+    ends = np.cumsum([p.length for p in curve.pieces]) - curve.param_offset
+    O = curve.point(ends) - 0.3 * curve.normal(ends)
+    V = np.vstack([curve.point(ends + side) - O for side in (-1e-4, 1e-4)])
+    return np.vstack([O, O]), V / np.hypot(V[:, 0], V[:, 1])[:, None]
+
+
 @pytest.mark.parametrize("curve", [
     make_circle(),
     make_ellipse(1.3, rotation=0.4),
@@ -360,12 +369,9 @@ def test_ray_exit_batch_matches_segment_hits(curve):
     D = np.column_stack([np.cos(s), np.sin(s)])
     # plus rays from inside each arc's disk to 1e-4 either side of every
     # piece junction: they cross the arc's circle just outside its window
-    ends = np.cumsum([p.length for p in curve.pieces]) - curve.param_offset
-    O = curve.point(ends) - 0.3 * curve.normal(ends)
-    for side in (-1e-4, 1e-4):
-        V = curve.point(ends + side) - O
-        X = np.vstack([X, O])
-        D = np.vstack([D, V / np.hypot(V[:, 0], V[:, 1])[:, None]])
+    O, V = _junction_rays(curve)
+    X = np.vstack([X, O])
+    D = np.vstack([D, V])
     t = curve.ray_exit(X, D, tol=1e-9)
     expect = np.array([first_exit(curve, x, d) for x, d in zip(X, D)])
     assert np.all(np.isfinite(expect))
@@ -394,3 +400,97 @@ def test_spline_inside_matches_circle():
     P = P[np.abs(np.hypot(P[:, 0], P[:, 1]) - 1.0) > 1e-3][:1001]
     assert len(P) == 1001
     assert np.array_equal(curve.inside(P), np.hypot(P[:, 0], P[:, 1]) < 1.0)
+
+
+# -- sector-local queries on the rounded n-gon ------------------------------
+
+
+SECTOR_CURVES = [make_rounded_ngon(n) for n in (3, 4, 5, 8, 32, 128)] + [
+    make_rounded_ngon(7, rotation=0.3, center=(0.1, -0.2))]
+
+
+def _sector_id(curve):
+    return curve.spec + ("@shifted" if np.any(curve.medial_star.hub) else "")
+
+
+def _all_pieces_min(curve, method, *args):
+    """The minimum over every piece of the curve, as the sector rule must
+    reproduce it bit for bit."""
+    return np.min([getattr(p, method)(*args) for p in curve.pieces], axis=0)
+
+
+def _spoke_points(curve, rng, count):
+    star = curve.medial_star
+    k = rng.integers(0, len(star.axes), count)
+    r = rng.uniform(0.0, 1.5, count)
+    return star.hub + r[:, None] * np.column_stack(
+        [np.cos(star.axes[k]), np.sin(star.axes[k])])
+
+
+@pytest.mark.parametrize("curve", SECTOR_CURVES, ids=_sector_id)
+def test_sector_dist_matches_all_pieces(curve):
+    rng = np.random.default_rng(len(curve.pieces))
+    hub = curve.medial_star.hub
+    P = np.vstack([hub + rng.uniform(-1.6, 1.6, (20_000, 2)),  # in and out
+                   hub[None, :], _spoke_points(curve, rng, 2000)])
+    assert not curve.inside(P).all() and curve.inside(P).any()
+    assert np.array_equal(curve.dist_to_boundary(P),
+                          _all_pieces_min(curve, "nearest_dist", P))
+    # one point per call, as Nelder-Mead asks
+    for p in P[-200:]:
+        assert np.array_equal(curve.dist_to_boundary(p[None]),
+                              _all_pieces_min(curve, "nearest_dist", p[None]))
+
+
+def _exit_rays(curve, rng):
+    """Rays from interior points, from boundary births, grazing the
+    boundary from just inside it, and from inside each arc's disk to 1e-4
+    either side of every piece junction."""
+    hub = curve.medial_star.hub
+    P = hub + rng.uniform(-1.2, 1.2, (8000, 2))
+    X = [P[curve.inside(P)][:3000]]
+    s = rng.uniform(0.0, TWO_PI, len(X[0]))
+    D = [np.column_stack([np.cos(s), np.sin(s)])]
+    sb = rng.uniform(0.0, curve.perimeter, 3000)
+    inward = np.arctan2(*curve.tangent(sb).T[::-1]) + math.pi / 2
+    s = inward + rng.uniform(-1.0, 1.0, len(sb)) * (math.pi / 2 - 1e-6)
+    X.append(curve.point(sb))
+    D.append(np.column_stack([np.cos(s), np.sin(s)]))
+    for depth in (1e-3, 1e-7):
+        for tilt in (-1e-4, 1e-4):
+            g = curve.point(sb) - depth * curve.normal(sb)
+            s = np.arctan2(*curve.tangent(sb).T[::-1]) + tilt
+            X.append(g)
+            D.append(np.column_stack([np.cos(s), np.sin(s)]))
+    O, V = _junction_rays(curve)
+    return np.vstack(X + [O]), np.vstack(D + [V])
+
+
+@pytest.mark.parametrize("curve", SECTOR_CURVES, ids=_sector_id)
+def test_sector_ray_exit_matches_all_pieces(curve):
+    X, D = _exit_rays(curve, np.random.default_rng(len(curve.pieces) + 1))
+    t = curve.ray_exit(X, D, tol=1e-9)
+    assert np.all(np.isfinite(t))
+    assert np.array_equal(t, _all_pieces_min(curve, "ray_hits", X, D, 1e-9))
+    for i in range(0, len(X), len(X) // 50):
+        assert curve.ray_exit(X[i], D[i], tol=1e-9) == t[i]
+
+
+@pytest.mark.parametrize("curve", SECTOR_CURVES, ids=_sector_id)
+def test_sector_ray_exit_needs_no_fallback_inside(curve, monkeypatch):
+    # rays from well inside the domain exit through a piece of the sector
+    # window, so no piece is asked on its own; a window missing a piece is
+    # caught here, because its missed rays still come out exact from the
+    # all-pieces fallback
+    rng = np.random.default_rng(len(curve.pieces) + 2)
+    P = curve.medial_star.hub + rng.uniform(-1.2, 1.2, (8000, 2))
+    X = P[curve.dist_to_boundary(P) > 1e-3]
+    X = X[curve.inside(X)][:2000]
+    s = rng.uniform(0.0, TWO_PI, len(X))
+    D = np.column_stack([np.cos(s), np.sin(s)])
+    asked = []
+    for cls in (ArcPiece, SegmentPiece):
+        monkeypatch.setattr(cls, "ray_hits",
+                            lambda self, *a: asked.append(self) or math.inf)
+    t = curve.ray_exit(X, D, tol=1e-9)
+    assert not asked and np.all(np.isfinite(t))

@@ -254,9 +254,15 @@ def _engine_vs_reference(field, rng, T):
 
 
 def test_engine_matches_scalar_trace(ngon8_field):
-    # the reference takes its exits from segment_hits, not ray_exit, and
-    # applies the crossing rule inline
+    # the reference takes its exits from segment_hits, not ray_exit, tests
+    # every jump segment and applies the crossing rule inline; the engine
+    # takes its exits and jump hits from one sector on the n-gons
     _engine_vs_reference(ngon8_field, np.random.default_rng(21), T=7.0)
+    shifted = make_rounded_ngon(7, rotation=0.3, center=(0.1, -0.2))
+    _engine_vs_reference(distgrad_field(shifted),
+                         np.random.default_rng(23), T=7.0)
+    _engine_vs_reference(distgrad_field(make_rounded_ngon(128)),
+                         np.random.default_rng(24), T=7.0)
     ellipse = make_ellipse(1.3, rotation=0.4)
     _engine_vs_reference(vortex(ellipse, (0.0, 0.0), 1),
                          np.random.default_rng(22), T=7.0)
