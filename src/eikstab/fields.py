@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -106,6 +107,26 @@ class UnitField:
     @property
     def patches(self) -> Tuple[VortexPatch, ...]:
         return tuple(r for r in self.regions if isinstance(r, VortexPatch))
+
+    @cached_property
+    def fan(self):
+        """The domain's medial star when the jump set is its spokes, segment
+        k running from the hub to vertex k; else None."""
+        star = self.domain.medial_star
+        if star is None or len(self.jump_set) != len(star.vertices):
+            return None
+        for seg, v in zip(self.jump_set, star.vertices):
+            if not (np.array_equal(seg.p0, star.hub) and np.array_equal(seg.p1, v)):
+                return None
+        return star
+
+    @cached_property
+    def _jump_table(self):
+        """(p0, p1 - p0, |p1 - p0|^2) of the jump segments as arrays indexed
+        by segment."""
+        p0 = np.array([seg.p0 for seg in self.jump_set], dtype=float).reshape(-1, 2)
+        d = np.array([seg.p1 for seg in self.jump_set], dtype=float).reshape(-1, 2) - p0
+        return p0, d, np.array([float(e @ e) for e in d])
 
     def boundary_trace(self, s) -> np.ndarray:
         """Sign of m . tau at the boundary parameters s (m = +-tau there)."""
@@ -216,16 +237,43 @@ def field_eval(field: UnitField, x) -> np.ndarray:
     return v[0]
 
 
-def jump_distance(field: UnitField, pts) -> np.ndarray:
-    """Distance from each point to the jump set (inf if the set is empty)."""
-    X = np.atleast_2d(np.asarray(pts, dtype=float))
+def _segment_dist(X, p0, d, L2):
+    """Distance from points X to the segments from p0 to p0 + d, |d|^2 =
+    L2, elementwise: one segment for all points or one per point."""
+    t = np.clip(((X[:, 0] - p0[..., 0]) * d[..., 0]
+                 + (X[:, 1] - p0[..., 1]) * d[..., 1]) / L2, 0.0, 1.0)
+    return np.hypot(X[:, 0] - (p0[..., 0] + t * d[..., 0]),
+                    X[:, 1] - (p0[..., 1] + t * d[..., 1]))
+
+
+def _all_segments_dist(X, p0, d, L2):
     best = np.full(len(X), np.inf)
-    for seg in field.jump_set:
-        d = np.asarray(seg.p1) - np.asarray(seg.p0)
-        L2 = float(d @ d)
-        t = np.clip(((X - seg.p0) @ d) / L2, 0.0, 1.0)
-        foot = seg.p0 + t[:, None] * d
-        best = np.minimum(best, np.hypot(*(X - foot).T))
+    for j in range(len(L2)):
+        best = np.minimum(best, _segment_dist(X, p0[j], d[j], L2[j]))
+    return best
+
+
+def jump_distance(field: UnitField, pts) -> np.ndarray:
+    """Distance from each point to the jump set (inf if the set is empty).
+
+    On a fan (UnitField.fan) the nearest spoke of a point of sector k is
+    spoke k or k+1, the two whose directions lie nearest its own; only
+    those two are measured.  Points that MedialStar.sector_off_spokes puts
+    on a spoke line, and every point without a fan, take the minimum over
+    all segments.
+    """
+    X = np.atleast_2d(np.asarray(pts, dtype=float))
+    p0, d, L2 = field._jump_table
+    fan = field.fan
+    if fan is None:
+        return _all_segments_dist(X, p0, d, L2)
+    k = fan.sector_off_spokes(X)
+    k1 = (k + 1) % len(L2)
+    best = np.minimum(_segment_dist(X, p0[k], d[k], L2[k]),
+                      _segment_dist(X, p0[k1], d[k1], L2[k1]))
+    tie = np.flatnonzero(k < 0)
+    if len(tie):
+        best[tie] = _all_segments_dist(X[tie], p0, d, L2)
     return best
 
 

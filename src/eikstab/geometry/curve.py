@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from .pieces import (ArcPiece, EllipsePiece, SegmentPiece, SplinePiece,
-                     arc_ray_hits, segment_ray_hits)
+                     arc_nearest_dist, arc_point, arc_ray_hits, arc_tangent,
+                     segment_nearest_dist, segment_point, segment_ray_hits,
+                     segment_tangent)
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,6 +53,24 @@ class MedialStar:
         theta = np.arctan2(rel[:, 1], rel[:, 0]) - self.axes[0]
         return np.floor_divide(theta % TWO_PI, TWO_PI / n).astype(int) % n
 
+    def sector_off_spokes(self, pts) -> np.ndarray:
+        """sector(pts), but -1 for points within 1e-12 of the line of
+        either spoke bounding their sector, the hub among them.  There two
+        sectors' nearest pieces (or spokes) tie, rounding picks one, and a
+        query must take the minimum over all of them."""
+        k = self.sector(pts)
+        rel = pts - self.hub
+        tie = np.zeros(len(pts), dtype=bool)
+        for a in (self.axes[k], self.axes[(k + 1) % len(self.axes)]):
+            tie |= np.abs(np.cos(a) * rel[:, 1] - np.sin(a) * rel[:, 0]) < 1e-12
+        return np.where(tie, -1, k)
+
+
+def _table(pieces, names) -> SimpleNamespace:
+    """The named attributes of the pieces as arrays indexed by piece."""
+    return SimpleNamespace(**{f: np.array([getattr(p, f) for p in pieces])
+                              for f in names})
+
 
 @dataclass
 class BoundaryCurve:
@@ -58,7 +79,9 @@ class BoundaryCurve:
     Attributes
     ----------
     kind : one of ``circle``, ``ellipse``, ``rounded_ngon``, ``spline``.
-    pieces : analytic pieces in traversal order.
+    pieces : analytic pieces in traversal order: one piece, or with a
+        medial star the rounded n-gon's arc k and side k as pieces 2k and
+        2k + 1.
     perimeter : total length (2*pi by construction).
     curvature_bound : max |curvature| over the curve.
     param_offset : shift applied to the public parameter; geometry is
@@ -90,14 +113,20 @@ class BoundaryCurve:
         self._starts = np.concatenate([[0.0], np.cumsum([p.length for p in self.pieces])])
         if abs(self._starts[-1] - self.perimeter) > 1e-9:
             raise ValueError("piece lengths do not sum to the stated perimeter")
-        if self.medial_star is not None:
-            # arc k and side k of the rounded n-gon as arrays indexed by k,
-            # for the ray exit's per-ray gather
-            arcs, sides = self.pieces[0::2], self.pieces[1::2]
-            self._arc_table = tuple(np.array([getattr(a, f) for a in arcs])
-                                    for f in ("center", "radius", "mid", "half"))
-            self._side_table = tuple(np.array([getattr(p, f) for p in sides])
-                                     for f in ("p0", "dir", "length"))
+        self._quad_cache = {}
+        if self.medial_star is None:
+            if len(self.pieces) != 1:
+                raise ValueError("a curve of several pieces needs a medial star")
+            return
+        # arc k, side k and polygon edge k of the rounded n-gon as arrays
+        # indexed by k: every query gathers one row per point
+        self._arcs = _table(self.pieces[0::2], ("center", "radius", "a0", "width",
+                                                "mid", "half", "e0", "e1"))
+        self._sides = _table(self.pieces[1::2], ("p0", "dir", "length"))
+        v = self.medial_star.vertices
+        edges = np.roll(v, -1, axis=0) - v
+        elen = np.hypot(edges[:, 0], edges[:, 1])
+        self._edges = SimpleNamespace(dir=edges / elen[:, None], length=elen)
 
     # -- parametrization ------------------------------------------------
 
@@ -109,17 +138,32 @@ class BoundaryCurve:
 
     def _eval(self, s, what: str):
         idx, u = self._locate(s)
-        scalar = np.ndim(s) == 0
-        idx = np.atleast_1d(idx)
-        u = np.atleast_1d(u)
-        if what == "point" or what == "tangent":
-            out = np.empty((len(u), 2))
+        idx, u = np.atleast_1d(idx), np.atleast_1d(u)
+        if self.medial_star is None:
+            out = getattr(self.pieces[0], what)(u)
         else:
-            out = np.empty(len(u))
-        for j in np.unique(idx):
-            m = idx == j
-            out[m] = getattr(self.pieces[j], what)(u[m])
-        return out[0] if scalar else out
+            out = self._ngon_eval(idx, u, what)
+        return out[0] if np.ndim(s) == 0 else out
+
+    def _ngon_eval(self, idx, u, what: str):
+        """point, tangent or curvature through the arc and side tables;
+        piece 2k is arc k, piece 2k + 1 side k."""
+        k, on_side = np.divmod(idx, 2)
+        i, j = np.flatnonzero(on_side == 0), np.flatnonzero(on_side)
+        ka, ks = k[i], k[j]
+        A, S = self._arcs, self._sides
+        if what == "curvature":
+            out = np.zeros(len(u))
+            out[i] = 1.0 / A.radius[ka]
+        else:
+            out = np.empty((len(u), 2))
+            if what == "point":
+                out[i] = arc_point(A.center[ka], A.radius[ka], A.a0[ka], u[i])
+                out[j] = segment_point(S.p0[ks], S.dir[ks], u[j])
+            else:
+                out[i] = arc_tangent(A.radius[ka], A.a0[ka], u[i])
+                out[j] = segment_tangent(S.dir[ks], u[j])
+        return out
 
     def point(self, s):
         return self._eval(s, "point")
@@ -145,8 +189,18 @@ class BoundaryCurve:
 
         Analytic pieces get one panel each (the integrands we meet are
         smooth per piece); single-piece curves are split into panels so
-        the total node count stays adequate.
+        the total node count stays adequate.  Built once per (order,
+        min_panels) and returned read-only.
         """
+        key = (order, min_panels)
+        if key not in self._quad_cache:
+            nodes = self._build_quad_nodes(order, min_panels)
+            for a in nodes:
+                a.flags.writeable = False
+            self._quad_cache[key] = nodes
+        return self._quad_cache[key]
+
+    def _build_quad_nodes(self, order: int, min_panels: int):
         xg, wg = np.polynomial.legendre.leggauss(order)
         all_s, all_w = [], []
         for j, p in enumerate(self.pieces):
@@ -204,12 +258,9 @@ class BoundaryCurve:
         polygon.  Negative exactly inside the domain, <= 0 on its closure."""
         m = self.meta
         k = self.medial_star.sector(pts)
-        v = m["vertices"]
-        edges = np.roll(v, -1, axis=0) - v
-        elen = np.hypot(edges[:, 0], edges[:, 1])
-        edir = (edges / elen[:, None])[k]
-        rel = pts - v[k]
-        t = np.clip(np.sum(rel * edir, axis=1), 0.0, elen[k])
+        edir = self._edges.dir[k]
+        rel = pts - self.medial_star.vertices[k]
+        t = np.clip(np.sum(rel * edir, axis=1), 0.0, self._edges.length[k])
         off = rel - t[:, None] * edir
         in_poly = np.sum(pts * m["side_normals"][k], axis=1) <= m["apothem"][k]
         return np.where(in_poly, -np.inf,
@@ -221,38 +272,31 @@ class BoundaryCurve:
         On a curve with a medial star (the rounded n-gon) a point of sector
         k is nearest to arc k, side k or arc k+1, pieces 2k, 2k+1 and
         2k+2 mod 2n, at every point of the plane; only those three are
-        measured.  On a spoke line, and so at the hub, pieces of two
-        sectors are equally near and rounding picks the smaller one, so
-        points within 1e-12 of a spoke line bounding their sector take the
-        minimum over all pieces, as every point of the other curves does.
+        measured.  Points that MedialStar.sector_off_spokes puts on a spoke
+        line take the minimum over all pieces.  Both read the piece tables
+        through the pieces' own kernels, so they give the bits of the
+        pieces' nearest_dist.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        star = self.medial_star
-        if star is None:
-            return self._all_pieces_dist(pts)
-        n = len(star.axes)
-        sector = star.sector(pts)
-        rel = pts - star.hub
-        tie = np.zeros(len(pts), dtype=bool)
-        for a in (star.axes[sector], star.axes[(sector + 1) % n]):
-            tie |= np.abs(np.cos(a) * rel[:, 1] - np.sin(a) * rel[:, 0]) < 1e-12
-        sector[tie] = -1
-        d = np.empty(len(pts))
-        for k in np.unique(sector):
-            m = sector == k
-            if k < 0:
-                d[m] = self._all_pieces_dist(pts[m])
-                continue
-            q = pts[m]
-            d[m] = np.minimum(np.minimum(self.pieces[2 * k].nearest_dist(q),
-                                         self.pieces[2 * k + 1].nearest_dist(q)),
-                              self.pieces[(2 * k + 2) % (2 * n)].nearest_dist(q))
-        return d
+        if self.medial_star is None:
+            return self.pieces[0].nearest_dist(pts)
+        A, S = self._arcs, self._sides
+        n = len(S.length)
 
-    def _all_pieces_dist(self, pts):
-        d = np.full(len(pts), np.inf)
-        for p in self.pieces:
-            d = np.minimum(d, p.nearest_dist(pts))
+        def arcs(q, k):
+            return arc_nearest_dist(q, A.center[k], A.radius[k], A.a0[k],
+                                    A.width[k], A.e0[k], A.e1[k])
+
+        def sides(q, k):
+            return segment_nearest_dist(q, S.p0[k], S.dir[k], S.length[k])
+
+        k = self.medial_star.sector_off_spokes(pts)
+        d = np.minimum(np.minimum(arcs(pts, k), sides(pts, k)),
+                       arcs(pts, (k + 1) % n))
+        tie = np.flatnonzero(k < 0)
+        if len(tie):
+            q, every = pts[tie, None, :], slice(None)
+            d[tie] = np.minimum(arcs(q, every), sides(q, every)).min(axis=1)
         return d
 
     def bbox(self):
@@ -292,7 +336,7 @@ class BoundaryCurve:
         X = np.atleast_2d(np.asarray(x, dtype=float))
         D = np.atleast_2d(np.asarray(d, dtype=float))
         if self.medial_star is None:
-            best = self._all_pieces_exit(X, D, tol)
+            best = self.pieces[0].ray_hits(X, D, tol)
         else:
             best = self._ngon_ray_exit(X, D, tol)
         return float(best[0]) if np.ndim(x) == 1 else best
@@ -313,13 +357,13 @@ class BoundaryCurve:
         t_far = -b + np.sqrt(np.maximum(b * b - (rho2 - big * big), 0.0))
         k = star.sector(X + t_far[:, None] * D)
         k1 = (k + 1) % n
-        center, radius, mid, half = self._arc_table
-        p0, e, length = self._side_table
+        A, S = self._arcs, self._sides
         best = np.minimum(
-            np.minimum(arc_ray_hits(X, D, center[k], radius[k], mid[k],
-                                    half[k], tol),
-                       segment_ray_hits(X, D, p0[k], e[k], length[k], tol)),
-            arc_ray_hits(X, D, center[k1], radius[k1], mid[k1], half[k1], tol))
+            np.minimum(arc_ray_hits(X, D, A.center[k], A.radius[k], A.mid[k],
+                                    A.half[k], tol),
+                       segment_ray_hits(X, D, S.p0[k], S.dir[k], S.length[k], tol)),
+            arc_ray_hits(X, D, A.center[k1], A.radius[k1], A.mid[k1],
+                         A.half[k1], tol))
         hit = np.isfinite(best)
         redo = ~hit | (star.sector(X + np.where(hit, best, 0.0)[:, None] * D) != k)
         # an origin outside the inscribed circle may lie outside the domain,

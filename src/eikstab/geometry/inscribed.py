@@ -57,7 +57,19 @@ def max_inscribed_disk(curve: BoundaryCurve) -> Disk:
 
     Seeds a 64 x 64 interior grid with the exact distance-to-boundary
     function, then polishes with Nelder-Mead to 1e-10.
+
+    An ellipse's disk is centred at the ellipse's centre: the distance is
+    concave on a convex domain and unchanged by the half-turn about the
+    centre.  The search cannot find that centre closer than about 1e-8,
+    because there the distance falls off only quadratically along the
+    major axis, so the centre is taken as it is.  At the maxima of the
+    circle and the rounded n-gon the distance falls off linearly in every
+    direction, and the search resolves them to about 1e-12.
     """
+    if curve.kind == "ellipse":
+        c = curve.pieces[0].center
+        return Disk(center=(float(c[0]), float(c[1])),
+                    radius=float(curve.dist_to_boundary(c[None])[0]))
     x0, x1, y0, y1 = curve.bbox()
     gx = np.linspace(x0, x1, 64)
     gy = np.linspace(y0, y1, 64)

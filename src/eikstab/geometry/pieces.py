@@ -12,6 +12,7 @@ import math
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 
 _TWO_PI = 2.0 * math.pi
 
@@ -23,39 +24,78 @@ def _as_xy(p) -> np.ndarray:
     return a
 
 
-def _rot(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _rotate(v, c: float, s: float) -> np.ndarray:
+    """Rows of v rotated by the angle with cosine c and sine s, written out
+    elementwise: a matmul rounds a one-row call differently from the same
+    row in a larger one."""
+    return np.stack([v[..., 0] * c - v[..., 1] * s,
+                     v[..., 0] * s + v[..., 1] * c], axis=-1)
 
 
-def _nearest_node(pts, nodes) -> np.ndarray:
-    """Index of the nearest of the (k, 2) nodes for each of the (m, 2)
-    points, 256 points at a time so the distance matrix stays (256, k)
-    instead of (m, k)."""
-    idx = np.empty(len(pts), dtype=int)
-    for i in range(0, len(pts), 256):
-        d2 = ((pts[i:i + 256, None, :] - nodes[None, :, :]) ** 2).sum(-1)
-        idx[i:i + 256] = np.argmin(d2, axis=1)
-    return idx
+# -- elementwise kernels -------------------------------------------------
+#
+# One kernel per piece type and query.  A piece passes its own attributes;
+# a curve's piece table passes one row per query point (or broadcasts all
+# rows against (m, 1, 2) points), so both give the same bits.
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 90) -> float:
-    """Golden-section minimum value of f on [lo, hi]."""
-    phi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return min(fc, fd)
+def arc_point(center, radius, a0, u):
+    t = a0 + u / radius
+    return np.stack([center[..., 0] + radius * np.cos(t),
+                     center[..., 1] + radius * np.sin(t)], axis=-1)
+
+
+def arc_tangent(radius, a0, u):
+    t = a0 + u / radius
+    return np.stack([-np.sin(t), np.cos(t)], axis=-1)
+
+
+def arc_nearest_dist(pts, center, radius, a0, width, e0, e1):
+    """Distance from points to the arc as a point set: radial inside the
+    angular window [a0, a0 + width], else to the nearer end e0 or e1."""
+    dx = pts[..., 0] - center[..., 0]
+    dy = pts[..., 1] - center[..., 1]
+    rel = np.mod(np.arctan2(dy, dx) - a0, _TWO_PI)
+    d_end = np.minimum(np.hypot(pts[..., 0] - e0[..., 0], pts[..., 1] - e0[..., 1]),
+                       np.hypot(pts[..., 0] - e1[..., 0], pts[..., 1] - e1[..., 1]))
+    return np.where(rel <= width, np.abs(np.hypot(dx, dy) - radius), d_end)
+
+
+def segment_point(p0, e, u):
+    return np.stack([p0[..., 0] + u * e[..., 0], p0[..., 1] + u * e[..., 1]],
+                    axis=-1)
+
+
+def segment_tangent(e, u):
+    return np.broadcast_to(e, np.shape(u) + (2,)).copy()
+
+
+def segment_nearest_dist(pts, p0, e, length):
+    """Distance from points to the segment from p0 along the unit vector e."""
+    t = np.clip((pts[..., 0] - p0[..., 0]) * e[..., 0]
+                + (pts[..., 1] - p0[..., 1]) * e[..., 1], 0.0, length)
+    return np.hypot(pts[..., 0] - (p0[..., 0] + t * e[..., 0]),
+                    pts[..., 1] - (p0[..., 1] + t * e[..., 1]))
+
+
+def _foot_newton(x, lo, hi, slope, steps: int = 4):
+    """Foot parameter of the nearest point, from x inside [lo, hi].
+
+    slope(x) -> (f', f'') of the squared distance f, up to a common
+    factor.  Each step shrinks the bracket on the sign of f' and takes the
+    Newton step when f'' > 0 and the step stays in the closed bracket (a
+    converged step lands on the end just moved to x), else bisects.
+    """
+    for _ in range(steps):
+        g, gp = slope(x)
+        right = g > 0.0
+        hi = np.where(right, x, hi)
+        lo = np.where(right, lo, x)
+        convex = gp > 0.0
+        step = x - g / np.where(convex, gp, 1.0)
+        x = np.where(convex & (step >= lo) & (step <= hi), step,
+                     0.5 * (lo + hi))
+    return x
 
 
 def arc_ray_hits(x, d, center, radius, mid, half, tol):
@@ -116,21 +156,18 @@ class ArcPiece:
         self.radius = float(radius)
         self.a0 = float(a0)
         self.a1 = float(a1)
-        self.length = self.radius * (self.a1 - self.a0)
+        self.width = self.a1 - self.a0
+        self.length = self.radius * self.width
         self.mid = 0.5 * (self.a0 + self.a1)
-        self.half = 0.5 * (self.a1 - self.a0)
-        self.ends = (self.point(0.0), self.point(self.length))
-
-    def _ang(self, u):
-        return self.a0 + np.asarray(u, dtype=float) / self.radius
+        self.half = 0.5 * self.width
+        self.e0, self.e1 = self.point(0.0), self.point(self.length)
 
     def point(self, u):
-        t = self._ang(u)
-        return self.center + self.radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
+        return arc_point(self.center, self.radius, self.a0,
+                         np.asarray(u, dtype=float))
 
     def tangent(self, u):
-        t = self._ang(u)
-        return np.stack([-np.sin(t), np.cos(t)], axis=-1)
+        return arc_tangent(self.radius, self.a0, np.asarray(u, dtype=float))
 
     def curvature(self, u):
         return np.full(np.shape(np.asarray(u)), 1.0 / self.radius)
@@ -138,16 +175,8 @@ class ArcPiece:
     def nearest_dist(self, pts):
         """Distance from points (n,2) to the arc as a point set."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = pts - self.center
-        rho = np.hypot(d[:, 0], d[:, 1])
-        ang = np.arctan2(d[:, 1], d[:, 0])
-        # fold the query angle into [a0, a0 + 2pi)
-        rel = np.mod(ang - self.a0, _TWO_PI)
-        on_arc = rel <= (self.a1 - self.a0)
-        radial = np.abs(rho - self.radius)
-        e0, e1 = self.ends
-        d_end = np.minimum(np.hypot(*(pts - e0).T), np.hypot(*(pts - e1).T))
-        return np.where(on_arc, radial, d_end)
+        return arc_nearest_dist(pts, self.center, self.radius, self.a0,
+                                self.width, self.e0, self.e1)
 
     def segment_hits(self, p, q):
         """Intersections with segment p->q as (t_seg in [0,1], u) pairs."""
@@ -194,22 +223,17 @@ class SegmentPiece:
         self.dir = delta / self.length
 
     def point(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.p0 + u[..., None] * self.dir
+        return segment_point(self.p0, self.dir, np.asarray(u, dtype=float))
 
     def tangent(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.broadcast_to(self.dir, u.shape + (2,)).copy()
+        return segment_tangent(self.dir, np.asarray(u, dtype=float))
 
     def curvature(self, u):
         return np.zeros(np.shape(np.asarray(u)))
 
     def nearest_dist(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        rel = pts - self.p0
-        t = np.clip(rel @ self.dir, 0.0, self.length)
-        foot = self.p0 + t[:, None] * self.dir
-        return np.hypot(*(pts - foot).T)
+        return segment_nearest_dist(pts, self.p0, self.dir, self.length)
 
     def segment_hits(self, p, q):
         p = _as_xy(p)
@@ -250,7 +274,7 @@ class EllipsePiece:
         self.b = float(b)
         self.rotation = float(rotation)
         self.center = _as_xy(center)
-        self._R = _rot(self.rotation)
+        self._cos, self._sin = math.cos(self.rotation), math.sin(self.rotation)
         theta = np.linspace(0.0, _TWO_PI, self._TABLE_N + 1)
         speed = np.hypot(self.a * np.sin(theta), self.b * np.cos(theta))
         cum = np.concatenate([[0.0], np.cumsum((speed[1:] + speed[:-1]) * 0.5 * np.diff(theta))])
@@ -280,13 +304,13 @@ class EllipsePiece:
     def point(self, u):
         th = self._theta(u)
         local = np.stack([self.a * np.cos(th), self.b * np.sin(th)], axis=-1)
-        return self.center + local @ self._R.T
+        return self.center + _rotate(local, self._cos, self._sin)
 
     def tangent(self, u):
         th = self._theta(u)
         v = np.stack([-self.a * np.sin(th), self.b * np.cos(th)], axis=-1)
         v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-        return v @ self._R.T
+        return _rotate(v, self._cos, self._sin)
 
     def curvature(self, u):
         th = self._theta(u)
@@ -295,7 +319,7 @@ class EllipsePiece:
 
     def _to_local(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return (pts - self.center) @ self._R
+        return _rotate(pts - self.center, self._cos, -self._sin)
 
     def implicit(self, pts):
         """(x/a)^2 + (y/b)^2 - 1 in the ellipse frame; negative inside."""
@@ -304,27 +328,37 @@ class EllipsePiece:
 
     @property
     def _dense(self):
+        """4096 equispaced angles and a k-d tree of their points in the
+        ellipse frame, built on first use."""
         cache = getattr(self, "_dense_cache", None)
         if cache is None:
             th = np.linspace(0.0, _TWO_PI, 4096, endpoint=False)
-            cache = (th, np.column_stack([self.a * np.cos(th), self.b * np.sin(th)]))
+            nodes = np.column_stack([self.a * np.cos(th), self.b * np.sin(th)])
+            cache = (th, cKDTree(nodes))
             self._dense_cache = cache
         return cache
 
     def nearest_dist(self, pts):
+        """Distance to the ellipse: the nearest of 4096 nodes brackets the
+        foot angle within one node spacing, and bracketed Newton steps on
+        the squared distance refine it."""
         loc = self._to_local(pts)
-        th_grid, dense = self._dense
-        idx = _nearest_node(loc, dense)
+        px, py = loc[:, 0], loc[:, 1]
+        a, b = self.a, self.b
+        th_grid, tree = self._dense
         h = th_grid[1] - th_grid[0]
-        out = np.empty(len(loc))
-        for i, j in enumerate(idx):
-            px, py = loc[i]
+        th0 = th_grid[tree.query(loc)[1]]
 
-            def f(th):
-                return (self.a * math.cos(th) - px) ** 2 + (self.b * math.sin(th) - py) ** 2
+        def sq_dist(th):
+            return (a * np.cos(th) - px) ** 2 + (b * np.sin(th) - py) ** 2
 
-            out[i] = math.sqrt(_golden_min(f, th_grid[j] - h, th_grid[j] + h))
-        return out
+        def slope(th):
+            c, s = np.cos(th), np.sin(th)
+            return ((b * b - a * a) * s * c + a * px * s - b * py * c,
+                    (b * b - a * a) * (c * c - s * s) + a * px * c + b * py * s)
+
+        th = _foot_newton(th0, th0 - h, th0 + h, slope)
+        return np.sqrt(np.minimum(sq_dist(th), sq_dist(th0)))
 
     def _seg_roots(self, p, q):
         """Roots u in [0,1] of the implicit conic along p + u (q - p)."""
@@ -357,7 +391,7 @@ class EllipsePiece:
         """First ray parameter t > tol where x + t d meets the ellipse, else
         inf; d nonzero."""
         p = self._to_local(x)
-        dd = d @ self._R
+        dd = _rotate(d, self._cos, -self._sin)
         A = (dd[:, 0] / self.a) ** 2 + (dd[:, 1] / self.b) ** 2
         B = 2 * (p[:, 0] * dd[:, 0] / self.a**2 + p[:, 1] * dd[:, 1] / self.b**2)
         C = (p[:, 0] / self.a) ** 2 + (p[:, 1] / self.b) ** 2 - 1.0
@@ -420,21 +454,38 @@ class SplinePiece:
         speed = np.linalg.norm(d1, axis=-1)
         return (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]) / speed**3
 
+    @property
+    def _tree(self):
+        """k-d tree of the dense polyline, built on first use."""
+        tree = getattr(self, "_tree_cache", None)
+        if tree is None:
+            tree = self._tree_cache = cKDTree(self._poly)
+        return tree
+
     def nearest_dist(self, pts):
+        """Distance to the spline: the nearest polyline node brackets the
+        foot within one node spacing, and bracketed Newton steps on the
+        squared distance refine it."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        # coarse nearest polyline node, then golden refine on |g(s) - p|^2
-        idx = _nearest_node(pts, self._poly)
-        out = np.empty(len(pts))
         h = self._poly_s[1] - self._poly_s[0]
-        for i, j in enumerate(idx):
-            p = pts[i]
+        s0 = self._poly_s[self._tree.query(pts)[1]]
 
-            def f(s):
-                v = self.point(s) - p
-                return float(v[0] ** 2 + v[1] ** 2)
+        def offset(s):
+            g = self._spline(s)
+            return g[:, 0] - pts[:, 0], g[:, 1] - pts[:, 1]
 
-            out[i] = math.sqrt(_golden_min(f, self._poly_s[j] - h, self._poly_s[j] + h))
-        return out
+        def sq_dist(s):
+            gx, gy = offset(np.mod(s, self.length))
+            return gx * gx + gy * gy
+
+        def slope(s):
+            s = np.mod(s, self.length)
+            (gx, gy), d1, d2 = offset(s), self._spline(s, 1), self._spline(s, 2)
+            return (d1[:, 0] * gx + d1[:, 1] * gy,
+                    d1[:, 0] ** 2 + d1[:, 1] ** 2 + d2[:, 0] * gx + d2[:, 1] * gy)
+
+        s = _foot_newton(s0, s0 - h, s0 + h, slope)
+        return np.sqrt(np.minimum(sq_dist(s), sq_dist(s0)))
 
     def _crossings(self, p, d, tmax):
         """Parameters (t, u) where p + t d crosses the spline, 0 < t <= tmax."""

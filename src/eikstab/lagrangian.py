@@ -182,31 +182,19 @@ def _hub(field: UnitField):
     return np.array(shared.pop() if shared else (np.inf, np.inf))
 
 
-def _fan(field: UnitField):
-    """The domain's medial star when the jump set is its spokes, segment k
-    running from the hub to vertex k; else None."""
-    star = field.domain.medial_star
-    if star is None or len(field.jump_set) != len(star.vertices):
-        return None
-    for seg, v in zip(field.jump_set, star.vertices):
-        if not (np.array_equal(seg.p0, star.hub) and np.array_equal(seg.p1, v)):
-            return None
-    return star
-
-
 def _jump_hits(x, d, segments, fan, u_stop):
     """First jump-segment hit of each ray: (ray parameter, segment index),
     inf where the ray meets no segment.
 
-    Without a fan every ray is tested against every segment.  With one (see
-    _fan), a ray is tested against the two spokes of the sector it heads
-    into.  All spokes lie in the disk of radius max(L) about the hub; when
-    the ray's part inside that disk, cut at u_stop and at the nearer of the
-    two hits, starts and ends in the closed sector, it stays there (the
-    sector is convex) and no other spoke can come first.  Rays that fail
-    this, or whose line passes within 1e-7 of the hub, where all spokes
-    meet, are tested against every segment.  Both tests share one kernel,
-    so they give the same bits.
+    Without a fan every ray is tested against every segment.  With one
+    (see UnitField.fan), a ray is tested against the two spokes of the
+    sector it heads into.  All spokes lie in the disk of radius max(L)
+    about the hub; when the ray's part inside that disk, cut at u_stop and
+    at the nearer of the two hits, starts and ends in the closed sector, it
+    stays there (the sector is convex) and no other spoke can come first.
+    Rays that fail this, or whose line passes within 1e-7 of the hub,
+    where all spokes meet, are tested against every segment.  Both tests
+    share one kernel, so they give the same bits.
     """
     P0, E, L = segments
     if fan is None:
@@ -256,7 +244,7 @@ def _advance_batch(field: UnitField, x, s, t, T):
     nseg = len(L)
     n_J = np.stack([-np.sin(theta_J), np.cos(theta_J)], axis=-1) if nseg else None
     hub = _hub(field)
-    fan = _fan(field)
+    fan = field.fan
     alive = np.ones(n, dtype=bool)
     mu = np.zeros(n)
     death = np.full(n, T)

@@ -212,3 +212,58 @@ def trace_reference(field, x0, s0, T):
         mu += abs((s - s_new + math.pi) % TWO_PI - math.pi)
         s = s_new
     raise RuntimeError("reference trace: event cap exceeded")
+
+
+def _golden_min(f, lo, hi, iters=90):
+    """Golden-section minimum value of f on [lo, hi]."""
+    phi = (math.sqrt(5) - 1) / 2
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+    return min(fc, fd)
+
+
+def golden_nearest_dist(sq_dist, params, nodes, pts):
+    """Distance from each point p to a curve g, one point at a time: the
+    nearest of the nodes g(params), equispaced in the parameter, brackets
+    the foot within one spacing, and a golden-section search on
+    sq_dist(t, p) = |g(t) - p|^2 refines it."""
+    h = params[1] - params[0]
+    out = np.empty(len(pts))
+    for i, p in enumerate(pts):
+        j = int(np.argmin(((nodes - p) ** 2).sum(axis=1)))
+        out[i] = math.sqrt(_golden_min(lambda t: sq_dist(t, p),
+                                       params[j] - h, params[j] + h))
+    return out
+
+
+def ellipse_nearest_dist(piece, pts):
+    """golden_nearest_dist on an ellipse piece, in its own frame, from 4096
+    equispaced angles."""
+    a, b = piece.a, piece.b
+    c, s = math.cos(piece.rotation), math.sin(piece.rotation)
+    rel = np.asarray(pts, dtype=float) - piece.center
+    loc = np.column_stack([rel[:, 0] * c + rel[:, 1] * s,
+                           rel[:, 1] * c - rel[:, 0] * s])
+    th = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+    nodes = np.column_stack([a * np.cos(th), b * np.sin(th)])
+    return golden_nearest_dist(
+        lambda t, p: (a * math.cos(t) - p[0]) ** 2 + (b * math.sin(t) - p[1]) ** 2,
+        th, nodes, loc)
+
+
+def spline_nearest_dist(piece, pts):
+    """golden_nearest_dist on a spline piece from its dense polyline."""
+    return golden_nearest_dist(
+        lambda t, p: float(np.sum((piece.point(t) - p) ** 2)),
+        piece._poly_s, piece._poly, np.asarray(pts, dtype=float))

@@ -17,9 +17,11 @@ from eikstab.geometry import (
     segment_clearance,
     star_region,
 )
+from eikstab.fields import distgrad_field, jump_distance
 from eikstab.geometry.pieces import ArcPiece, SegmentPiece
 from _domains import blob_points, dumbbell_curve
-from _oracles import first_exit, ngon_signed_gap
+from _oracles import (ellipse_nearest_dist, first_exit, ngon_signed_gap,
+                      spline_nearest_dist)
 
 TWO_PI = 2.0 * math.pi
 
@@ -150,6 +152,16 @@ def test_inscribed_disk_ngon_closed_form_and_grid_oracle():
 def test_inscribed_disk_bounds(curve):
     d = max_inscribed_disk(curve)
     assert 1.0 / curve.curvature_bound - 1e-7 <= d.radius <= 1.0 + 1e-7
+
+
+@pytest.mark.parametrize("curve", [
+    make_ellipse(1.3), make_ellipse(2.0),
+    make_ellipse(1.3, rotation=0.4, center=(0.1, -0.2))], ids=lambda c: c.spec)
+def test_inscribed_disk_ellipse(curve):
+    piece = curve.pieces[0]
+    d = max_inscribed_disk(curve)
+    assert np.hypot(*(d.center_xy - piece.center)) < 1e-8
+    assert abs(d.radius - piece.b) < 1e-8
 
 
 def test_hausdorff_values():
@@ -494,3 +506,113 @@ def test_sector_ray_exit_needs_no_fallback_inside(curve, monkeypatch):
                             lambda self, *a: asked.append(self) or math.inf)
     t = curve.ray_exit(X, D, tol=1e-9)
     assert not asked and np.all(np.isfinite(t))
+
+
+# -- batched distance kernels -----------------------------------------------
+
+
+def _ellipse_probe_points(piece, rng):
+    """The centre, both axes, the evolute and 1e-3 off it, the curve and
+    1e-6 off it, and points inside and outside, in the ellipse's frame and
+    then placed with its rotation and centre."""
+    a, b = piece.a, piece.b
+    t = rng.uniform(0.0, TWO_PI, 300)
+    evolute = np.column_stack([(a * a - b * b) / a * np.cos(t) ** 3,
+                               (b * b - a * a) / b * np.sin(t) ** 3])
+    axis = np.linspace(-1.5, 1.5, 101)
+    local = np.vstack([
+        np.zeros((1, 2)),
+        np.column_stack([a * axis, np.zeros(101)]),
+        np.column_stack([np.zeros(101), b * axis]),
+        evolute, evolute + rng.normal(0.0, 1e-3, evolute.shape),
+        np.column_stack([a * np.cos(t), b * np.sin(t)])
+        * (1.0 + rng.uniform(-1e-6, 1e-6, (300, 1))),
+        rng.uniform(-2.0, 2.0, (600, 2))])
+    c, s = math.cos(piece.rotation), math.sin(piece.rotation)
+    return piece.center + np.column_stack([local[:, 0] * c - local[:, 1] * s,
+                                           local[:, 0] * s + local[:, 1] * c])
+
+
+@pytest.mark.parametrize("curve", [
+    make_ellipse(1.3), make_ellipse(4.0),
+    make_ellipse(1.3, rotation=0.4, center=(0.1, -0.2))], ids=lambda c: c.spec)
+def test_ellipse_nearest_dist_matches_golden_oracle(curve):
+    piece = curve.pieces[0]
+    P = _ellipse_probe_points(piece, np.random.default_rng(5))
+    err = np.abs(piece.nearest_dist(P) - ellipse_nearest_dist(piece, P))
+    assert err.max() < 1e-12
+
+
+@pytest.mark.parametrize("curve", [make_spline_curve(blob_points()),
+                                   dumbbell_curve()], ids=["blob", "dumbbell"])
+def test_spline_nearest_dist_matches_golden_oracle(curve):
+    piece = curve.pieces[0]
+    rng = np.random.default_rng(6)
+    near = piece._poly[::16]
+    P = np.vstack([np.zeros((1, 2)), rng.uniform(-1.6, 1.6, (400, 2)),
+                   near + rng.normal(0.0, 1e-3, near.shape),
+                   near + rng.normal(0.0, 1e-7, near.shape)])
+    err = np.abs(piece.nearest_dist(P) - spline_nearest_dist(piece, P))
+    assert err.max() < 1e-12
+
+
+@pytest.mark.parametrize("curve", [
+    make_rounded_ngon(8), make_ellipse(1.3, rotation=0.4, center=(0.1, -0.2)),
+    make_spline_curve(blob_points())], ids=lambda c: c.spec)
+def test_one_point_queries_equal_batch(curve):
+    # a point's distance, position and tangent do not depend on the batch
+    # it comes in
+    rng = np.random.default_rng(9)
+    P = rng.uniform(-1.4, 1.4, (1000, 2))
+    d = curve.dist_to_boundary(P)
+    assert np.array_equal(d, [curve.dist_to_boundary(p[None])[0] for p in P])
+    s = rng.uniform(-1.0, 8.0, 300)
+    for query in (curve.point, curve.tangent, curve.curvature):
+        assert np.array_equal(query(s), [query(x) for x in s])
+
+
+def test_quad_nodes_cached_and_read_only():
+    g = make_rounded_ngon(6)
+    s, w = g.quad_nodes(order=8, min_panels=4)
+    assert g.quad_nodes(order=8, min_panels=4)[0] is s
+    for a in (s, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert len(g.quad_nodes(order=4, min_panels=4)[0]) == 12 * 4
+    # a shifted parametrization gets its own nodes on the same points
+    g2 = g.with_param_offset(0.37)
+    s2, w2 = g2.quad_nodes(order=8, min_panels=4)
+    assert np.allclose(s2, s - 0.37, rtol=0.0, atol=1e-14)
+    assert np.array_equal(w2, w)
+    assert np.max(np.abs(g2.point(s2) - g.point(s))) < 1e-12
+    assert g.quad_nodes(order=8, min_panels=4)[0] is s
+
+
+def _all_segments_min(field, P):
+    """The minimum over every jump segment, with the per-segment arithmetic
+    of fields.jump_distance."""
+    best = np.full(len(P), np.inf)
+    for seg in field.jump_set:
+        p0 = np.asarray(seg.p0, dtype=float)
+        d = np.asarray(seg.p1, dtype=float) - p0
+        L2 = float(d @ d)
+        t = np.clip(((P[:, 0] - p0[0]) * d[0] + (P[:, 1] - p0[1]) * d[1]) / L2,
+                    0.0, 1.0)
+        best = np.minimum(best, np.hypot(P[:, 0] - (p0[0] + t * d[0]),
+                                         P[:, 1] - (p0[1] + t * d[1])))
+    return best
+
+
+@pytest.mark.parametrize("curve", SECTOR_CURVES, ids=_sector_id)
+def test_fan_jump_distance_matches_all_segments(curve):
+    # the points of test_sector_dist_matches_all_pieces
+    field = distgrad_field(curve)
+    assert field.fan is curve.medial_star
+    rng = np.random.default_rng(len(curve.pieces))
+    hub = curve.medial_star.hub
+    P = np.vstack([hub + rng.uniform(-1.6, 1.6, (20_000, 2)),
+                   hub[None, :], _spoke_points(curve, rng, 2000)])
+    assert np.array_equal(jump_distance(field, P), _all_segments_min(field, P))
+    for p in P[-200:]:
+        assert np.array_equal(jump_distance(field, p[None]),
+                              _all_segments_min(field, p[None]))
