@@ -16,11 +16,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .geometry import BoundaryCurve, Disk, StarRegion
 
 TWO_PI = 2.0 * math.pi
+# triples scored against the z0 grid at once: a block's (triple, z0, point)
+# arrays stay a few MB, where a whole batch's would be tens of MB
+_SEARCH_BLOCK = 32
 
 
 @dataclass
@@ -78,7 +80,8 @@ def _forced_pattern(X, T, Z):
     A positive objective forces the sign choice sigma_k = -sign(tau_k . u_k)
     (any other sign makes some margin negative), so the line through x_k
     runs along u_k where tau_k . u_k <= 0 and against it elsewhere.
-    X, T : (B, 3, 2) points and tangents.  Z : (B, G, 2) candidate z0.
+    X, T : (B, 3, 2) points and tangents.  Z : (B, G, 2) candidate z0,
+    or (1, G, 2) for one grid shared by the batch.
     Returns (d, alpha), each (B, G, 3).
     """
     V = Z[:, :, None, :] - X[:, None, :, :]           # (B, G, 3, 2)
@@ -122,6 +125,9 @@ def _search(curve: BoundaryCurve, disk: Disk, triples: np.ndarray):
     that frame the batch shares a 33x49 polar z0 grid over the closed
     half-radius disk, keeps the top 3 grid points per triple (secondary
     basins), and shrinks a 7x7 local grid around each in four rounds.
+    The grid is scored _SEARCH_BLOCK triples at a time; every value is
+    elementwise and every reduction runs along a triple's own row, so the
+    result does not depend on the batch or on how it is split.
 
     Returns the refined seed values, (B, 3), and their z0 in world
     coordinates, (B, 3, 2).  Each value is attained by the objective at
@@ -140,13 +146,15 @@ def _search(curve: BoundaryCurve, disk: Disk, triples: np.ndarray):
                          c * V[..., 1] - s * V[..., 0]], axis=-1)
 
     X, T = to_frame(X), to_frame(T)
-    Z = np.broadcast_to(_polar_grid(np.zeros(2), half, 33, 49)[None, :, :],
-                        (B, 33 * 49, 2))
-    vals = _objective_batch(X, T, Z)
-    order = np.argsort(vals, axis=1)[:, -n_seeds:]
-    rows = np.arange(B)[:, None]
-    seed_z = Z[rows, order]                      # (B, k, 2)
-    seed_val = vals[rows, order]
+    Z = _polar_grid(np.zeros(2), half, 33, 49)
+    seed_z = np.empty((B, n_seeds, 2))
+    seed_val = np.empty((B, n_seeds))
+    for lo in range(0, B, _SEARCH_BLOCK):
+        blk = slice(lo, lo + _SEARCH_BLOCK)
+        vals = _objective_batch(X[blk], T[blk], Z[None])
+        order = np.argsort(vals, axis=1)[:, -n_seeds:]
+        seed_z[blk] = Z[order]
+        seed_val[blk] = np.take_along_axis(vals, order, axis=1)
 
     BK = B * n_seeds
     best_z = seed_z.reshape(BK, 2)
@@ -208,6 +216,8 @@ def defect_a(curve: BoundaryCurve, disk: Disk, triple) -> DefectResult:
     bound of the true max, attained at z0.  On a zero-defect triple z0 is
     some point of the zero plateau.
     """
+    from scipy.optimize import minimize
+
     t = _check_triple(curve, triple)
     X = curve.point(t)[None]
     T = curve.tangent(t)[None]

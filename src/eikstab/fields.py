@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .geometry import BoundaryCurve
 
@@ -379,6 +378,8 @@ def best_vortex_fit(field: UnitField, grid_n: int = 128):
     Returns (deviation, center, alpha); the search is seeded at the domain
     centroid.
     """
+    from scipy.optimize import minimize
+
     seed = field.domain.centroid()
     best = (math.inf, seed, 1)
     for alpha in (1, -1):

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .curve import BoundaryCurve
 
@@ -38,6 +37,8 @@ def hausdorff_to_circle(curve: BoundaryCurve, center) -> float:
 
 
 def _radial_sup(curve: BoundaryCurve, center) -> float:
+    from scipy.optimize import minimize_scalar
+
     per = curve.perimeter
     coarse = np.linspace(0.0, per, 4096, endpoint=False)
     f = np.abs(np.hypot(*(curve.point(coarse) - center).T) - 1.0)
@@ -62,9 +63,14 @@ def best_circle_center(curve: BoundaryCurve, objective: str = "hausdorff"):
     """Center minimizing the Hausdorff distance to the unit circle, or the
     squared normal-deviation functional when ``objective='normal_deviation'``.
 
-    Nelder-Mead from the area centroid with a restart at the inscribed
-    disk center when that improves the result.
+    Nelder-Mead from the area centroid, restarted from the inscribed disk
+    center only when that lies more than 1e-9 from the centroid; the
+    better result is kept.  A closer restart would repeat the first
+    search, and from an exact zero coordinate (the rounded n-gon's hub at
+    the origin) Nelder-Mead takes an absolute initial step and runs long.
     """
+    from scipy.optimize import minimize
+
     from .inscribed import max_inscribed_disk
 
     if objective == "hausdorff":
@@ -76,7 +82,10 @@ def best_circle_center(curve: BoundaryCurve, objective: str = "hausdorff"):
     else:
         raise ValueError(f"unknown objective: {objective!r}")
 
-    seeds = [curve.centroid(), max_inscribed_disk(curve).center_xy]
+    seeds = [curve.centroid()]
+    disk_center = max_inscribed_disk(curve).center_xy
+    if np.hypot(*(disk_center - seeds[0])) > 1e-9:
+        seeds.append(disk_center)
     best_val, best_x = np.inf, seeds[0]
     for s0 in seeds:
         res = minimize(fun, s0, method="Nelder-Mead",

@@ -4,8 +4,6 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from scipy.optimize import minimize
-
 from .curve import BoundaryCurve
 
 _CONVEX_KINDS = {"circle", "ellipse", "rounded_ngon"}
@@ -55,21 +53,30 @@ class StarRegion:
 def max_inscribed_disk(curve: BoundaryCurve) -> Disk:
     """Largest disk contained in the domain (Chebyshev center).
 
-    Seeds a 64 x 64 interior grid with the exact distance-to-boundary
-    function, then polishes with Nelder-Mead to 1e-10.
+    The convex families have closed forms.  The unit circle's disk is
+    itself: its centre, radius 1.  The rounded n-gon's is centred at the
+    hub of its medial star with the closed-form inradius: the hub is the
+    centre of the n-fold rotation, and the distance is concave on a convex
+    domain, so it is the maximizer.  An ellipse's disk is centred at the
+    ellipse's centre, by the same argument with the half-turn, and its
+    radius is the distance there (the minor semiaxis).
 
-    An ellipse's disk is centred at the ellipse's centre: the distance is
-    concave on a convex domain and unchanged by the half-turn about the
-    centre.  The search cannot find that centre closer than about 1e-8,
-    because there the distance falls off only quadratically along the
-    major axis, so the centre is taken as it is.  At the maxima of the
-    circle and the rounded n-gon the distance falls off linearly in every
-    direction, and the search resolves them to about 1e-12.
+    Only a spline searches: a 64 x 64 interior grid seeded with the exact
+    distance-to-boundary function, then a Nelder-Mead polish to 1e-10.
     """
+    if curve.kind == "circle":
+        c = curve.meta["center"]
+        return Disk(center=(float(c[0]), float(c[1])), radius=1.0)
+    if curve.kind == "rounded_ngon":
+        c = curve.medial_star.hub
+        return Disk(center=(float(c[0]), float(c[1])),
+                    radius=float(curve.meta["inradius"]))
     if curve.kind == "ellipse":
         c = curve.pieces[0].center
         return Disk(center=(float(c[0]), float(c[1])),
                     radius=float(curve.dist_to_boundary(c[None])[0]))
+    from scipy.optimize import minimize
+
     x0, x1, y0, y1 = curve.bbox()
     gx = np.linspace(x0, x1, 64)
     gy = np.linspace(y0, y1, 64)
@@ -130,8 +137,9 @@ def star_region(curve: BoundaryCurve, disk: Disk, eta: float,
     R = disk.radius
     per = curve.perimeter
     convex = curve.kind in _CONVEX_KINDS
-    # relative slack absorbs the 1e-10-level optimizer error in (x0, R);
-    # without it eta = 0 on a disk would reject half the boundary
+    # relative slack absorbs the rounding of the boundary points and the
+    # 1e-10-level optimizer error in a spline's (x0, R); without it eta = 0
+    # on a disk would reject half the boundary
     lim = (1.0 + eta) * R * (1.0 + 1e-9)
 
     def ok(s: float) -> bool:

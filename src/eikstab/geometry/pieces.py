@@ -10,9 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
-from scipy.optimize import brentq
-from scipy.spatial import cKDTree
 
 _TWO_PI = 2.0 * math.pi
 
@@ -268,6 +265,8 @@ class EllipsePiece:
     _TABLE_N = 100_000
 
     def __init__(self, a: float, b: float, rotation: float = 0.0, center=(0.0, 0.0)):
+        from scipy.interpolate import PchipInterpolator
+
         if a <= 0 or b <= 0:
             raise ValueError("semiaxes must be positive")
         self.a = float(a)
@@ -297,6 +296,8 @@ class EllipsePiece:
         """Cubic spline of the cumulative-length table, built on first use."""
         interp = getattr(self, "_s_interp", None)
         if interp is None:
+            from scipy.interpolate import CubicSpline
+
             interp = CubicSpline(*self._table)
             self._s_interp = interp
         return interp
@@ -332,6 +333,8 @@ class EllipsePiece:
         ellipse frame, built on first use."""
         cache = getattr(self, "_dense_cache", None)
         if cache is None:
+            from scipy.spatial import cKDTree
+
             th = np.linspace(0.0, _TWO_PI, 4096, endpoint=False)
             nodes = np.column_stack([self.a * np.cos(th), self.b * np.sin(th)])
             cache = (th, cKDTree(nodes))
@@ -414,6 +417,8 @@ class SplinePiece:
     _RESAMPLE = 4096
 
     def __init__(self, points):
+        from scipy.interpolate import CubicSpline, PchipInterpolator
+
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 8:
             raise ValueError("need at least 8 sample points of shape (k, 2)")
@@ -459,6 +464,8 @@ class SplinePiece:
         """k-d tree of the dense polyline, built on first use."""
         tree = getattr(self, "_tree_cache", None)
         if tree is None:
+            from scipy.spatial import cKDTree
+
             tree = self._tree_cache = cKDTree(self._poly)
         return tree
 
@@ -489,6 +496,8 @@ class SplinePiece:
 
     def _crossings(self, p, d, tmax):
         """Parameters (t, u) where p + t d crosses the spline, 0 < t <= tmax."""
+        from scipy.optimize import brentq
+
         # sign changes of the cross product along the cached polyline
         rel = self._poly - np.asarray(p, dtype=float)
         cross = rel[:, 0] * d[1] - rel[:, 1] * d[0]

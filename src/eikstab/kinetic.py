@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .fields import UnitField, circle_cut_angles, eval_many, jump_distance
 
@@ -50,6 +49,8 @@ def phi_f_eval(f, z, breakpoints: Sequence[float] = ()) -> np.ndarray:
     The endpoints are the exact tangency angles (z-angle +- pi/2); interior
     kinks of f can be passed as absolute angles for the quadrature to split.
     """
+    from scipy.integrate import quad
+
     z = _unit_check(z)
     th = math.atan2(z[1], z[0])
     lo, hi = th - math.pi / 2, th + math.pi / 2

@@ -446,6 +446,40 @@ def test_selftest_quick_green(tmp_path, capsys):
     assert rep["passed"] is True
 
 
+_LAZY_IMPORT_CHECK = """
+import sys
+from eikstab import cli
+
+out, points = sys.argv[1], sys.argv[2]
+heavy = ("scipy.optimize", "scipy.interpolate", "scipy.spatial",
+         "scipy.integrate")
+for argv in (["defect-integral", "--curve", "rounded_ngon:n=8", "--nodes", "8"],
+             ["energy", "--curve", "rounded_ngon:n=8", "--grid", "128",
+              "--eps", "0.15"]):
+    assert cli.run(argv + ["--out", out]) == 0, argv
+loaded = [m for m in heavy if m in sys.modules]
+assert not loaded, loaded
+for argv in (["defect", "--curve", "ellipse:aspect=1.3",
+              "--triple", "0.5,2.5,4.5"],
+             ["defect", "--curve", "spline:points=" + points,
+              "--triple", "0.5,2.5,4.5"]):
+    assert cli.run(argv + ["--out", out]) == 0, argv
+"""
+
+
+def test_bulk_commands_import_no_scipy_solvers(tmp_path):
+    # the n-gon's integral and energy need none of scipy's solvers,
+    # interpolators or trees; the commands that do import them on call
+    from _domains import blob_points
+
+    points = tmp_path / "blob.csv"
+    np.savetxt(points, blob_points(), delimiter=",")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORT_CHECK, str(tmp_path / "x.json"),
+         str(points)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_curve_spec_both_syntaxes_agree(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli(["gen-domain", "--curve", "ellipse:aspect=1.3", "--out", a])

@@ -290,6 +290,20 @@ def test_batch_rotation_equivariant():
         assert np.max(np.abs(a0 - a1)) < 1e-7
 
 
+@pytest.mark.parametrize("curve", [make_rounded_ngon(8), make_rounded_ngon(16),
+                                   make_ellipse(1.3)], ids=lambda c: c.spec)
+def test_batch_independent_of_block_split(curve):
+    # the seed grid is scored in fixed blocks of triples; a batch split at
+    # other places, some across a block boundary, gives the same bits
+    disk = max_inscribed_disk(curve)
+    tr = np.random.default_rng(31).random((512, 3)) * TWO_PI
+    whole = defect_batch(curve, disk, tr)
+    edges = np.cumsum([0, 1, 31, 33, 447])
+    parts = [defect_batch(curve, disk, tr[lo:hi])
+             for lo, hi in zip(edges[:-1], edges[1:])]
+    assert np.array_equal(whole, np.concatenate(parts))
+
+
 def _full_product_sum(curve, disk, M):
     # every one of the M^3 product triples, nodes at phases 1/6, 1/2, 5/6
     h = TWO_PI / M

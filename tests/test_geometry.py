@@ -164,6 +164,23 @@ def test_inscribed_disk_ellipse(curve):
     assert abs(d.radius - piece.b) < 1e-8
 
 
+@pytest.mark.parametrize("curve", [
+    make_rounded_ngon(3), make_rounded_ngon(8), make_rounded_ngon(32),
+    make_rounded_ngon(128),
+    make_rounded_ngon(6, rotation=0.3, center=(0.25, -0.4))],
+    ids=lambda c: c.spec + str(c.meta["center"]))
+def test_inscribed_disk_ngon_is_exact_closed_form(curve):
+    d = max_inscribed_disk(curve)
+    assert d.center == tuple(float(v) for v in curve.medial_star.hub)
+    assert d.radius == curve.meta["inradius"]
+
+
+def test_inscribed_disk_circle_is_exact():
+    d = max_inscribed_disk(make_circle(center=(0.3, -0.7)))
+    assert d.center == (0.3, -0.7)
+    assert d.radius == 1.0
+
+
 def test_hausdorff_values():
     c = make_circle()
     assert hausdorff_to_circle(c, (0.0, 0.0)) < 1e-12
