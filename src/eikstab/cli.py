@@ -354,6 +354,19 @@ def cmd_nu(cfg, args) -> Tuple[dict, List[dict]]:
     return results, asserts
 
 
+# dissipation_matches_nu passes when rate/nu lies within RATE_K standard
+# errors of the run (relative to nu) of 1, on a band never narrower than
+# RATE_FLOOR
+RATE_K, RATE_FLOOR = 4, 0.03
+
+
+def _rate_band(rate: lagrangian.RateEstimate, nu: float):
+    """(rate/nu, half-width of its band about 1, passed)."""
+    ratio = rate.rate / nu
+    tol = max(RATE_K * rate.standard_error / nu, RATE_FLOOR)
+    return ratio, tol, abs(ratio - 1.0) <= tol
+
+
 def cmd_lagrangian(cfg, args) -> Tuple[dict, List[dict]]:
     curve = parse_curve_spec(cfg["curve"])
     f = build_field(curve, cfg["field"])
@@ -394,11 +407,11 @@ def cmd_lagrangian(cfg, args) -> Tuple[dict, List[dict]]:
     }
     asserts = []
     if nu > 0:
-        ratio = rate.rate / nu
+        ratio, tol, ok = _rate_band(rate, nu)
         results["rate_over_nu"] = ratio
+        results["rate_tolerance"] = {"k_se": RATE_K, "floor": RATE_FLOOR}
         asserts.append(report.assertion("dissipation_matches_nu", ratio,
-                                        0.15, 0.85 <= ratio <= 1.15,
-                                        target=1.0))
+                                        tol, ok, target=1.0))
     else:
         asserts.append(report.assertion("dissipation_vanishes", rate.rate,
                                         1e-6, abs(rate.rate) <= 1e-6,
@@ -645,10 +658,8 @@ def _selftest_checks(quick: bool) -> List[Tuple[str, Callable[[], tuple]]]:
         f = fields.distgrad_field(make_rounded_ngon(8))
         spec = lagrangian.balanced_spec(f, 50_000, horizon=2.5, seed=3)
         ens = lagrangian.sample_ensemble(spec)
-        rate = lagrangian.dissipation_decomposition(ens).rate
-        nu = kinetic.nu_total(f, "ars_wall").nu_total
-        ratio = rate / nu
-        return ratio, 0.3, 0.7 <= ratio <= 1.3
+        return _rate_band(lagrangian.dissipation_decomposition(ens),
+                          kinetic.nu_total(f, "ars_wall").nu_total)
 
     def representation_quick():
         f = fields.vortex(make_circle(), (0.0, 0.0), alpha=1)

@@ -20,9 +20,9 @@ import numpy as np
 from .geometry import BoundaryCurve, Disk, StarRegion
 
 TWO_PI = 2.0 * math.pi
-# triples scored against the z0 grid at once: a block's (triple, z0, point)
-# arrays stay a few MB, where a whole batch's would be tens of MB
-_SEARCH_BLOCK = 32
+# triples scored against the shared z0 grid at once: a block's (triple,
+# z0) planes are 8 x 1617 doubles, 0.1 MB each, and stay in cache
+_SEARCH_BLOCK = 8
 
 
 @dataclass
@@ -61,54 +61,52 @@ class IntegralResult:
     symmetry_order: int = 1     # g of the rotation block summed, 1 = none
 
 
-def _covering_arc_excess(alpha):
-    """l - pi where l is the shortest arc containing the 3 angles.
-
-    alpha: (..., 3) angles. l = 2pi - largest circular gap.
-    """
-    a = np.sort(np.mod(alpha, TWO_PI), axis=-1)
-    g1 = a[..., 1] - a[..., 0]
-    g2 = a[..., 2] - a[..., 1]
-    g3 = TWO_PI - (a[..., 2] - a[..., 0])
-    maxgap = np.maximum(np.maximum(g1, g2), g3)
-    return TWO_PI - maxgap - math.pi
-
-
-def _forced_pattern(X, T, Z):
-    """tau_k . u_k and the line angles of the forced sign pattern.
-
-    A positive objective forces the sign choice sigma_k = -sign(tau_k . u_k)
-    (any other sign makes some margin negative), so the line through x_k
-    runs along u_k where tau_k . u_k <= 0 and against it elsewhere.
-    X, T : (B, 3, 2) points and tangents.  Z : (B, G, 2) candidate z0,
-    or (1, G, 2) for one grid shared by the batch.
-    Returns (d, alpha), each (B, G, 3).
-    """
-    V = Z[:, :, None, :] - X[:, None, :, :]           # (B, G, 3, 2)
-    norm = np.sqrt(np.sum(V * V, axis=-1))
-    U = V / norm[..., None]
-    d = np.sum(T[:, None, :, :] * U, axis=-1)
-    alpha = np.arctan2(U[..., 1], U[..., 0]) + np.where(d > 0, math.pi, 0.0)
-    return d, alpha
-
-
-def _objective_batch(X, T, Z):
+def _objective(X, T, zx, zy):
     """Defect objective of the forced sign pattern for many (triple, z0) pairs.
 
-    Returns (B, G) values min(min_k |tau_k . u_k|, l - pi), unclipped: they
-    are negative where the covering arc is shorter than pi, so a search
-    that sees no positive value still has a slope to climb.  The defect is
-    the positive part of the maximum over z0.
+    A positive objective forces sigma_k = -sign(tau_k . u_k) (any other
+    sign makes some margin negative): the line through x_k runs along u_k
+    where tau_k . u_k <= 0 and against it elsewhere.  The value is
+    min(min_k |tau_k . u_k|, l - pi), l the shortest arc containing the
+    line angles; it is unclipped, so a search that sees no positive value
+    still has a slope to climb, and the defect is the positive part of its
+    max over z0.  X, T: (B, 3, 2) points and tangents; zx, zy: (B, G)
+    coordinates of z0, or (1, G) for a grid shared by the batch.  All work
+    is elementwise on (B, G) planes (np.minimum chains, a min/median/max
+    network for the arc), with no reduction over a length-2 or -3 axis.
+    Returns (value, d, alpha): the (B, G) values and per point k the
+    planes d[k] = tau_k . u_k and alpha[k], its line angle in [0, 2pi).
     """
-    d, alpha = _forced_pattern(X, T, Z)
-    return np.minimum(np.min(np.abs(d), axis=-1), _covering_arc_excess(alpha))
+    d, alpha = [], []
+    for k in range(3):
+        vx = zx - X[:, k, 0, None]
+        vy = zy - X[:, k, 1, None]
+        norm = np.sqrt(vx * vx + vy * vy)
+        ux, uy = vx / norm, vy / norm
+        dk = T[:, k, 0, None] * ux + T[:, k, 1, None] * uy
+        ak = np.arctan2(uy, ux)
+        ak += (dk > 0) * math.pi
+        # ak mod 2pi, branch-free: ak lies in [-pi, 2pi] and is no -0.0
+        wrap = (ak < 0) * TWO_PI
+        ak *= ak != TWO_PI
+        ak += wrap
+        d.append(dk)
+        alpha.append(ak)
+    a0, a1, a2 = alpha
+    lo = np.minimum(np.minimum(a0, a1), a2)
+    hi = np.maximum(np.maximum(a0, a1), a2)
+    mid = np.maximum(np.minimum(a0, a1), np.minimum(np.maximum(a0, a1), a2))
+    # l = 2pi - largest circular gap between the sorted angles
+    maxgap = np.maximum(np.maximum(mid - lo, hi - mid), TWO_PI - (hi - lo))
+    margin = np.minimum(np.minimum(np.abs(d[0]), np.abs(d[1])), np.abs(d[2]))
+    return np.minimum(margin, TWO_PI - maxgap - math.pi), d, alpha
 
 
 def _polar_grid(center, radius, nr, ntheta):
     r = np.linspace(0.0, radius, nr)
     th = np.linspace(0.0, TWO_PI, ntheta, endpoint=False)
     R, TH = np.meshgrid(r, th)
-    return center + np.column_stack([(R * np.cos(TH)).ravel(), (R * np.sin(TH)).ravel()])
+    return center[0] + (R * np.cos(TH)).ravel(), center[1] + (R * np.sin(TH)).ravel()
 
 
 def _search(curve: BoundaryCurve, disk: Disk, triples: np.ndarray):
@@ -146,52 +144,54 @@ def _search(curve: BoundaryCurve, disk: Disk, triples: np.ndarray):
                          c * V[..., 1] - s * V[..., 0]], axis=-1)
 
     X, T = to_frame(X), to_frame(T)
-    Z = _polar_grid(np.zeros(2), half, 33, 49)
-    seed_z = np.empty((B, n_seeds, 2))
+    gx, gy = _polar_grid(np.zeros(2), half, 33, 49)
+    seed_xy = np.empty((2, B, n_seeds))
     seed_val = np.empty((B, n_seeds))
     for lo in range(0, B, _SEARCH_BLOCK):
         blk = slice(lo, lo + _SEARCH_BLOCK)
-        vals = _objective_batch(X[blk], T[blk], Z[None])
+        vals = _objective(X[blk], T[blk], gx[None], gy[None])[0]
         order = np.argsort(vals, axis=1)[:, -n_seeds:]
-        seed_z[blk] = Z[order]
+        seed_xy[:, blk] = gx[order], gy[order]
         seed_val[blk] = np.take_along_axis(vals, order, axis=1)
 
     BK = B * n_seeds
-    best_z = seed_z.reshape(BK, 2)
+    best_x, best_y = seed_xy.reshape(2, BK)
     best_val = seed_val.reshape(BK)
     Xk = np.repeat(X, n_seeds, axis=0)
     Tk = np.repeat(T, n_seeds, axis=0)
 
-    h = half / 16.0
-    off = np.array([[i, j] for i in range(-3, 4) for j in range(-3, 4)], dtype=float)
+    h, off = half / 16.0, np.arange(-3.0, 4.0)
+    off_x, off_y = np.repeat(off, 7), np.tile(off, 7)     # the 7x7 stencil
+    rows = np.arange(BK)
     for _ in range(4):
-        cand = best_z[:, None, :] + h * off[None, :, :]
+        cx = best_x[:, None] + h * off_x
+        cy = best_y[:, None] + h * off_y
         # clip to the closed ball of radius R/2
-        rr = np.hypot(cand[..., 0], cand[..., 1])
-        cand = cand * np.minimum(1.0, half / np.maximum(rr, 1e-300))[..., None]
-        vals = _objective_batch(Xk, Tk, cand)
+        scale = np.minimum(1.0, half / np.maximum(np.hypot(cx, cy), 1e-300))
+        cx, cy = cx * scale, cy * scale
+        vals = _objective(Xk, Tk, cx, cy)[0]
         idx = np.argmax(vals, axis=1)
-        take = vals[np.arange(BK), idx] > best_val
-        best_val = np.where(take, vals[np.arange(BK), idx], best_val)
-        best_z = np.where(take[:, None], cand[np.arange(BK), idx], best_z)
+        take = vals[rows, idx] > best_val
+        best_val = np.where(take, vals[rows, idx], best_val)
+        best_x = np.where(take, cx[rows, idx], best_x)
+        best_y = np.where(take, cy[rows, idx], best_y)
         h /= 4.0
-    z = best_z.reshape(B, n_seeds, 2)
-    world = np.stack([c * z[..., 0] - s * z[..., 1],
-                      s * z[..., 0] + c * z[..., 1]], axis=-1)
+    zx, zy = best_x.reshape(B, n_seeds), best_y.reshape(B, n_seeds)
+    world = np.stack([c * zx - s * zy, s * zx + c * zy], axis=-1)
     return best_val.reshape(B, n_seeds), x0 + world
 
 
 def defect_batch(curve: BoundaryCurve, disk: Disk, triples: np.ndarray) -> np.ndarray:
     """Defect values for many triples: the positive part of the best of
-    _search's refined seeds.
-
-    The result is a lower bound of the max, attained at a feasible z0.
-    Against the certified branch-and-bound interval of tests/_oracles.py
-    on 300 random triples (75 each on the 8-gon, the 16-gon, the ellipse
-    of aspect 1.3 and that ellipse rotated and shifted) the shortfall has
-    a median of 9e-5 but reaches 1.2e-2 where the peak is narrow, and the
-    sums of a^2 come out 0.3-0.6% low.  defect_a polishes the same seeds
-    and is never below this value.
+    _search's refined seeds, a lower bound of the max attained at a
+    feasible z0.  Against the certified branch-and-bound interval of
+    tests/_oracles.py on 300 random triples (75 each on the 8-gon, the
+    16-gon, the ellipse of aspect 1.3 and that ellipse rotated and shifted)
+    the shortfall has a median of 9e-5 but reaches 1.2e-2 where the peak is
+    narrow, and the sums of a^2 come out 0.3-0.6% low.  defect_a polishes
+    the same seeds and is never below this value.  A triple costs 2205
+    evaluations of _objective, a median 0.37 ms on the 8-gon (2048 random
+    triples, one core of a 2-core Xeon, numpy 2.4).
     """
     vals, _ = _search(curve, disk, triples)
     return np.maximum(vals.max(axis=1), 0.0)
@@ -229,7 +229,7 @@ def defect_a(curve: BoundaryCurve, disk: Disk, triple) -> DefectResult:
         return x0 + w * (half / r) if r > half else z
 
     def objective(z):
-        return float(_objective_batch(X, T, z[None, None, :])[0, 0])
+        return float(_objective(X, T, *np.reshape(z, (2, 1, 1)))[0][0, 0])
 
     _, seeds = _search(curve, disk, t[None])
     starts = list(seeds[0])
@@ -246,10 +246,10 @@ def defect_a(curve: BoundaryCurve, disk: Disk, triple) -> DefectResult:
         val = -float(res.fun)
         if val > best_val:
             best_val, best_z = val, clipped(res.x)
-    d, alpha = _forced_pattern(X, T, best_z[None, None, :])
+    _, d, alpha = _objective(X, T, *np.reshape(best_z, (2, 1, 1)))
     return DefectResult(a=max(best_val, 0.0), z0=best_z,
-                        alphas=np.mod(alpha[0, 0], TWO_PI),
-                        signs=tuple(bool(v <= 0) for v in d[0, 0]))
+                        alphas=np.array([ak[0, 0] for ak in alpha]),
+                        signs=tuple(bool(dk[0, 0] <= 0) for dk in d))
 
 
 def incircle_candidate(curve: BoundaryCurve, triple):

@@ -180,7 +180,9 @@ def _local_terms(grid: GridField, eps: float):
     h2 = grid.h * grid.h
     mask = grid.mask
     dirichlet = 0.5 * eps * float(np.sum(_dirichlet_density(grid)[mask])) * h2
-    norm2 = np.sum(grid.values * grid.values, axis=-1)
+    # |m|^2 summed plane by plane: no (n, n, 3) temporary
+    v = grid.values
+    norm2 = v[:, :, 0] * v[:, :, 0] + v[:, :, 1] * v[:, :, 1] + v[:, :, 2] * v[:, :, 2]
     penalty = 0.5 / eps * float(np.sum(((1.0 - norm2) ** 2)[mask])) * h2
     return dirichlet, penalty
 

@@ -258,13 +258,15 @@ class BoundaryCurve:
         polygon.  Negative exactly inside the domain, <= 0 on its closure."""
         m = self.meta
         k = self.medial_star.sector(pts)
-        edir = self._edges.dir[k]
-        rel = pts - self.medial_star.vertices[k]
-        t = np.clip(np.sum(rel * edir, axis=1), 0.0, self._edges.length[k])
-        off = rel - t[:, None] * edir
-        in_poly = np.sum(pts * m["side_normals"][k], axis=1) <= m["apothem"][k]
+        px, py = pts[:, 0], pts[:, 1]
+        ex, ey = self._edges.dir[k].T
+        vx, vy = self.medial_star.vertices[k].T
+        rx, ry = px - vx, py - vy
+        t = np.clip(rx * ex + ry * ey, 0.0, self._edges.length[k])
+        nx, ny = m["side_normals"][k].T
+        in_poly = px * nx + py * ny <= m["apothem"][k]
         return np.where(in_poly, -np.inf,
-                        np.hypot(off[:, 0], off[:, 1]) - m["arc_radius"])
+                        np.hypot(rx - t * ex, ry - t * ey) - m["arc_radius"])
 
     def dist_to_boundary(self, pts) -> np.ndarray:
         """Distance from each point (n, 2) to the curve.

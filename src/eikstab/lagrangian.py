@@ -665,9 +665,18 @@ class RateEstimate:
 
 def dissipation_decomposition(result: EnsembleResult,
                               region: Optional[Callable] = None,
-                              burn_in: Optional[float] = None,
-                              n_boot: int = 200) -> RateEstimate:
-    """Weighted reflection variation per unit time over the late window."""
+                              burn_in: Optional[float] = None) -> RateEstimate:
+    """Weighted reflection variation per unit time over the late window.
+
+    The rate is a sum of independent per-curve contributions c, so its
+    standard error is closed-form.  The interior starts are a fixed count
+    n_i of draws and enter as n_i * var(c).  The boundary births come in a
+    Poisson number with mean lambda (sample_ensemble draws the count), and
+    a compound Poisson sum has variance lambda * E[c^2], so they enter as
+    the unbiased estimate sum(c^2): the spread of their count is part of
+    the error, and n * var over the pooled curves would leave it out.  On
+    the rounded N-gons the two forms differ by 0.2-3% of the error.
+    """
     T = result.spec.horizon
     burn = min(math.pi, T / 3.0) if burn_in is None else burn_in
     if burn >= T:
@@ -684,14 +693,12 @@ def dissipation_decomposition(result: EnsembleResult,
     per_curve = np.zeros(result.n_curves)
     np.add.at(per_curve, curves, mu)
     contrib = per_curve * result.weights / window
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([result.spec.seed, 2 ** 41], dtype=np.uint64)))
-    n = result.n_curves
-    boots = np.empty(n_boot)
-    for i in range(n_boot):
-        boots[i] = contrib[rng.integers(0, n, n)].sum()
-    se = float(boots.std(ddof=1))
-    return RateEstimate(rate=rate, standard_error=se,
+    born = ~np.isnan(result.birth_param)
+    interior = contrib[~born]
+    var = float(np.sum(contrib[born] ** 2))
+    if len(interior):
+        var += len(interior) * float(interior.var())
+    return RateEstimate(rate=rate, standard_error=math.sqrt(var),
                         window=(burn, T), n_events=int(keep.sum()))
 
 

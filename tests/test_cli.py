@@ -147,8 +147,8 @@ def test_seed_mandatory_for_stochastic_commands(tmp_path, capsys):
 
 
 def test_assertion_failure_exits_one_and_lists_records(tmp_path, capsys):
-    # 50 curves is far too few for the dissipation identity; seed 0 lands
-    # outside the [0.85, 1.15] band deterministically.
+    # 50 curves is far too few for the dissipation identity; seed 0 gives
+    # no reflection in the window, so rate 0 misses the 3% floor of the band.
     out = tmp_path / "f.json"
     rc = run_cli(["lagrangian", "--curve", "rounded_ngon:n=8",
                   "--curves", "50", "--horizon", "2.5", "--seed", "0",
@@ -158,6 +158,21 @@ def test_assertion_failure_exits_one_and_lists_records(tmp_path, capsys):
     assert "failed:" in text and "dissipation_matches_nu" in text
     rep = load(out)
     assert rep["passed"] is False
+
+
+def test_dissipation_band_scales_with_standard_error(tmp_path, capsys):
+    # rate/nu is 1.16 here at a 13.7% standard error: consistent with the
+    # identity, and outside any fixed 15% band
+    out = tmp_path / "l.json"
+    rc = run_cli(["lagrangian", "--curve", "rounded_ngon:n=128",
+                  "--curves", "20000", "--seed", "7", "--workers", "1",
+                  "--out", out])
+    assert rc == 0
+    res = load(out)["results"]
+    assert res["rate_tolerance"] == {"k_se": 4, "floor": 0.03}
+    assert res["rate_over_nu"] > 1.15
+    z = (res["rate_over_nu"] - 1.0) / (res["dissipation_se"] / res["nu_ars"])
+    assert 1.0 < z < 1.4
 
 
 def test_short_horizon_is_usage_error(tmp_path, capsys):

@@ -14,6 +14,7 @@ from eikstab.geometry import (
     star_region,
 )
 from eikstab.defect import (
+    _objective,
     defect_a,
     defect_batch,
     incircle_candidate,
@@ -288,6 +289,45 @@ def test_batch_rotation_equivariant():
         a1 = defect_batch(curve, disk, tr + TWO_PI / curve.rotation_order)
         assert a0.max() > 0.1
         assert np.max(np.abs(a0 - a1)) < 1e-7
+
+
+def _reference_objective(X, T, Z):
+    # the objective over (B, G, 3, 2) arrays, with sum reductions over the
+    # coordinate axis and a sort of the three line angles
+    V = Z[:, :, None, :] - X[:, None, :, :]
+    U = V / np.sqrt(np.sum(V * V, axis=-1))[..., None]
+    d = np.sum(T[:, None, :, :] * U, axis=-1)
+    alpha = np.arctan2(U[..., 1], U[..., 0]) + np.where(d > 0, math.pi, 0.0)
+    a = np.sort(np.mod(alpha, TWO_PI), axis=-1)
+    gap = np.maximum(np.maximum(a[..., 1] - a[..., 0], a[..., 2] - a[..., 1]),
+                     TWO_PI - (a[..., 2] - a[..., 0]))
+    value = np.minimum(np.min(np.abs(d), axis=-1), TWO_PI - gap - math.pi)
+    return value, d, np.mod(alpha, TWO_PI)
+
+
+def test_objective_kernel_bits_match_reference():
+    rng = np.random.default_rng(41)
+    B, G = 64, 300
+    X = rng.uniform(-1.0, 1.0, (B, 3, 2))
+    T = rng.standard_normal((B, 3, 2))
+    T /= np.hypot(T[..., 0], T[..., 1])[..., None]
+    # edge cases on the first triple: x_1 at the origin with tangent
+    # (-0.8, 0.6), so z0 = (-1, 0) sends u_1 to angle pi with d > 0 (the
+    # flipped angle is 2pi, taken mod 2pi to 0), z0 = (0.6, 0.8) makes
+    # d = 0 exactly, and z0 = (1, -0.0) gives the angle -0.0
+    X[0, 0], T[0, 0] = (0.0, 0.0), (-0.8, 0.6)
+    Z = rng.uniform(-0.6, 0.6, (B, G, 2))
+    Z[0, :3] = [(-1.0, 0.0), (0.6, 0.8), (1.0, -0.0)]
+    for zz in (Z, Z[:1]):       # per-triple grids and one shared grid
+        value, d, alpha = _objective(X, T, zz[..., 0], zz[..., 1])
+        ref_value, ref_d, ref_alpha = _reference_objective(X, T, zz)
+        d, alpha = np.stack(d, axis=-1), np.stack(alpha, axis=-1)
+        assert (d > 0).any() and (d < 0).any() and (d[0, 1] == 0).any()
+        assert alpha[0, 0, 0] == 0.0 and not np.signbit(alpha[0, 2, 0])
+        assert np.array_equal(value, ref_value)
+        assert np.array_equal(d, ref_d)
+        assert np.array_equal(alpha, ref_alpha)
+        assert np.array_equal(np.signbit(alpha), np.signbit(ref_alpha))
 
 
 @pytest.mark.parametrize("curve", [make_rounded_ngon(8), make_rounded_ngon(16),

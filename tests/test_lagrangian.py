@@ -361,6 +361,22 @@ def test_dissipation_ngon_matches_nu(ngon8_field):
     assert abs(est_r.rate - share) / share < 0.2
 
 
+def test_dissipation_se_matches_bootstrap(ngon8_field):
+    # the closed-form error against 400 bootstrap resamples of the curves
+    spec = lag.balanced_spec(ngon8_field, 50_000, seed=17)
+    res = lag.sample_ensemble(spec)
+    est = lag.dissipation_decomposition(res)
+    per_curve = np.zeros(res.n_curves)
+    keep = res.events["t"] >= est.window[0]
+    np.add.at(per_curve, res.events["curve"][keep], res.events["mu"][keep])
+    contrib = per_curve * res.weights / (est.window[1] - est.window[0])
+    assert math.isclose(contrib.sum(), est.rate, rel_tol=1e-12)
+    rng = np.random.default_rng(3)
+    n = res.n_curves
+    boots = [contrib[rng.integers(0, n, n)].sum() for _ in range(400)]
+    assert 0.85 < est.standard_error / np.std(boots, ddof=1) < 1.15
+
+
 def test_dissipation_empty_window(disk_vortex):
     spec = lag.balanced_spec(disk_vortex, 5_000, horizon=2.1, seed=2)
     res = lag.sample_ensemble(spec)
