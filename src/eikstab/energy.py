@@ -76,8 +76,9 @@ def raster_field(field: UnitField, grid_n: int, pad: float = 0.5) -> GridField:
     fy = box[2] + h * (np.arange(grid_n) + 0.5)
     values = np.zeros((grid_n, grid_n, 3))
     mask = np.zeros((grid_n, grid_n), dtype=bool)
-    # evaluate in row blocks; per-point work scales with the piece count
-    block = max(1, (1 << 18) // grid_n)
+    # evaluate in row blocks of about 2^15 cells: each temporary plane
+    # (256 KB) stays in cache and its allocation reuses freed memory
+    block = max(1, (1 << 15) // grid_n)
     for i0 in range(0, grid_n, block):
         i1 = min(i0 + block, grid_n)
         P = np.stack(np.meshgrid(fx[i0:i1], fy, indexing="ij"),
@@ -116,17 +117,25 @@ def mollify_field(field: UnitField, eps: float, grid_n: int,
     return grid
 
 
-def _mask_gaps(grid: GridField):
+def _mask_window(grid: GridField):
+    """(i0, i1, j0, j1): the rows i0 <= i < i1 and columns j0 <= j < j1
+    that hold every masked cell, or None when the mask is empty."""
     rows = np.flatnonzero(grid.mask.any(axis=1))
-    cols = np.flatnonzero(grid.mask.any(axis=0))
     if len(rows) == 0:
         return None
+    cols = np.flatnonzero(grid.mask.any(axis=0))
+    return rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+
+
+def _mask_gaps(grid: GridField):
+    win = _mask_window(grid)
+    if win is None:
+        return None
+    i0, i1, j0, j1 = win
     h = grid.h
     x0, x1, y0, y1 = grid.bbox
-    mx0 = x0 + h * rows[0]
-    mx1 = x0 + h * (rows[-1] + 1)
-    my0 = y0 + h * cols[0]
-    my1 = y0 + h * (cols[-1] + 1)
+    mx0, mx1 = x0 + h * i0, x0 + h * i1
+    my0, my1 = y0 + h * j0, y0 + h * j1
     return (mx0 - x0, x1 - mx1, my0 - y0, y1 - my1), (mx1 - mx0, my1 - my0)
 
 
@@ -162,40 +171,47 @@ def solve_stray_field(grid: GridField) -> np.ndarray:
     return H
 
 
-def _dirichlet_density(grid: GridField) -> np.ndarray:
-    v = grid.values
-    h = grid.h
-    out = np.zeros((grid.n, grid.n))
-    for c in range(3):
-        gx = (np.roll(v[:, :, c], -1, axis=0) - np.roll(v[:, :, c], 1, axis=0)) / (2 * h)
-        gy = (np.roll(v[:, :, c], -1, axis=1) - np.roll(v[:, :, c], 1, axis=1)) / (2 * h)
-        out += gx * gx + gy * gy
-    return out
-
-
 def _local_terms(grid: GridField, eps: float):
-    """(Dirichlet, unit-length penalty) over the masked cells."""
+    """(Dirichlet, unit-length penalty, m3 term) over the masked cells.
+
+    Each reads the values on the mask's window (_mask_window) plus a
+    one-cell periodic halo, so the central differences are slices of it
+    and cost nothing outside the window.  The masked cells reach np.sum in
+    the order of the full grid, so every sum has the bits of the full-grid
+    formula (np.roll differences summed over grid.values[mask])."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    h2 = grid.h * grid.h
-    mask = grid.mask
-    dirichlet = 0.5 * eps * float(np.sum(_dirichlet_density(grid)[mask])) * h2
-    # |m|^2 summed plane by plane: no (n, n, 3) temporary
-    v = grid.values
-    norm2 = v[:, :, 0] * v[:, :, 0] + v[:, :, 1] * v[:, :, 1] + v[:, :, 2] * v[:, :, 2]
+    win = _mask_window(grid)
+    if win is None:
+        return 0.0, 0.0, 0.0
+    i0, i1, j0, j1 = win
+    n, h, h2 = grid.n, grid.h, grid.h * grid.h
+    mask = grid.mask[i0:i1, j0:j1]
+    rows = (np.arange(i0 - 1, i1 + 1) % n)[:, None]
+    cols = np.arange(j0 - 1, j1 + 1) % n
+    density = np.zeros(mask.shape)
+    norm2 = np.zeros(mask.shape)
+    for c in range(3):
+        v = grid.values[rows, cols, c]
+        gx = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * h)
+        gy = (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * h)
+        density += gx * gx + gy * gy
+        norm2 += v[1:-1, 1:-1] * v[1:-1, 1:-1]
+    m3 = v[1:-1, 1:-1]     # the last plane read
+    dirichlet = 0.5 * eps * float(np.sum(density[mask])) * h2
     penalty = 0.5 / eps * float(np.sum(((1.0 - norm2) ** 2)[mask])) * h2
-    return dirichlet, penalty
+    m3_term = 0.5 / eps * float(np.sum((m3 ** 4)[mask])) * h2
+    return dirichlet, penalty, m3_term
 
 
 def evaluate_F_eps(grid: GridField, eps: float) -> EnergyBreakdown:
     """Elastic + stray-field + unit-length penalty + third-component terms.
 
     The two-term energy of the same grid is ``dirichlet + penalty``."""
-    dirichlet, penalty = _local_terms(grid, eps)
+    dirichlet, penalty, m3_term = _local_terms(grid, eps)
     H = solve_stray_field(grid)
     h2 = grid.h * grid.h
     magnetostatic = 0.5 / eps * float(np.sum(H * H)) * h2
-    m3_term = 0.5 / eps * float(np.sum((grid.values[:, :, 2] ** 4)[grid.mask])) * h2
     total = dirichlet + magnetostatic + penalty + m3_term
     return EnergyBreakdown(dirichlet=dirichlet, magnetostatic=magnetostatic,
                            penalty=penalty, m3_term=m3_term, total=total,
@@ -204,7 +220,7 @@ def evaluate_F_eps(grid: GridField, eps: float) -> EnergyBreakdown:
 
 def evaluate_E_AG(grid: GridField, eps: float) -> EnergyBreakdown:
     """Elastic + unit-length penalty only."""
-    dirichlet, penalty = _local_terms(grid, eps)
+    dirichlet, penalty, _ = _local_terms(grid, eps)
     return EnergyBreakdown(dirichlet=dirichlet, magnetostatic=0.0,
                            penalty=penalty, m3_term=0.0,
                            total=dirichlet + penalty, epsilon=eps)

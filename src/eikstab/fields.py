@@ -11,21 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import BoundaryCurve
+from .geometry import BoundaryCurve, wrap_pi
 
 TWO_PI = 2.0 * math.pi
 
 
 class OnJumpError(ValueError):
     """Evaluation point lies on the jump set; the value is ambiguous."""
-
-
-def _wrap(x):
-    return (np.asarray(x) + math.pi) % TWO_PI - math.pi
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,7 @@ class JumpSegment:
         L = math.hypot(*d)
         if L <= 0:
             raise ValueError("jump segment has zero length")
-        if abs(_wrap(math.atan2(d[1], d[0]) - self.theta_J)) > 1e-9:
+        if abs(wrap_pi(math.atan2(d[1], d[0]) - self.theta_J)) > 1e-9:
             raise ValueError("theta_J does not match segment direction")
         n_J = np.array([-math.sin(self.theta_J), math.cos(self.theta_J)])
         if abs(float(np.dot(self.m_minus, n_J) - np.dot(self.m_plus, n_J))) > 1e-12:
@@ -120,6 +117,22 @@ class UnitField:
         return star
 
     @cached_property
+    def _region_table(self) -> SimpleNamespace:
+        """The regions as 1-D arrays: strip k's value (sx, sy) and patch
+        k's centre (cx, cy), sign, window axis and window limit.  A full
+        patch is a window of infinite half-width; the limit's 1e-15 of
+        slack keeps the points of a window edge in the patch."""
+        sv = np.array([r.value for r in self.strips], dtype=float).reshape(-1, 2)
+        c = np.array([p.center for p in self.patches], dtype=float).reshape(-1, 2)
+        axis, half = np.array([p.window or (0.0, math.inf)
+                               for p in self.patches]).T
+        return SimpleNamespace(
+            sx=sv[:, 0].copy(), sy=sv[:, 1].copy(),
+            cx=c[:, 0].copy(), cy=c[:, 1].copy(),
+            alpha=np.array([p.alpha for p in self.patches], dtype=float),
+            axis=axis, limit=half + 1e-15)
+
+    @cached_property
     def _jump_table(self):
         """(p0, p1 - p0, |p1 - p0|^2) of the jump segments as arrays indexed
         by segment."""
@@ -165,7 +178,7 @@ def distgrad_field(ngon_curve: BoundaryCurve) -> UnitField:
     for k in range(n):
         jumps.append(JumpSegment(
             p0=star.hub.copy(), p1=star.vertices[k],
-            theta_J=float(_wrap(phis[k])),
+            theta_J=float(wrap_pi(phis[k])),
             m_minus=strip_values[k], m_plus=strip_values[k - 1],
             amplitude=amp, half_angle=half))
 
@@ -176,10 +189,10 @@ def distgrad_field(ngon_curve: BoundaryCurve) -> UnitField:
                      jump_set=tuple(jumps), kind="distgrad")
 
 
-def _vortex_rule(rel, nu, alpha):
-    """The patch rule alpha * i (x - c)/|x - c| from rel = x - c, nu = |rel|."""
-    u = rel / nu[:, None]
-    return alpha * np.stack([-u[:, 1], u[:, 0]], axis=-1)
+def _vortex_rule(rx, ry, nu, alpha):
+    """The patch rule alpha * i (x - c)/|x - c| from (rx, ry) = x - c and
+    nu = |x - c|, as its x and y planes."""
+    return alpha * -(ry / nu), alpha * (rx / nu)
 
 
 def eval_many(field: UnitField, pts, extend: bool = False):
@@ -189,6 +202,12 @@ def eval_many(field: UnitField, pts, extend: bool = False):
     formulas are evaluated on all of the plane (no inside or jump-set
     checks).  There the centre of a full patch gets a zero vector, while
     the centre of a windowed patch keeps the value of its strip.
+
+    The work is on x/y planes with 1-D table gathers: every point gets its
+    sector and strip value, then for each patch it may lie in (the patches
+    at its sector's two spokes, or the one full patch) the window test,
+    one arctan2 and wrap_pi.  |x - c| (hypot) and the vortex rule run on
+    the window's hits only, the second patch's hits overwriting the first's.
     """
     X = np.atleast_2d(np.asarray(pts, dtype=float))
     if not extend:
@@ -197,37 +216,35 @@ def eval_many(field: UnitField, pts, extend: bool = False):
         d = jump_distance(field, X)
         if d.size and d.min() <= 1e-12:
             raise OnJumpError("point on the jump set; use the traces")
-    strips, patches = field.strips, field.patches
-    if strips:
+    tab = field._region_table
+    x, y = X[:, 0], X[:, 1]
+    n_strips = len(tab.sx)
+    if n_strips:
         region = field.domain.medial_star.sector(X)
-        values = np.array([r.value for r in strips])[region]
+        vx, vy = tab.sx[region], tab.sy[region]
         # a sector point can fall in the patch at either of its spokes
-        near = (region.copy(), (region + 1) % len(strips))
+        k1 = region + 1
+        k1[k1 == n_strips] = 0
+        near = (region.copy(), k1)
     else:
-        values = np.zeros_like(X)
+        vx, vy = np.zeros(len(X)), np.zeros(len(X))
         region = np.zeros(len(X), dtype=int)
         near = (0,)  # the one full patch, for every point
-    centers = np.array([p.center for p in patches])
-    alphas = np.array([p.alpha for p in patches], dtype=float)
-    # a full patch is a window of infinite half-width; the slack keeps
-    # the points of a window edge in the patch
-    windowed = any(p.window for p in patches)
-    axis, half = np.array([p.window or (0.0, math.inf) for p in patches]).T
-    limit = half + 1e-15
     for k in near:
-        rel = X - centers[k]
-        nu = np.hypot(rel[:, 0], rel[:, 1])
-        if not extend and np.any(nu <= 1e-12):
+        rx, ry = x - tab.cx[k], y - tab.cy[k]
+        if not extend and np.any(np.hypot(rx, ry) <= 1e-12):
             raise OnJumpError("vortex center; value undefined")
-        hit = nu > 0
-        if windowed:
-            ang = np.arctan2(rel[:, 1], rel[:, 0])
-            hit &= np.abs(_wrap(ang - axis[k])) <= limit[k]
-        if np.any(hit):
-            kh = k[hit] if np.ndim(k) else k
-            values[hit] = _vortex_rule(rel[hit], nu[hit], alphas[kh, None])
-            region[hit] = len(strips) + kh
-    return values, region
+        hit = np.flatnonzero(np.abs(wrap_pi(np.arctan2(ry, rx) - tab.axis[k]))
+                             <= tab.limit[k])
+        rx, ry = rx[hit], ry[hit]
+        nu = np.hypot(rx, ry)
+        centre = nu == 0.0
+        if centre.any():
+            hit, rx, ry, nu = hit[~centre], rx[~centre], ry[~centre], nu[~centre]
+        kh = k[hit] if np.ndim(k) else k
+        vx[hit], vy[hit] = _vortex_rule(rx, ry, nu, tab.alpha[kh])
+        region[hit] = n_strips + kh
+    return np.stack([vx, vy], axis=-1), region
 
 
 def field_eval(field: UnitField, x) -> np.ndarray:
@@ -363,11 +380,11 @@ def l4_vortex_deviation(field: UnitField, center, alpha: int,
     keep = field.domain.inside(P)
     P = P[keep]
     m, _ = eval_many(field, P, extend=True)
-    rel = P - center
-    nu = np.hypot(rel[:, 0], rel[:, 1])
+    rx, ry = P[:, 0] - center[0], P[:, 1] - center[1]
+    nu = np.hypot(rx, ry)
     ok = nu > 1e-12
-    v = np.zeros_like(rel)
-    v[ok] = _vortex_rule(rel[ok], nu[ok], alpha)
+    v = np.zeros_like(P)
+    v[ok, 0], v[ok, 1] = _vortex_rule(rx[ok], ry[ok], nu[ok], alpha)
     diff = np.sum((m - v) ** 2, axis=1)
     return float(np.sum(diff * diff) * hx * hy)
 

@@ -9,6 +9,7 @@ from .curve import (
     rounded_ngon_side_midpoints,
     rounded_ngon_vertex_params,
 )
+from .pieces import mod_2pi, wrap_pi
 from .inscribed import Disk, StarRegion, max_inscribed_disk, segment_clearance, star_region
 from .circlefit import best_circle_center, hausdorff_to_circle
 
@@ -24,9 +25,11 @@ __all__ = [
     "make_rounded_ngon",
     "make_spline_curve",
     "max_inscribed_disk",
+    "mod_2pi",
     "ngon_scale",
     "rounded_ngon_side_midpoints",
     "rounded_ngon_vertex_params",
     "segment_clearance",
     "star_region",
+    "wrap_pi",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Optional
 
@@ -24,8 +25,8 @@ import numpy as np
 
 from .pieces import (ArcPiece, EllipsePiece, SegmentPiece, SplinePiece,
                      arc_nearest_dist, arc_point, arc_ray_hits, arc_tangent,
-                     segment_nearest_dist, segment_point, segment_ray_hits,
-                     segment_tangent)
+                     mod_2pi, segment_nearest_dist, segment_point,
+                     segment_ray_hits, segment_tangent)
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,9 +50,21 @@ class MedialStar:
         angles [axes[k], axes[k+1]) about the hub, the wedge of flat side k,
         whose points are nearest to side k or to the arcs at its two ends."""
         n = len(self.axes)
-        rel = pts - self.hub
-        theta = np.arctan2(rel[:, 1], rel[:, 0]) - self.axes[0]
-        return np.floor_divide(theta % TWO_PI, TWO_PI / n).astype(int) % n
+        w = TWO_PI / n
+        r = mod_2pi(np.arctan2(pts[:, 1] - self.hub[1], pts[:, 0] - self.hub[0])
+                    - self.axes[0])
+        q = r / w
+        k = np.floor(q)
+        # floor(r / w) is np.floor_divide(r, w) unless the quotient lies
+        # within rounding of an integer (a spoke line): those few take
+        # np.floor_divide, whose remainder is exact
+        q -= k
+        q -= 0.5
+        tie = np.abs(q, out=q) > 0.5 - 1e-9
+        k = k.astype(int)
+        if tie.any():
+            k[tie] = np.floor_divide(r[tie], w).astype(int) % n
+        return k
 
     def sector_off_spokes(self, pts) -> np.ndarray:
         """sector(pts), but -1 for points within 1e-12 of the line of
@@ -123,10 +136,26 @@ class BoundaryCurve:
         self._arcs = _table(self.pieces[0::2], ("center", "radius", "a0", "width",
                                                 "mid", "half", "e0", "e1"))
         self._sides = _table(self.pieces[1::2], ("p0", "dir", "length"))
+
+    @cached_property
+    def _polygon(self) -> SimpleNamespace:
+        """The inner polygon's vertex k, edge k (unit direction ex, ey and
+        length) and edge k's outward normal and offset (nx, ny, apothem) as
+        1-D arrays indexed by k: a query gathers one element per point.
+        Also the squared radii of the circles 1e-9 of the radius inside the
+        domain's inscribed circle and outside its circumscribed one."""
+        m = self.meta
         v = self.medial_star.vertices
         edges = np.roll(v, -1, axis=0) - v
         elen = np.hypot(edges[:, 0], edges[:, 1])
-        self._edges = SimpleNamespace(dir=edges / elen[:, None], length=elen)
+        e = edges / elen[:, None]
+        nrm = m["side_normals"]
+        return SimpleNamespace(vx=v[:, 0].copy(), vy=v[:, 1].copy(),
+                               ex=e[:, 0].copy(), ey=e[:, 1].copy(), length=elen,
+                               nx=nrm[:, 0].copy(), ny=nrm[:, 1].copy(),
+                               apothem=m["apothem"],
+                               inner2=(m["inradius"] * (1.0 - 1e-9)) ** 2,
+                               outer2=(m["circumradius"] * (1.0 + 1e-9)) ** 2)
 
     # -- parametrization ------------------------------------------------
 
@@ -255,18 +284,30 @@ class BoundaryCurve:
         """dist(x, inner polygon) - arc radius, against the polygon edge of
         the point's sector only (in sector k the nearest polygon point lies
         on the closed edge from vertex k to vertex k+1); -inf inside the
-        polygon.  Negative exactly inside the domain, <= 0 on its closure."""
-        m = self.meta
-        k = self.medial_star.sector(pts)
-        px, py = pts[:, 0], pts[:, 1]
-        ex, ey = self._edges.dir[k].T
-        vx, vy = self.medial_star.vertices[k].T
-        rx, ry = px - vx, py - vy
-        t = np.clip(rx * ex + ry * ey, 0.0, self._edges.length[k])
-        nx, ny = m["side_normals"][k].T
-        in_poly = px * nx + py * ny <= m["apothem"][k]
-        return np.where(in_poly, -np.inf,
-                        np.hypot(rx - t * ex, ry - t * ey) - m["arc_radius"])
+        polygon.  Negative exactly inside the domain, <= 0 on its closure.
+
+        Off the annulus between the inscribed and the circumscribed circle
+        only the sign is kept: a point inside the one, or outside the
+        other, by more than 1e-9 of its radius gets -inf or +inf without
+        the sector work, as its gap lies that far from zero, far beyond
+        rounding.  The rest take the polygon test, and those outside the
+        polygon the distance to the edge (and its hypot)."""
+        P = self._polygon
+        hub = self.medial_star.hub
+        dx, dy = pts[:, 0] - hub[0], pts[:, 1] - hub[1]
+        rho2 = dx * dx + dy * dy
+        far = rho2 > P.outer2
+        gap = np.where(far, np.inf, -np.inf)
+        rim = np.flatnonzero(~(far | (rho2 < P.inner2)))
+        px, py = pts[rim, 0], pts[rim, 1]
+        k = self.medial_star.sector(pts[rim])
+        out = np.flatnonzero(~(px * P.nx[k] + py * P.ny[k] <= P.apothem[k]))
+        k, px, py = k[out], px[out], py[out]
+        ex, ey = P.ex[k], P.ey[k]
+        rx, ry = px - P.vx[k], py - P.vy[k]
+        t = np.clip(rx * ex + ry * ey, 0.0, P.length[k])
+        gap[rim[out]] = np.hypot(rx - t * ex, ry - t * ey) - self.meta["arc_radius"]
+        return gap
 
     def dist_to_boundary(self, pts) -> np.ndarray:
         """Distance from each point (n, 2) to the curve.

@@ -29,6 +29,26 @@ def _rotate(v, c: float, s: float) -> np.ndarray:
                      v[..., 0] * s + v[..., 1] * c], axis=-1)
 
 
+def mod_2pi(a):
+    """np.mod(a, 2 pi), bit for bit, branch-free when every element lies
+    in [-2 pi, 2 pi).
+
+    There np.mod's remainder is a itself, to which it adds 2 pi when a is
+    negative (and a zero, -0.0 too, comes out +0.0): a + (a < 0) * 2 pi.
+    An array with any element outside that interval (or NaN) takes np.mod
+    whole, so it pays only the min/max check on top of np.mod.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.min(initial=0.0) >= -_TWO_PI and a.max(initial=0.0) < _TWO_PI:
+        return (a + (a < 0.0) * _TWO_PI)[()]
+    return np.mod(a, _TWO_PI)
+
+
+def wrap_pi(a):
+    """(a + pi) % 2 pi - pi, bit for bit: a taken into [-pi, pi]."""
+    return mod_2pi(np.asarray(a, dtype=float) + math.pi) - math.pi
+
+
 # -- elementwise kernels -------------------------------------------------
 #
 # One kernel per piece type and query.  A piece passes its own attributes;
@@ -113,7 +133,7 @@ def arc_ray_hits(x, d, center, radius, mid, half, tol):
     for root in (-b + sq, -b - sq):
         hit = rel + root[:, None] * d
         ang = np.arctan2(hit[:, 1], hit[:, 0])
-        in_win = np.abs((ang - mid + math.pi) % _TWO_PI - math.pi) <= half + 1e-12
+        in_win = np.abs(wrap_pi(ang - mid)) <= half + 1e-12
         best = np.where(ok & (root > tol) & in_win, root, best)
     return best
 

@@ -16,8 +16,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .fields import UnitField, _wrap, eval_many, field_eval, jump_distance
-from .geometry import BoundaryCurve
+from .fields import UnitField, eval_many, field_eval, jump_distance
+from .geometry import BoundaryCurve, wrap_pi
 from .geometry.pieces import segment_ray_hits
 
 TWO_PI = 2.0 * math.pi
@@ -26,7 +26,7 @@ BATCH = 16384
 
 def circ_dist(a, b):
     """Distance on the circle of directions."""
-    return np.abs(_wrap(np.asarray(a) - np.asarray(b)))
+    return np.abs(wrap_pi(np.asarray(a) - np.asarray(b)))
 
 
 def jump_rule(theta_J, m_far, s):
@@ -129,7 +129,7 @@ def _influx_at(field: UnitField, sb):
     tau = field.domain.tangent(sb)
     m, _ = eval_many(field, pts, extend=True)
     inward = np.arctan2(tau[:, 1], tau[:, 0]) + math.pi / 2
-    delta = _wrap(np.arctan2(m[:, 1], m[:, 0]) - inward)
+    delta = wrap_pi(np.arctan2(m[:, 1], m[:, 0]) - inward)
     lo = np.maximum(-math.pi / 2, delta - math.pi / 2)
     hi = np.minimum(math.pi / 2, delta + math.pi / 2)
     return pts, inward, lo, hi
@@ -642,7 +642,7 @@ def influx_check(result: EnsembleResult, bins: Tuple[int, int] = (16, 16),
         a = k * hsb - inward
         contrib = np.zeros(len(fine_b))
         for shift in (-TWO_PI, 0.0, TWO_PI):
-            aa = _wrap(a + hsb / 2) - hsb / 2 + shift
+            aa = wrap_pi(a + hsb / 2) - hsb / 2 + shift
             lo_c = np.maximum(lo, aa)
             hi_c = np.minimum(hi, aa + hsb)
             contrib += np.where(hi_c > lo_c,
@@ -721,7 +721,7 @@ def jump_flux_check(result: EnsembleResult, seg_index: int,
         if len(s_out) == 0:
             continue
         theta_m = math.atan2(m_side[1], m_side[0])
-        rel = _wrap(s_out - theta_m)
+        rel = wrap_pi(s_out - theta_m)
         edges = np.linspace(-math.pi / 2, math.pi / 2, bins + 1)
         ib = np.clip(np.searchsorted(edges, rel, side="right") - 1, 0, bins - 1)
         emp = np.zeros(bins)

@@ -155,6 +155,71 @@ def ngon_signed_gap(curve, pts, block=8192):
     return out
 
 
+# -- per-point kernels as (n, 2)-row formulas ---------------------------------
+#
+# MedialStar.sector, the rounded n-gon's sector-edge gap and field
+# evaluation written with np.mod, np.floor_divide, row gathers and hypot on
+# every point, from a star's, curve's or field's stored data.  The package's
+# x/y-plane kernels must give their bits.
+
+
+def sector_by_np_mod(star, pts):
+    """Sector k of each point: polar angle about the hub in
+    [axes[k], axes[k+1]), by np.mod and np.floor_divide."""
+    rel = pts - star.hub
+    theta = np.arctan2(rel[:, 1], rel[:, 0]) - star.axes[0]
+    n = len(star.axes)
+    return np.floor_divide(theta % TWO_PI, TWO_PI / n).astype(int) % n
+
+
+def ngon_gap_by_sector(curve, pts):
+    """dist(x, inner polygon) - arc radius against the polygon edge of the
+    point's sector only; -inf inside the polygon."""
+    m, star = curve.meta, curve.medial_star
+    k = sector_by_np_mod(star, pts)
+    v = star.vertices
+    edges = np.roll(v, -1, axis=0) - v
+    elen = np.hypot(edges[:, 0], edges[:, 1])
+    ex, ey = (edges / elen[:, None])[k].T
+    vx, vy = v[k].T
+    rx, ry = pts[:, 0] - vx, pts[:, 1] - vy
+    t = np.clip(rx * ex + ry * ey, 0.0, elen[k])
+    nx, ny = m["side_normals"][k].T
+    in_poly = pts[:, 0] * nx + pts[:, 1] * ny <= m["apothem"][k]
+    return np.where(in_poly, -np.inf,
+                    np.hypot(rx - t * ex, ry - t * ey) - m["arc_radius"])
+
+
+def field_values_by_rows(field, pts):
+    """The extended field's values (n, 2): the strip of the point's sector,
+    overwritten by the patch at either spoke of the sector whose window
+    holds the point (the second spoke's last), or the one full patch."""
+    strips = [r for r in field.regions if hasattr(r, "value")]
+    patches = [r for r in field.regions if hasattr(r, "center")]
+    if strips:
+        region = sector_by_np_mod(field.domain.medial_star, pts)
+        values = np.array([r.value for r in strips])[region]
+        near = (region, (region + 1) % len(strips))
+    else:
+        values = np.zeros_like(pts)
+        near = (0,)
+    centers = np.array([p.center for p in patches])
+    alphas = np.array([p.alpha for p in patches], dtype=float)
+    axis, half = np.array([p.window or (0.0, math.inf) for p in patches]).T
+    for k in near:
+        rel = pts - centers[k]
+        nu = np.hypot(rel[:, 0], rel[:, 1])
+        hit = nu > 0
+        if any(p.window for p in patches):
+            ang = np.arctan2(rel[:, 1], rel[:, 0])
+            hit &= np.abs((ang - axis[k] + math.pi) % TWO_PI - math.pi) \
+                <= half[k] + 1e-15
+        u = rel[hit] / nu[hit][:, None]
+        a = alphas[k[hit] if np.ndim(k) else k, None]
+        values[hit] = a * np.stack([-u[:, 1], u[:, 0]], axis=-1)
+    return values
+
+
 def first_exit(curve, x, d, tol=1e-9, reach=4.0):
     """First boundary hit t > tol along x + t d, from the curve's segment
     intersections with x -> x + reach d (reach exceeds every diameter of a

@@ -14,7 +14,9 @@ from eikstab.geometry import (
     star_region,
 )
 from eikstab.defect import (
+    _STENCIL_BLOCK,
     _objective,
+    _search,
     defect_a,
     defect_batch,
     incircle_candidate,
@@ -333,15 +335,21 @@ def test_objective_kernel_bits_match_reference():
 @pytest.mark.parametrize("curve", [make_rounded_ngon(8), make_rounded_ngon(16),
                                    make_ellipse(1.3)], ids=lambda c: c.spec)
 def test_batch_independent_of_block_split(curve):
-    # the seed grid is scored in fixed blocks of triples; a batch split at
-    # other places, some across a block boundary, gives the same bits
+    # the seed grid and the stencil are scored in fixed blocks of triples;
+    # a batch split at other places, some across a block boundary, gives
+    # the same bits, seed values and z0 included
     disk = max_inscribed_disk(curve)
     tr = np.random.default_rng(31).random((512, 3)) * TWO_PI
+    assert len(tr) > 2 * _STENCIL_BLOCK
     whole = defect_batch(curve, disk, tr)
     edges = np.cumsum([0, 1, 31, 33, 447])
     parts = [defect_batch(curve, disk, tr[lo:hi])
              for lo, hi in zip(edges[:-1], edges[1:])]
     assert np.array_equal(whole, np.concatenate(parts))
+    vals, z0 = _search(curve, disk, tr)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        v, z = _search(curve, disk, tr[lo:hi])
+        assert np.array_equal(v, vals[lo:hi]) and np.array_equal(z, z0[lo:hi])
 
 
 def _full_product_sum(curve, disk, M):

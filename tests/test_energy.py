@@ -8,6 +8,7 @@ import pytest
 from eikstab import energy as en
 from eikstab import fields, kinetic
 from eikstab.geometry import make_circle, make_rounded_ngon
+from _oracles import field_values_by_rows, ngon_gap_by_sector
 
 
 @pytest.fixture(scope="module")
@@ -221,3 +222,91 @@ def test_ngon_energy_decreases_with_n():
     # fixed eps: the n vortex cores keep the decay well short of the
     # quadratic wall rate; measured about -0.63
     assert -1.0 < slope < -0.35
+
+
+# -- bits of the per-point and windowed kernels -------------------------------
+
+
+RASTER_CASES = {
+    "ngon8@256": (lambda: fields.distgrad_field(make_rounded_ngon(8)), 256),
+    "ngon32-rot7-shifted@512": (lambda: fields.distgrad_field(
+        make_rounded_ngon(32, rotation=7.0, center=(0.25, -0.4))), 512),
+    "circle-vortex@256": (lambda: fields.vortex(make_circle(), (0.0, 0.0)), 256),
+}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _raster_by_rows(field, grid):
+    """Values (n, n, 2) and mask of raster_field by the row formulas."""
+    fx, fy = grid.cell_centers()
+    P = np.stack(np.meshgrid(fx, fy, indexing="ij"), axis=-1).reshape(-1, 2)
+    curve = field.domain
+    if curve.medial_star is None:
+        c = curve.meta["center"]
+        inside = np.hypot(P[:, 0] - c[0], P[:, 1] - c[1]) < 1.0
+    else:
+        inside = ngon_gap_by_sector(curve, P) < 0.0
+    n = grid.n
+    return field_values_by_rows(field, P).reshape(n, n, 2), inside.reshape(n, n)
+
+
+def _local_terms_by_roll(grid, eps):
+    """(Dirichlet, penalty, m3 term): np.roll central differences on the
+    whole grid, each density summed over grid.values[mask]."""
+    v, h, mask = grid.values, grid.h, grid.mask
+    density = np.zeros((grid.n, grid.n))
+    for c in range(3):
+        gx = (np.roll(v[:, :, c], -1, axis=0) - np.roll(v[:, :, c], 1, axis=0)) / (2 * h)
+        gy = (np.roll(v[:, :, c], -1, axis=1) - np.roll(v[:, :, c], 1, axis=1)) / (2 * h)
+        density += gx * gx + gy * gy
+    norm2 = v[:, :, 0] * v[:, :, 0] + v[:, :, 1] * v[:, :, 1] + v[:, :, 2] * v[:, :, 2]
+    h2 = h * h
+    return (0.5 * eps * float(np.sum(density[mask])) * h2,
+            0.5 / eps * float(np.sum(((1.0 - norm2) ** 2)[mask])) * h2,
+            0.5 / eps * float(np.sum((v[:, :, 2] ** 4)[mask])) * h2)
+
+
+@pytest.mark.parametrize("case", list(RASTER_CASES), ids=str)
+def test_raster_and_local_terms_bits_match_row_formulas(case):
+    make_field, n = RASTER_CASES[case]
+    field = make_field()
+    g = en.raster_field(field, n)
+    values, mask = _raster_by_rows(field, g)
+    assert mask.any() and not mask.all()
+    assert np.array_equal(g.mask, mask)
+    assert np.array_equal(_bits(g.values[:, :, :2]), _bits(values))
+    assert not _bits(g.values[:, :, 2]).any()   # +0.0 everywhere
+    eps = 8.0 * g.h
+    for grid in (g, en.mollify_field(field, eps, n)):
+        assert en._local_terms(grid, eps) == _local_terms_by_roll(grid, eps)
+    # off the grid: scattered points and the patch centres themselves
+    # (a centre keeps its strip value, or gets zero in a full patch)
+    centres = np.array([p.center for p in field.patches])
+    P = np.vstack([centres, centres[0] + np.random.default_rng(n).uniform(
+        -1.6, 1.6, (5000, 2))])
+    assert np.array_equal(_bits(fields.eval_many(field, P, extend=True)[0]),
+                          _bits(field_values_by_rows(field, P)))
+
+
+def test_local_terms_periodic_halo_and_m3_plane():
+    # masks whose window touches the box edges take their differences
+    # across the periodic halo; the m3 plane is nonzero
+    n = 64
+    rng = np.random.default_rng(9)
+    vals = rng.uniform(-1.0, 1.0, (n, n, 3))
+    edges = np.zeros((n, n), dtype=bool)
+    edges[0, 5:20] = edges[n - 1, 30] = edges[10:14, 0] = edges[40, n - 1] = True
+    low = np.zeros((n, n), dtype=bool)
+    low[:6, 10:25] = True
+    inner = np.zeros((n, n), dtype=bool)
+    inner[20:31, 17:45] = rng.random((11, 28)) < 0.7
+    for mask in (edges, low, inner, rng.random((n, n)) < 0.3,
+                 np.zeros((n, n), dtype=bool)):
+        g = en.GridField(bbox=(-1.0, 1.0, -1.0, 1.0), n=n, h=2.0 / n,
+                         values=vals, mask=mask, meta={})
+        terms = en._local_terms(g, 0.1)
+        assert terms == _local_terms_by_roll(g, 0.1)
+        assert (terms[2] > 0.0) == mask.any()

@@ -12,16 +12,18 @@ from eikstab.geometry import (
     make_rounded_ngon,
     make_spline_curve,
     max_inscribed_disk,
+    mod_2pi,
     ngon_scale,
     rounded_ngon_side_midpoints,
     segment_clearance,
     star_region,
+    wrap_pi,
 )
 from eikstab.fields import distgrad_field, jump_distance
 from eikstab.geometry.pieces import ArcPiece, SegmentPiece
 from _domains import blob_points, dumbbell_curve
-from _oracles import (ellipse_nearest_dist, first_exit, ngon_signed_gap,
-                      spline_nearest_dist)
+from _oracles import (ellipse_nearest_dist, first_exit, ngon_gap_by_sector,
+                      ngon_signed_gap, sector_by_np_mod, spline_nearest_dist)
 
 TWO_PI = 2.0 * math.pi
 
@@ -633,3 +635,89 @@ def test_fan_jump_distance_matches_all_segments(curve):
     for p in P[-200:]:
         assert np.array_equal(jump_distance(field, p[None]),
                               _all_segments_min(field, p[None]))
+
+
+# -- exact angle kernels ------------------------------------------------------
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def test_mod_2pi_and_wrap_pi_match_np_mod():
+    # the branch-free interval's ends, zeros of both signs, angles whose
+    # remainder rounds to 2pi, and values that take np.mod
+    tiny = np.nextafter(0.0, 1.0)
+    edges = np.array([0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi,
+                      TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0.0),
+                      np.nextafter(-TWO_PI, 0.0), np.nextafter(-TWO_PI, -7.0),
+                      -1e-20, 1e-20, tiny, -tiny, 1e300, -1e300, np.nan])
+    rng = np.random.default_rng(12)
+    a = np.concatenate([edges, rng.uniform(-TWO_PI, TWO_PI, 5000),
+                        rng.uniform(-40.0, 40.0, 5000)])
+    assert np.array_equal(_bits(mod_2pi(a)), _bits(np.mod(a, TWO_PI)))
+    assert np.array_equal(_bits(wrap_pi(a)),
+                          _bits((a + math.pi) % TWO_PI - math.pi))
+    # any shape, and a scalar stays a scalar
+    grid = a[:10000].reshape(100, 100)
+    assert np.array_equal(_bits(wrap_pi(grid)),
+                          _bits((grid + math.pi) % TWO_PI - math.pi))
+    for x in (math.pi, -math.pi, -0.0, 3 * math.pi, 1e300):
+        w = wrap_pi(x)
+        assert np.ndim(w) == 0 and isinstance(w, np.float64)
+        assert _bits(w) == _bits((np.asarray(x) + math.pi) % TWO_PI - math.pi)
+
+
+ANGLE_CURVES = [make_rounded_ngon(n, rotation=r, center=c) for n, r, c in (
+    (3, 0.0, (0.0, 0.0)), (8, 0.0, (0.0, 0.0)), (8, 0.3, (0.0, 0.0)),
+    (32, 7.0, (0.25, -0.4)), (32, -3.0, (0.0, 0.0)), (128, 0.3, (0.1, -0.2)),
+    (128, 7.0, (0.0, 0.0)), (5, -7.0, (0.0, 0.0)))]
+
+
+@pytest.mark.parametrize("curve", ANGLE_CURVES, ids=_sector_id)
+def test_sector_matches_np_mod_reference(curve):
+    star = curve.medial_star
+    hub = star.hub
+    rng = np.random.default_rng(len(star.axes))
+    # every spoke line on both sides of the hub, where the quotient is
+    # within rounding of an integer
+    t = np.linspace(-1.5, 1.5, 41)[:, None, None]
+    lines = hub + t * np.stack([np.cos(star.axes), np.sin(star.axes)], axis=-1)
+    # the ray theta = +-pi through the hub: relative y of +0.0 and -0.0
+    rel_x = -rng.uniform(0.0, 1.5, 50)
+    ray = np.concatenate([np.column_stack([rel_x, np.zeros(50)]),
+                          np.column_stack([rel_x, np.full(50, -0.0)])])
+    if np.any(hub):
+        ray = ray + hub   # rel y = -0.0 needs a hub at the origin
+    P = np.vstack([hub + rng.uniform(-1.6, 1.6, (20_000, 2)), hub[None, :],
+                   lines.reshape(-1, 2), _spoke_points(curve, rng, 2000), ray])
+    if abs(star.axes[0]) > 4.0:   # np.mod's own branch runs
+        assert np.any(np.abs(np.arctan2(P[:, 1] - hub[1], P[:, 0] - hub[0])
+                             - star.axes[0]) >= TWO_PI)
+    assert np.array_equal(star.sector(P), sector_by_np_mod(star, P))
+
+
+@pytest.mark.parametrize("curve", ANGLE_CURVES, ids=_sector_id)
+def test_ngon_inside_exact_at_the_rim_circles(curve):
+    # inside decides the points off the annulus between the inscribed and
+    # circumscribed circles by their radius alone; on and near both
+    # circles, and on the boundary itself, it keeps the sector-edge rule's
+    # bits, and off the boundary it agrees with the all-edges oracle
+    rng = np.random.default_rng(3)
+    star = curve.medial_star
+    offsets = np.array([-2e-9, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 2e-9])
+    radii = np.outer([curve.meta["inradius"], curve.meta["circumradius"]],
+                     1.0 + offsets)
+    # random directions, and those of the arc and side midpoints, where
+    # the boundary touches the circumscribed and the inscribed circle
+    th = np.concatenate([rng.uniform(0.0, TWO_PI, 2000), star.axes,
+                         star.axes + star.half_width])
+    th, r = np.repeat(th, radii.size), np.tile(radii.ravel(), len(th))
+    rim = star.hub + r[:, None] * np.column_stack([np.cos(th), np.sin(th)])
+    off_boundary = np.tile(np.tile(offsets, 2) != 0.0, len(th) // radii.size)
+    s = rng.uniform(0.0, TWO_PI, 20_000)
+    P = np.vstack([rim, curve.point(s), curve.point(s) + rng.uniform(
+        -1e-9, 1e-9, 20_000)[:, None] * curve.normal(s)])
+    assert np.array_equal(curve.inside(P), ngon_gap_by_sector(curve, P) < 0.0)
+    rim = rim[off_boundary]
+    assert np.array_equal(curve.inside(rim), ngon_signed_gap(curve, rim) < 0.0)
