@@ -154,8 +154,6 @@ def solve_stray_field(grid: GridField) -> np.ndarray:
                 or gb < 0.5 * ey - 1e-9 or gt < 0.5 * ey - 1e-9:
             raise ValueError("box must pad the masked region by >= 50% per side")
     n, h = grid.n, grid.h
-    M1 = grid.values[:, :, 0] * grid.mask
-    M2 = grid.values[:, :, 1] * grid.mask
     k_full = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
     k_half = k_full[: n // 2 + 1]
     sig1 = (np.sin(k_full * h) / h)[:, None]
@@ -163,11 +161,21 @@ def solve_stray_field(grid: GridField) -> np.ndarray:
     lap = ((2.0 - 2.0 * np.cos(k_full * h)) / h ** 2)[:, None] \
         + ((2.0 - 2.0 * np.cos(k_half * h)) / h ** 2)[None, :]
     lap[0, 0] = 1.0
-    u_hat = 1j * (sig1 * np.fft.rfft2(M1) + sig2 * np.fft.rfft2(M2)) / lap
+    # u_hat = 1j * (sig1 * F1 + sig2 * F2) / lap, each product formed in
+    # place in that order (the same ufunc calls, so the same bits), and
+    # F2's buffer reused for the gradient spectra
+    u_hat = np.fft.rfft2(grid.values[:, :, 0] * grid.mask)
+    spec = np.fft.rfft2(grid.values[:, :, 1] * grid.mask)
+    u_hat *= sig1
+    spec *= sig2
+    u_hat += spec
+    np.multiply(1j, u_hat, out=u_hat)
+    u_hat /= lap
     u_hat[0, 0] = 0.0
     H = np.empty((n, n, 2))
-    H[:, :, 0] = np.fft.irfft2(1j * sig1 * u_hat, s=(n, n))
-    H[:, :, 1] = np.fft.irfft2(1j * sig2 * u_hat, s=(n, n))
+    for c, sig in enumerate((sig1, sig2)):
+        H[:, :, c] = np.fft.irfft2(np.multiply(1j * sig, u_hat, out=spec),
+                                   s=(n, n))
     return H
 
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from .pieces import (ArcPiece, EllipsePiece, SegmentPiece, SplinePiece,
                      arc_nearest_dist, arc_point, arc_ray_hits, arc_tangent,
-                     mod_2pi, segment_nearest_dist, segment_point,
-                     segment_ray_hits, segment_tangent)
+                     ellipse_speed_series, mod_2pi, segment_nearest_dist,
+                     segment_point, segment_ray_hits, segment_tangent)
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,11 +72,17 @@ class MedialStar:
         sectors' nearest pieces (or spokes) tie, rounding picks one, and a
         query must take the minimum over all of them."""
         k = self.sector(pts)
-        rel = pts - self.hub
+        rx, ry = pts[:, 0] - self.hub[0], pts[:, 1] - self.hub[1]
+        cos, sin = self._axis_cos_sin
         tie = np.zeros(len(pts), dtype=bool)
-        for a in (self.axes[k], self.axes[(k + 1) % len(self.axes)]):
-            tie |= np.abs(np.cos(a) * rel[:, 1] - np.sin(a) * rel[:, 0]) < 1e-12
+        for j in (k, (k + 1) % len(self.axes)):
+            tie |= np.abs(cos[j] * ry - sin[j] * rx) < 1e-12
         return np.where(tie, -1, k)
+
+    @cached_property
+    def _axis_cos_sin(self):
+        """cos and sin of each spoke's axis, gathered by sector."""
+        return np.cos(self.axes), np.sin(self.axes)
 
 
 def _table(pieces, names) -> SimpleNamespace:
@@ -451,8 +457,8 @@ def make_ellipse(aspect: float, rotation: float = 0.0, center=(0.0, 0.0)) -> Bou
     """Ellipse with semiaxis ratio ``aspect`` >= 1, perimeter 2*pi."""
     if aspect < 1.0:
         raise ValueError("aspect must be >= 1 (major over minor axis)")
-    raw = EllipsePiece(aspect, 1.0)
-    scale = TWO_PI / raw.length
+    raw_length = TWO_PI * ellipse_speed_series(aspect, 1.0)[0]
+    scale = TWO_PI / raw_length
     piece = EllipsePiece(aspect * scale, scale, rotation=rotation, center=center)
     kmax = piece.a / piece.b**2
     return BoundaryCurve(

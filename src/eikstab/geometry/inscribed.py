@@ -59,7 +59,7 @@ def max_inscribed_disk(curve: BoundaryCurve) -> Disk:
     centre of the n-fold rotation, and the distance is concave on a convex
     domain, so it is the maximizer.  An ellipse's disk is centred at the
     ellipse's centre, by the same argument with the half-turn, and its
-    radius is the distance there (the minor semiaxis).
+    radius is the distance there, the minor semiaxis min(a, b).
 
     Only a spline searches: a 64 x 64 interior grid seeded with the exact
     distance-to-boundary function, then a Nelder-Mead polish to 1e-10.
@@ -72,9 +72,10 @@ def max_inscribed_disk(curve: BoundaryCurve) -> Disk:
         return Disk(center=(float(c[0]), float(c[1])),
                     radius=float(curve.meta["inradius"]))
     if curve.kind == "ellipse":
-        c = curve.pieces[0].center
+        piece = curve.pieces[0]
+        c = piece.center
         return Disk(center=(float(c[0]), float(c[1])),
-                    radius=float(curve.dist_to_boundary(c[None])[0]))
+                    radius=min(piece.a, piece.b))
     from scipy.optimize import minimize
 
     x0, x1, y0, y1 = curve.bbox()

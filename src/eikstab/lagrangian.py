@@ -236,6 +236,13 @@ def _jump_hits(x, d, segments, fan, u_stop):
 def _advance_batch(field: UnitField, x, s, t, T):
     """Run one batch of curves to completion (event-synchronous lockstep).
 
+    Each curve carries its direction d = (cos s, sin s) and its boundary
+    exit distance along d from its current point.  Both are computed when
+    the curve is born or reflects, the only events that change s; a
+    crossing keeps s, so the curve stays on the same straight line and its
+    exit after a step of length u is the old exit minus u.  Only newborn
+    and reflected curves call ray_exit.
+
     Returns per-curve (mu, death, termination) and flat event/breakpoint
     rows; breakpoint rows hold only direction changes plus the death row.
     """
@@ -252,13 +259,20 @@ def _advance_batch(field: UnitField, x, s, t, T):
     ev_rows = []     # (idx, t, x, dmu, seg, side, s_out)
     cross_rows = []  # (idx, t, x, seg, side, s)
     bp_rows = []     # (idx, t, x, s) extra breakpoints: reflections, deaths
+    dirs = np.empty((n, 2))
+    exits = np.empty(n)
+    fresh = np.arange(n)  # curves whose line is new: born or reflected
 
     for _ in range(200_000):
         if not alive.any():
             break
+        if len(fresh):
+            dirs[fresh] = np.stack([np.cos(s[fresh]), np.sin(s[fresh])], axis=-1)
+            exits[fresh] = field.domain.ray_exit(x[fresh], dirs[fresh], tol=1e-9)
+            fresh = fresh[:0]
         idx = np.flatnonzero(alive)
-        d = np.stack([np.cos(s[idx]), np.sin(s[idx])], axis=-1)
-        u_exit = field.domain.ray_exit(x[idx], d, tol=1e-9)
+        d = dirs[idx]
+        u_exit = exits[idx]
         u_cap = T - t[idx]
         if nseg:
             u_seg, which = _jump_hits(x[idx], d, (P0, E, L), fan,
@@ -269,6 +283,7 @@ def _advance_batch(field: UnitField, x, s, t, T):
         u = np.minimum(np.minimum(u_exit, u_cap), u_seg)
         x[idx] = x[idx] + u[:, None] * d
         t[idx] = t[idx] + u
+        exits[idx] = u_exit - u
 
         hit_cap = u_cap <= np.minimum(u_exit, u_seg)
         hit_exit = (~hit_cap) & (u_exit <= u_seg)
@@ -307,6 +322,7 @@ def _advance_batch(field: UnitField, x, s, t, T):
                                     x[ii[rr]].copy(), dmu[rr], k[rr],
                                     np.sign(side[rr]), s_new[rr]))
                     s[ii[rr]] = s_new[rr]
+                    fresh = ii[rr]
                     bp_rows.append((ii[rr], t[ii[rr]].copy(),
                                     x[ii[rr]].copy(), s_new[rr]))
                 if crossed.any():

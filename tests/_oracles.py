@@ -1,7 +1,8 @@
 """Brute-force reference computations kept independent of the package's
-optimizers and batch kernels.  Only elementary numpy is used; geometry
-comes from the caller (points, tangents) or from a curve's stored data
-and segment intersections, never from its ray exits or inside tests."""
+optimizers and batch kernels.  Only elementary numpy is used, and scipy's
+adaptive quadrature for the ellipse's arc length; geometry comes from the
+caller (points, tangents) or from a curve's stored data and segment
+intersections, never from its ray exits or inside tests."""
 
 import math
 
@@ -157,10 +158,10 @@ def ngon_signed_gap(curve, pts, block=8192):
 
 # -- per-point kernels as (n, 2)-row formulas ---------------------------------
 #
-# MedialStar.sector, the rounded n-gon's sector-edge gap and field
-# evaluation written with np.mod, np.floor_divide, row gathers and hypot on
-# every point, from a star's, curve's or field's stored data.  The package's
-# x/y-plane kernels must give their bits.
+# MedialStar.sector and sector_off_spokes, the rounded n-gon's sector-edge
+# gap and field evaluation written with np.mod, np.floor_divide, row gathers
+# and hypot on every point, from a star's, curve's or field's stored data.
+# The package's x/y-plane kernels must give their bits.
 
 
 def sector_by_np_mod(star, pts):
@@ -170,6 +171,17 @@ def sector_by_np_mod(star, pts):
     theta = np.arctan2(rel[:, 1], rel[:, 0]) - star.axes[0]
     n = len(star.axes)
     return np.floor_divide(theta % TWO_PI, TWO_PI / n).astype(int) % n
+
+
+def sector_off_spokes_by_rows(star, pts):
+    """sector_by_np_mod, but -1 within 1e-12 of either bounding spoke's
+    line, with cos and sin taken of each point's gathered axes."""
+    k = sector_by_np_mod(star, pts)
+    rel = pts - star.hub
+    tie = np.zeros(len(pts), dtype=bool)
+    for a in (star.axes[k], star.axes[(k + 1) % len(star.axes)]):
+        tie |= np.abs(np.cos(a) * rel[:, 1] - np.sin(a) * rel[:, 0]) < 1e-12
+    return np.where(tie, -1, k)
 
 
 def ngon_gap_by_sector(curve, pts):
@@ -332,3 +344,13 @@ def spline_nearest_dist(piece, pts):
     return golden_nearest_dist(
         lambda t, p: float(np.sum((piece.point(t) - p) ** 2)),
         piece._poly_s, piece._poly, np.asarray(pts, dtype=float))
+
+
+def ellipse_arclength(a, b, theta):
+    """Arc length of (a cos t, b sin t) from t = 0 to theta: adaptive
+    Gauss-Kronrod quadrature of the speed (within about 2e-15 of a
+    30-digit quadrature for aspects up to 3)."""
+    from scipy.integrate import quad
+
+    return quad(lambda t: math.hypot(a * math.sin(t), b * math.cos(t)),
+                0.0, theta, epsabs=1e-13, epsrel=1e-13, limit=200)[0]

@@ -464,6 +464,7 @@ def test_selftest_quick_green(tmp_path, capsys):
 _LAZY_IMPORT_CHECK = """
 import sys
 from eikstab import cli
+from eikstab.geometry import max_inscribed_disk
 
 out, points = sys.argv[1], sys.argv[2]
 heavy = ("scipy.optimize", "scipy.interpolate", "scipy.spatial",
@@ -472,6 +473,9 @@ for argv in (["defect-integral", "--curve", "rounded_ngon:n=8", "--nodes", "8"],
              ["energy", "--curve", "rounded_ngon:n=8", "--grid", "128",
               "--eps", "0.15"]):
     assert cli.run(argv + ["--out", out]) == 0, argv
+ellipse = cli.parse_curve_spec("ellipse:aspect=1.3")
+max_inscribed_disk(ellipse)
+cli.build_field(ellipse, None)
 loaded = [m for m in heavy if m in sys.modules]
 assert not loaded, loaded
 for argv in (["defect", "--curve", "ellipse:aspect=1.3",
@@ -483,7 +487,8 @@ for argv in (["defect", "--curve", "ellipse:aspect=1.3",
 
 
 def test_bulk_commands_import_no_scipy_solvers(tmp_path):
-    # the n-gon's integral and energy need none of scipy's solvers,
+    # the n-gon's integral and energy, and the ellipse's arc-length map,
+    # inscribed disk and field, need none of scipy's solvers,
     # interpolators or trees; the commands that do import them on call
     from _domains import blob_points
 

@@ -22,8 +22,9 @@ from eikstab.geometry import (
 from eikstab.fields import distgrad_field, jump_distance
 from eikstab.geometry.pieces import ArcPiece, SegmentPiece
 from _domains import blob_points, dumbbell_curve
-from _oracles import (ellipse_nearest_dist, first_exit, ngon_gap_by_sector,
-                      ngon_signed_gap, sector_by_np_mod, spline_nearest_dist)
+from _oracles import (ellipse_arclength, ellipse_nearest_dist, first_exit,
+                      ngon_gap_by_sector, ngon_signed_gap, sector_by_np_mod,
+                      sector_off_spokes_by_rows, spline_nearest_dist)
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,6 +123,29 @@ def test_ellipse_construction():
 
     with pytest.raises(ValueError):
         make_ellipse(0.9)
+
+
+@pytest.mark.parametrize("aspect", [1.0, 1.05, 1.3, 2.0])
+def test_ellipse_arclength_matches_quadrature(aspect):
+    # the arc length from the angle theta = 0 to the point at parameter u,
+    # by quadrature of the speed, must give u back; theta is read off the
+    # point itself in the ellipse's frame
+    curve = make_ellipse(aspect, rotation=0.4, center=(0.3, -0.2))
+    piece = curve.pieces[0]
+    a, b = piece.a, piece.b
+    perimeter = 4.0 * ellipse_arclength(a, b, 0.5 * math.pi)
+    assert abs(curve.perimeter - perimeter) <= 1e-12
+    u = np.concatenate([[0.0, 1e-9, curve.perimeter - 1e-9],
+                        np.linspace(0.0, curve.perimeter, 64, endpoint=False)
+                        + 0.5 * curve.perimeter / 64,
+                        np.random.default_rng(8).uniform(0.0, curve.perimeter, 64)])
+    rel = curve.point(u) - piece.center
+    c, s = math.cos(0.4), math.sin(0.4)
+    x, y = c * rel[:, 0] + s * rel[:, 1], c * rel[:, 1] - s * rel[:, 0]
+    theta = np.mod(np.arctan2(y / b, x / a), TWO_PI)
+    arc = np.array([ellipse_arclength(a, b, th) for th in theta])
+    err = np.abs(np.mod(arc - u + 0.5 * perimeter, perimeter) - 0.5 * perimeter)
+    assert err.max() <= 1e-12
 
 
 def test_inscribed_disk_circle():
@@ -683,6 +707,10 @@ def test_sector_matches_np_mod_reference(curve):
     # within rounding of an integer
     t = np.linspace(-1.5, 1.5, 41)[:, None, None]
     lines = hub + t * np.stack([np.cos(star.axes), np.sin(star.axes)], axis=-1)
+    # and parallel to them, on both sides of sector_off_spokes' 1e-12 band
+    normal = np.stack([-np.sin(star.axes), np.cos(star.axes)], axis=-1)
+    lines = np.concatenate([lines] + [lines + h * normal for h in
+                                      (-2e-12, -5e-13, 5e-13, 2e-12)])
     # the ray theta = +-pi through the hub: relative y of +0.0 and -0.0
     rel_x = -rng.uniform(0.0, 1.5, 50)
     ray = np.concatenate([np.column_stack([rel_x, np.zeros(50)]),
@@ -695,6 +723,9 @@ def test_sector_matches_np_mod_reference(curve):
         assert np.any(np.abs(np.arctan2(P[:, 1] - hub[1], P[:, 0] - hub[0])
                              - star.axes[0]) >= TWO_PI)
     assert np.array_equal(star.sector(P), sector_by_np_mod(star, P))
+    off = star.sector_off_spokes(P)
+    assert (off < 0).any()
+    assert np.array_equal(off, sector_off_spokes_by_rows(star, P))
 
 
 @pytest.mark.parametrize("curve", ANGLE_CURVES, ids=_sector_id)

@@ -268,6 +268,36 @@ def test_engine_matches_scalar_trace(ngon8_field):
                          np.random.default_rng(22), T=7.0)
 
 
+@pytest.mark.parametrize("n", [8, 32])
+def test_engine_exits_only_new_lines(n, monkeypatch):
+    # a crossing keeps a curve's line, so the engine asks ray_exit only for
+    # newborn and reflected curves and carries the exit through crossings;
+    # the carried exit must still land on the boundary, where a fresh exit
+    # from the curve's last direction change puts it
+    field = distgrad_field(make_rounded_ngon(n))
+    curve = field.domain
+    asked = []
+    ray_exit = curve.ray_exit
+
+    def counted(x, d, tol=1e-12):
+        asked.append(len(np.atleast_2d(x)))
+        return ray_exit(x, d, tol)
+
+    monkeypatch.setattr(curve, "ray_exit", counted)
+    res = lag.sample_ensemble(lag.balanced_spec(field, 6000, seed=13))
+    monkeypatch.undo()
+    assert len(res.events["cross_t"]) > res.n_curves // 4
+    assert sum(asked) == res.n_curves + len(res.events["t"])
+
+    exits = np.flatnonzero(res.termination == 1)
+    last = res.bp_offsets[exits + 1] - 1     # the death row
+    x_end, x_last, s_last = res.bp_x[last], res.bp_x[last - 1], res.bp_s[last - 1]
+    assert curve.dist_to_boundary(x_end).max() <= 1e-12
+    d = np.column_stack([np.cos(s_last), np.sin(s_last)])
+    fresh = x_last + curve.ray_exit(x_last, d, tol=1e-9)[:, None] * d
+    assert np.abs(x_end - fresh).max() <= 4e-15
+
+
 # -- representation and influx laws ---------------------------------------
 
 
