@@ -133,12 +133,28 @@ class UnitField:
             axis=axis, limit=half + 1e-15)
 
     @cached_property
-    def _jump_table(self):
-        """(p0, p1 - p0, |p1 - p0|^2) of the jump segments as arrays indexed
-        by segment."""
+    def _jump_table(self) -> SimpleNamespace:
+        """The jump segments as arrays indexed by segment, the one table
+        that jump_distance and the tracer read: start p0, offset d = p1 -
+        p0 and L2 = |d|^2, unit direction e and length, theta_J and the
+        normal (-sin theta_J, cos theta_J), the traces m_minus and m_plus,
+        and hub, the endpoint all segments share (at infinity when fewer
+        than two segments share one)."""
         p0 = np.array([seg.p0 for seg in self.jump_set], dtype=float).reshape(-1, 2)
         d = np.array([seg.p1 for seg in self.jump_set], dtype=float).reshape(-1, 2) - p0
-        return p0, d, np.array([float(e @ e) for e in d])
+        length = np.hypot(d[:, 0], d[:, 1])
+        theta = np.array([seg.theta_J for seg in self.jump_set], dtype=float)
+        ends = [{tuple(seg.p0), tuple(seg.p1)} for seg in self.jump_set]
+        shared = set.intersection(*ends) if len(ends) > 1 else set()
+        return SimpleNamespace(
+            p0=p0, d=d, L2=np.array([float(e @ e) for e in d]),
+            e=d / length[:, None], length=length, theta=theta,
+            normal=np.stack([-np.sin(theta), np.cos(theta)], axis=-1),
+            m_minus=np.array([seg.m_minus for seg in self.jump_set],
+                             dtype=float).reshape(-1, 2),
+            m_plus=np.array([seg.m_plus for seg in self.jump_set],
+                            dtype=float).reshape(-1, 2),
+            hub=np.array(shared.pop() if shared else (np.inf, np.inf)))
 
     def boundary_trace(self, s) -> np.ndarray:
         """Sign of m . tau at the boundary parameters s (m = +-tau there)."""
@@ -279,7 +295,8 @@ def jump_distance(field: UnitField, pts) -> np.ndarray:
     all segments.
     """
     X = np.atleast_2d(np.asarray(pts, dtype=float))
-    p0, d, L2 = field._jump_table
+    J = field._jump_table
+    p0, d, L2 = J.p0, J.d, J.L2
     fan = field.fan
     if fan is None:
         return _all_segments_dist(X, p0, d, L2)

@@ -59,9 +59,9 @@ def _radial_sup(curve: BoundaryCurve, center) -> float:
     return best
 
 
-def best_circle_center(curve: BoundaryCurve, objective: str = "hausdorff"):
-    """Center minimizing the Hausdorff distance to the unit circle, or the
-    squared normal-deviation functional when ``objective='normal_deviation'``.
+def best_circle_center(curve: BoundaryCurve):
+    """Center minimizing the squared normal-deviation functional
+    (stability.normal_deviation).
 
     Nelder-Mead from the area centroid, restarted from the inscribed disk
     center only when that lies more than 1e-9 from the centroid; the
@@ -71,16 +71,8 @@ def best_circle_center(curve: BoundaryCurve, objective: str = "hausdorff"):
     """
     from scipy.optimize import minimize
 
+    from ..stability import normal_deviation
     from .inscribed import max_inscribed_disk
-
-    if objective == "hausdorff":
-        fun = lambda c: hausdorff_to_circle(curve, c)
-    elif objective == "normal_deviation":
-        from ..stability import normal_deviation
-
-        fun = lambda c: normal_deviation(curve, c)
-    else:
-        raise ValueError(f"unknown objective: {objective!r}")
 
     seeds = [curve.centroid()]
     disk_center = max_inscribed_disk(curve).center_xy
@@ -88,7 +80,8 @@ def best_circle_center(curve: BoundaryCurve, objective: str = "hausdorff"):
         seeds.append(disk_center)
     best_val, best_x = np.inf, seeds[0]
     for s0 in seeds:
-        res = minimize(fun, s0, method="Nelder-Mead",
+        res = minimize(lambda c: normal_deviation(curve, c), s0,
+                       method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
         if res.fun < best_val:
             best_val, best_x = float(res.fun), res.x

@@ -417,30 +417,22 @@ class EllipsePiece:
         loc = self._to_local(pts)
         return (loc[:, 0] / self.a) ** 2 + (loc[:, 1] / self.b) ** 2 - 1.0
 
-    @property
-    def _dense(self):
-        """4096 equispaced angles and a k-d tree of their points in the
-        ellipse frame, built on first use."""
-        cache = getattr(self, "_dense_cache", None)
-        if cache is None:
-            from scipy.spatial import cKDTree
-
-            th = np.linspace(0.0, _TWO_PI, 4096, endpoint=False)
-            nodes = np.column_stack([self.a * np.cos(th), self.b * np.sin(th)])
-            cache = (th, cKDTree(nodes))
-            self._dense_cache = cache
-        return cache
-
     def nearest_dist(self, pts):
-        """Distance to the ellipse: the nearest of 4096 nodes brackets the
-        foot angle within one node spacing, and bracketed Newton steps on
-        the squared distance refine it."""
+        """Distance to the ellipse, with numpy alone.
+
+        A point folds into the first quadrant of the ellipse frame, where
+        its foot angle lies in [0, pi/2]; off the axes the squared distance
+        has one critical point there, its minimum.  Bracketed Newton steps
+        on the squared distance refine the foot from arctan2(a|y|, b|x|),
+        the angle of (x/a, y/b).  Within about 1e-9 of the evolute the
+        minimum is nearly flat and the steps converge only linearly: 24
+        steps keep the distance within 4e-15 of a bisection reference
+        there up to aspect 10, where 12 left 4e-8.  The bracket ends, the
+        axis points, are candidates too, for points on an axis.
+        """
         loc = self._to_local(pts)
-        px, py = loc[:, 0], loc[:, 1]
+        px, py = np.abs(loc[:, 0]), np.abs(loc[:, 1])
         a, b = self.a, self.b
-        th_grid, tree = self._dense
-        h = th_grid[1] - th_grid[0]
-        th0 = th_grid[tree.query(loc)[1]]
 
         def sq_dist(th):
             return (a * np.cos(th) - px) ** 2 + (b * np.sin(th) - py) ** 2
@@ -450,8 +442,10 @@ class EllipsePiece:
             return ((b * b - a * a) * s * c + a * px * s - b * py * c,
                     (b * b - a * a) * (c * c - s * s) + a * px * c + b * py * s)
 
-        th = _foot_newton(th0, th0 - h, th0 + h, slope)
-        return np.sqrt(np.minimum(sq_dist(th), sq_dist(th0)))
+        th = _foot_newton(np.arctan2(a * py, b * px), 0.0, math.pi / 2, slope,
+                          steps=24)
+        ends = np.minimum(sq_dist(0.0), sq_dist(math.pi / 2))
+        return np.sqrt(np.minimum(sq_dist(th), ends))
 
     def _seg_roots(self, p, q):
         """Roots u in [0,1] of the implicit conic along p + u (q - p)."""

@@ -117,9 +117,7 @@ def entropy_half_wave(sigma: float) -> Entropy:
     # kinks of g(. - sigma) sit at sigma + pi/4 + k pi/2
     bp = tuple((sigma + math.pi / 4 + k * math.pi / 2) % TWO_PI
                for k in range(4))
-    e = entropy_phi_f(f, bp, kind="half_wave")
-    return Entropy(kind="half_wave", phi=e.phi, lam=e.lam, f=f,
-                   breakpoints=bp)
+    return entropy_phi_f(f, bp, kind="half_wave")
 
 
 def check_entropy(entropy: Entropy, n_angles: int = 64,

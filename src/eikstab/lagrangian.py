@@ -64,7 +64,8 @@ _TERMINATIONS = ("time-horizon", "boundary", "center")
 def trace(field: UnitField, x0, s0: float, t0: float = 0.0,
           T: float = 3.0 * math.pi) -> Trajectory:
     """Exact characteristic through (x0, s0), traced by the batch engine
-    as a batch of one curve."""
+    as a batch of one curve.  Its breakpoints are the rows sample_ensemble
+    keeps for the curve: the birth, each reflection and the end state."""
     x = np.asarray(x0, dtype=float).copy()
     s = float(s0) % TWO_PI
     if not bool(field.domain.inside(x[None, :])[0]):
@@ -75,13 +76,14 @@ def trace(field: UnitField, x0, s0: float, t0: float = 0.0,
     if float(m0 @ [math.cos(s), math.sin(s)]) <= 0.0:
         raise ValueError("start direction not admitted by the field")
 
-    mu, death, term, _, _, bp_rows = _advance_batch(
-        field, x[None, :].copy(), np.array([s]), np.array([float(t0)]), T)
-    bps = [(float(t0), x, s)]
-    for _, t, xs, ss in bp_rows:
-        bps.append((float(t[0]), xs[0], float(ss[0])))
-    return Trajectory(t_minus=t0, t_plus=float(death[0]), breakpoints=bps,
-                      mu=float(mu[0]), termination=_TERMINATIONS[term[0]])
+    cols = _trace_curves(field, x[None, :], np.array([s]),
+                         np.array([float(t0)]), T)
+    _, bt, bx, bs = _breakpoints(cols)
+    return Trajectory(t_minus=t0, t_plus=float(cols["death_t"][0]),
+                      breakpoints=[(float(a), b, float(c))
+                                   for a, b, c in zip(bt, bx, bs)],
+                      mu=float(cols["mu_total"][0]),
+                      termination=_TERMINATIONS[cols["termination"][0]])
 
 
 # -- ensemble specification ----------------------------------------------
@@ -161,30 +163,9 @@ def balanced_spec(field: UnitField, total: int, horizon: float = 3.0 * math.pi,
 # -- batch engine ---------------------------------------------------------
 
 
-def _segment_data(field: UnitField):
-    if not field.jump_set:
-        z = np.zeros((0, 2))
-        return z, z, np.zeros(0), np.zeros(0), z, z
-    P0 = np.array([s.p0 for s in field.jump_set], dtype=float)
-    E = np.array([(np.asarray(s.p1) - np.asarray(s.p0)) for s in field.jump_set])
-    L = np.hypot(E[:, 0], E[:, 1])
-    E = E / L[:, None]
-    theta = np.array([s.theta_J for s in field.jump_set])
-    m_minus = np.array([s.m_minus for s in field.jump_set], dtype=float)
-    m_plus = np.array([s.m_plus for s in field.jump_set], dtype=float)
-    return P0, E, L, theta, m_minus, m_plus
-
-
-def _hub(field: UnitField):
-    """The endpoint that all jump segments share; at infinity without one."""
-    ends = [{tuple(seg.p0), tuple(seg.p1)} for seg in field.jump_set]
-    shared = set.intersection(*ends) if len(ends) > 1 else set()
-    return np.array(shared.pop() if shared else (np.inf, np.inf))
-
-
-def _jump_hits(x, d, segments, fan, u_stop):
+def _jump_hits(x, d, J, fan, u_stop):
     """First jump-segment hit of each ray: (ray parameter, segment index),
-    inf where the ray meets no segment.
+    inf where the ray meets no segment.  J is the field's jump table.
 
     Without a fan every ray is tested against every segment.  With one
     (see UnitField.fan), a ray is tested against the two spokes of the
@@ -196,7 +177,7 @@ def _jump_hits(x, d, segments, fan, u_stop):
     where all spokes meet, are tested against every segment.  Both tests
     share one kernel, so they give the same bits.
     """
-    P0, E, L = segments
+    P0, E, L = J.p0, J.e, J.length
     if fan is None:
         sure = np.zeros(len(x), dtype=bool)
         u_seg = np.full(len(x), np.inf)
@@ -233,6 +214,17 @@ def _jump_hits(x, d, segments, fan, u_stop):
     return u_seg, which
 
 
+# event column -> its empty column, which fixes the dtype and row shape
+_EVENT_COLUMNS = {
+    "curve": np.zeros(0, dtype=int), "t": np.zeros(0), "xy": np.zeros((0, 2)),
+    "mu": np.zeros(0), "seg": np.zeros(0, dtype=int), "side": np.zeros(0),
+    "s_out": np.zeros(0), "cross_curve": np.zeros(0, dtype=int),
+    "cross_t": np.zeros(0), "cross_xy": np.zeros((0, 2)),
+    "cross_seg": np.zeros(0, dtype=int), "cross_side": np.zeros(0),
+    "cross_s": np.zeros(0),
+}
+
+
 def _advance_batch(field: UnitField, x, s, t, T):
     """Run one batch of curves to completion (event-synchronous lockstep).
 
@@ -243,22 +235,21 @@ def _advance_batch(field: UnitField, x, s, t, T):
     exit after a step of length u is the old exit minus u.  Only newborn
     and reflected curves call ray_exit.
 
-    Returns per-curve (mu, death, termination) and flat event/breakpoint
-    rows; breakpoint rows hold only direction changes plus the death row.
+    x, s and t are advanced in place, so they end as each curve's end
+    point, direction and time.  Returns (mu, death, term, events): the
+    per-curve variation, end time (t itself) and termination code (0
+    horizon, 1 boundary, 2 hub), and the batch's reflections and crossings
+    as the named columns of EnsembleResult.events, 'curve' and
+    'cross_curve' indexing the batch.  Each event is recorded once.
     """
     n = len(s)
-    P0, E, L, theta_J, m_minus, m_plus = _segment_data(field)
-    nseg = len(L)
-    n_J = np.stack([-np.sin(theta_J), np.cos(theta_J)], axis=-1) if nseg else None
-    hub = _hub(field)
+    J = field._jump_table
+    nseg = len(J.length)
     fan = field.fan
     alive = np.ones(n, dtype=bool)
     mu = np.zeros(n)
-    death = np.full(n, T)
     term = np.zeros(n, dtype=np.int8)
-    ev_rows = []     # (idx, t, x, dmu, seg, side, s_out)
-    cross_rows = []  # (idx, t, x, seg, side, s)
-    bp_rows = []     # (idx, t, x, s) extra breakpoints: reflections, deaths
+    steps = []  # each step's jump hits as _EVENT_COLUMNS parts
     dirs = np.empty((n, 2))
     exits = np.empty(n)
     fresh = np.arange(n)  # curves whose line is new: born or reflected
@@ -269,13 +260,12 @@ def _advance_batch(field: UnitField, x, s, t, T):
         if len(fresh):
             dirs[fresh] = np.stack([np.cos(s[fresh]), np.sin(s[fresh])], axis=-1)
             exits[fresh] = field.domain.ray_exit(x[fresh], dirs[fresh], tol=1e-9)
-            fresh = fresh[:0]
         idx = np.flatnonzero(alive)
         d = dirs[idx]
         u_exit = exits[idx]
         u_cap = T - t[idx]
         if nseg:
-            u_seg, which = _jump_hits(x[idx], d, (P0, E, L), fan,
+            u_seg, which = _jump_hits(x[idx], d, J, fan,
                                       np.minimum(u_exit, u_cap))
         else:
             u_seg = np.full(len(idx), np.inf)
@@ -285,54 +275,37 @@ def _advance_batch(field: UnitField, x, s, t, T):
         t[idx] = t[idx] + u
         exits[idx] = u_exit - u
 
-        hit_cap = u_cap <= np.minimum(u_exit, u_seg)
-        hit_exit = (~hit_cap) & (u_exit <= u_seg)
-        hit_seg = (~hit_cap) & (~hit_exit)
-
-        for mask, code in ((hit_cap, 0), (hit_exit, 1)):
-            if mask.any():
-                ii = idx[mask]
-                alive[ii] = False
-                death[ii] = t[ii]
-                term[ii] = code
-                bp_rows.append((ii, t[ii].copy(), x[ii].copy(), s[ii].copy()))
-        if hit_seg.any():
-            jj = np.flatnonzero(hit_seg)
-            ii = idx[jj]
-            at_center = np.hypot(x[ii, 0] - hub[0],
-                                 x[ii, 1] - hub[1]) < 1e-9
-            if at_center.any():
-                cc = ii[at_center]
-                alive[cc] = False
-                death[cc] = t[cc]
-                term[cc] = 2
-                bp_rows.append((cc, t[cc].copy(), x[cc].copy(), s[cc].copy()))
-                jj = jj[~at_center]
-                ii = ii[~at_center]
-            if len(ii):
-                k = which[jj]
-                side = np.sum(d[jj] * n_J[k], axis=1)
-                far = np.where(side[:, None] < 0.0, m_plus[k], m_minus[k])
-                s_new, dmu, crossed = jump_rule(theta_J[k], far, s[ii])
-                refl = ~crossed
-                if refl.any():
-                    rr = np.flatnonzero(refl)
-                    mu[ii[rr]] += dmu[rr]
-                    ev_rows.append((ii[rr], t[ii[rr]].copy(),
-                                    x[ii[rr]].copy(), dmu[rr], k[rr],
-                                    np.sign(side[rr]), s_new[rr]))
-                    s[ii[rr]] = s_new[rr]
-                    fresh = ii[rr]
-                    bp_rows.append((ii[rr], t[ii[rr]].copy(),
-                                    x[ii[rr]].copy(), s_new[rr]))
-                if crossed.any():
-                    aa = np.flatnonzero(crossed)
-                    cross_rows.append((ii[aa], t[ii[aa]].copy(),
-                                       x[ii[aa]].copy(), k[aa],
-                                       np.sign(side[aa]), s[ii[aa]].copy()))
+        # what each step ends on: the horizon (0), the boundary (1), the
+        # hub, where all spokes meet (2), or another jump point (-1)
+        code = np.where(u_cap <= np.minimum(u_exit, u_seg), 0,
+                        np.where(u_exit <= u_seg, 1, -1)).astype(np.int8)
+        jj = np.flatnonzero(code < 0)
+        ii = idx[jj]
+        at_hub = np.hypot(x[ii, 0] - J.hub[0], x[ii, 1] - J.hub[1]) < 1e-9
+        code[jj[at_hub]] = 2
+        end = code >= 0
+        alive[idx[end]] = False
+        term[idx[end]] = code[end]
+        jj, ii = jj[~at_hub], ii[~at_hub]
+        k = which[jj]
+        side = np.sum(d[jj] * J.normal[k], axis=1)
+        far = np.where(side[:, None] < 0.0, J.m_plus[k], J.m_minus[k])
+        s_new, dmu, crossed = jump_rule(J.theta[k], far, s[ii])
+        rr, aa = np.flatnonzero(~crossed), np.flatnonzero(crossed)
+        mu[ii[rr]] += dmu[rr]
+        s[ii[rr]] = s_new[rr]
+        fresh = ii[rr]
+        side = np.sign(side)
+        steps.append(dict(
+            curve=ii[rr], t=t[ii[rr]], xy=x[ii[rr]], mu=dmu[rr], seg=k[rr],
+            side=side[rr], s_out=s_new[rr], cross_curve=ii[aa],
+            cross_t=t[ii[aa]], cross_xy=x[ii[aa]], cross_seg=k[aa],
+            cross_side=side[aa], cross_s=s_new[aa]))
     else:
         raise RuntimeError("runaway batch: event cap exceeded")
-    return mu, death, term, ev_rows, cross_rows, bp_rows
+    # popping frees each step's parts as its column is joined
+    return mu, t, term, {k: np.concatenate([empty] + [p.pop(k) for p in steps])
+                         for k, empty in _EVENT_COLUMNS.items()}
 
 
 def _interior_starts(field: UnitField, count, rng):
@@ -419,8 +392,43 @@ def _pool_init(field, T, seed, table):
     _POOL_ARGS = (T, seed, table)
 
 
-def _run_batch(job):
-    batch_idx, kind, count = job
+def _trace_curves(field: UnitField, X, S, T0, T) -> dict:
+    """Trace curves from points X, directions S and times T0 to the
+    horizon T.  Returns the named per-curve columns start_x, start_s,
+    birth_t, mu_total, death_t, termination, end_x and end_s, and under
+    'events' the curves' event columns."""
+    x, s, t = X.copy(), S.copy(), T0.copy()
+    mu, death, term, events = _advance_batch(field, x, s, t, T)
+    return dict(start_x=X, start_s=S, birth_t=T0, mu_total=mu,
+                death_t=death, termination=term, end_x=x, end_s=s,
+                events=events)
+
+
+def _breakpoints(curves: dict):
+    """Breakpoint rows (offsets, t, x, s) of _trace_curves' columns: per
+    curve its birth, its reflections in time order, then its end state.
+
+    A curve's direction changes only at reflections, so these rows are its
+    polyline.  The sort on (curve, time) is stable, so a reflection at a
+    curve's birth or end time stays between the two.
+    """
+    ev = curves["events"]
+    every = np.arange(len(curves["birth_t"]))
+    bc = np.concatenate([every, ev["curve"], every])
+    bt = np.concatenate([curves["birth_t"], ev["t"], curves["death_t"]])
+    bx = np.concatenate([curves["start_x"], ev["xy"], curves["end_x"]])
+    bs = np.concatenate([curves["start_s"], ev["s_out"], curves["end_s"]])
+    order = np.lexsort((bt, bc))
+    counts = np.bincount(bc, minlength=len(every))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return offsets, bt[order], bx[order], bs[order]
+
+
+def _run_batch(job) -> dict:
+    """_trace_curves' columns, plus birth_param, for the batch whose curves
+    start at index first of the ensemble; its event columns index the
+    ensemble's curves."""
+    batch_idx, kind, first, count = job
     field = _POOL_FIELD
     T, seed, table = _POOL_ARGS
     rng = np.random.Generator(np.random.Philox(
@@ -431,24 +439,29 @@ def _run_batch(job):
         SB = np.full(count, np.nan)
     else:
         X, S, T0, SB = _boundary_starts(field, count, T, rng, table)
-    mu, death, term, ev_rows, cross_rows, bp_rows = _advance_batch(
-        field, X.copy(), S.copy(), T0.copy(), T)
-    return (batch_idx, X, S, T0, SB, mu, death, term,
-            ev_rows, cross_rows, bp_rows)
+    out = _trace_curves(field, X, S, T0, T)
+    out["events"]["curve"] += first
+    out["events"]["cross_curve"] += first
+    out["birth_param"] = SB
+    return out
 
 
 def sample_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
     """Sample and trace the full weighted ensemble.
 
     Batches use counter-based streams keyed (seed, batch index) and are
-    reduced in batch order, so the result does not depend on `workers`.
+    concatenated in batch order, so the result does not depend on
+    `workers`.  Each batch's per-curve and event columns are joined by
+    name, and the breakpoint rows are built once from the joined births,
+    reflection events and end states.
     """
     if workers < 1:
         raise ValueError("need workers >= 1")
     field = spec.field
     T = spec.horizon
     rate = boundary_influx_rate(field)
-    w_int = em_mass(field) / spec.interior_count if spec.interior_count else 0.0
+    n_int = spec.interior_count
+    w_int = em_mass(field) / n_int if n_int else 0.0
 
     n_b = 0
     if spec.boundary_rate > 0:
@@ -458,93 +471,37 @@ def sample_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
     w_b = 1.0 / spec.boundary_rate if spec.boundary_rate > 0 else 0.0
     table = _birth_table(field) if n_b else None
 
-    jobs = []
-    batch_idx = 0
-    for kind, count in ((0, spec.interior_count), (1, n_b)):
-        done = 0
-        while done < count:
-            nb = min(BATCH, count - done)
-            jobs.append((batch_idx, kind, nb))
-            done += nb
-            batch_idx += 1
+    # (kind, first curve, count) per batch, interior batches first; an
+    # empty ensemble runs one empty batch, which types its columns
+    jobs = [(0, first, min(BATCH, n_int - first))
+            for first in range(0, n_int, BATCH)]
+    jobs += [(1, n_int + done, min(BATCH, n_b - done))
+             for done in range(0, n_b, BATCH)]
+    jobs = [(i,) + job for i, job in enumerate(jobs or [(0, 0, 0)])]
 
     if workers > 1 and len(jobs) > 1:
         ctx = mp.get_context("fork")
         with ctx.Pool(workers, initializer=_pool_init,
                       initargs=(field, T, spec.seed, table)) as pool:
             outs = pool.map(_run_batch, jobs)
-        outs.sort(key=lambda o: o[0])
     else:
         _pool_init(field, T, spec.seed, table)
         outs = [_run_batch(j) for j in jobs]
 
-    n_total = spec.interior_count + n_b
-    weights = np.empty(n_total)
-    birth_t = np.empty(n_total)
-    start_x = np.empty((n_total, 2))
-    start_s = np.empty(n_total)
-    birth_param = np.empty(n_total)
-    mu_total = np.empty(n_total)
-    death_t = np.empty(n_total)
-    term = np.empty(n_total, dtype=np.int8)
-    ev_parts, cross_parts, bp_parts = [], [], []
-    pos = 0
-    for (bi, X, S, T0, SB, mu, death, tr, ev_rows, cross_rows,
-         bp_rows) in outs:
-        nb = len(S)
-        sl = slice(pos, pos + nb)
-        kind = jobs[bi][1]
-        weights[sl] = w_int if kind == 0 else w_b
-        birth_t[sl] = T0
-        start_x[sl] = X
-        start_s[sl] = S
-        birth_param[sl] = SB
-        mu_total[sl] = mu
-        death_t[sl] = death
-        term[sl] = tr
-        for r in ev_rows:
-            ev_parts.append((r[0] + pos,) + r[1:])
-        for r in cross_rows:
-            cross_parts.append((r[0] + pos,) + r[1:])
-        for r in bp_rows:
-            bp_parts.append((r[0] + pos,) + r[1:])
-        pos += nb
-
-    def _cat(parts, j, shape, dtype=float):
-        if parts:
-            return np.concatenate([p[j] for p in parts]).astype(dtype, copy=False)
-        return np.zeros(shape, dtype=dtype)
-
-    events = {
-        "curve": _cat(ev_parts, 0, 0, int), "t": _cat(ev_parts, 1, 0),
-        "xy": _cat(ev_parts, 2, (0, 2)), "mu": _cat(ev_parts, 3, 0),
-        "seg": _cat(ev_parts, 4, 0, int), "side": _cat(ev_parts, 5, 0),
-        "s_out": _cat(ev_parts, 6, 0),
-        "cross_curve": _cat(cross_parts, 0, 0, int),
-        "cross_t": _cat(cross_parts, 1, 0),
-        "cross_xy": _cat(cross_parts, 2, (0, 2)),
-        "cross_seg": _cat(cross_parts, 3, 0, int),
-        "cross_side": _cat(cross_parts, 4, 0),
-        "cross_s": _cat(cross_parts, 5, 0),
-    }
-
-    # breakpoint polylines: birth row + recorded direction changes/deaths,
-    # sorted per curve by time
-    bc = np.concatenate([np.arange(n_total), _cat(bp_parts, 0, 0, int)])
-    bt = np.concatenate([birth_t, _cat(bp_parts, 1, 0)])
-    bx = np.concatenate([start_x, _cat(bp_parts, 2, (0, 2))])
-    bs = np.concatenate([start_s, _cat(bp_parts, 3, 0)])
-    order = np.lexsort((bt, bc))
-    bc, bt, bx, bs = bc[order], bt[order], bx[order], bs[order]
-    counts = np.bincount(bc, minlength=n_total)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-
+    cols = {k: np.concatenate([o[k] for o in outs])
+            for k in outs[0] if k != "events"}
+    cols["events"] = {k: np.concatenate([o["events"][k] for o in outs])
+                      for k in outs[0]["events"]}
+    del outs  # the joined columns hold everything; free the batch parts
+    offsets, bt, bx, bs = _breakpoints(cols)
     return EnsembleResult(
-        spec=spec, weights=weights, birth_t=birth_t, death_t=death_t,
-        mu_total=mu_total, termination=term, start_x=start_x,
-        start_s=start_s, birth_param=birth_param, events=events,
+        spec=spec, weights=np.repeat([w_int, w_b], [n_int, n_b]),
+        birth_t=cols["birth_t"], death_t=cols["death_t"],
+        mu_total=cols["mu_total"], termination=cols["termination"],
+        start_x=cols["start_x"], start_s=cols["start_s"],
+        birth_param=cols["birth_param"], events=cols["events"],
         bp_offsets=offsets, bp_t=bt, bp_x=bx, bp_s=bs,
-        n_interior=spec.interior_count, influx_rate=rate)
+        n_interior=n_int, influx_rate=rate)
 
 
 def states_at(result: EnsembleResult, t: float):

@@ -98,7 +98,7 @@ def check_main2(curve: BoundaryCurve, unit_field) -> StabilityReport:
     """Both sides of the center-deviation estimate for one configuration."""
     if unit_field.domain is not curve:
         raise ValueError("field must live on the given curve")
-    center = best_circle_center(curve, objective="normal_deviation")
+    center = best_circle_center(curve)
     lhs = normal_deviation(curve, center)
     haus = hausdorff_to_circle(curve, center)
     if not bool(curve.inside(center[None, :])[0]):
@@ -142,7 +142,7 @@ def sharpness_sweep(n_list: Sequence[int],
     for n in ns:
         curve = make_rounded_ngon(n)
         f = fields.distgrad_field(curve)
-        center = best_circle_center(curve, objective="normal_deviation")
+        center = best_circle_center(curve)
         lhs = normal_deviation(curve, center)
         nu = kinetic.nu_total(f, cost_kind).nu_total
         rows.append({

@@ -339,6 +339,53 @@ def ellipse_nearest_dist(piece, pts):
         th, nodes, loc)
 
 
+def _ellipse_dist_first_quadrant(a, b, x, y):
+    """Distance from (x, y), x, y >= 0, to the ellipse with semiaxes a >= b
+    along x and y, by Eberly's bisection on the Lagrange multiplier.  In
+    units of b^2 the multiplier is u - 1: the foot is (r x / (u - 1 + r),
+    y / u) with r = (a / b)^2, and u is the root of (r x / a / (u - 1 +
+    r))^2 + (y / b / u)^2 = 1, bisected until the midpoint repeats an end.
+    Bisecting u, not u - 1, keeps its digits near the x axis, where u is
+    tiny.  On either axis the foot is in closed form."""
+    if y > 0.0:
+        if x == 0.0:
+            return abs(y - b)
+        z0, z1 = x / a, y / b
+        g = z0 * z0 + z1 * z1 - 1.0
+        if g == 0.0:
+            return 0.0
+        r = (a / b) ** 2
+        n0 = r * z0
+        lo, hi = z1, (math.hypot(n0, z1) if g > 0.0 else 1.0)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            f = (n0 / (mid - 1.0 + r)) ** 2 + (z1 / mid) ** 2 - 1.0
+            if f == 0.0:
+                break
+            lo, hi = (mid, hi) if f > 0.0 else (lo, mid)
+        return math.hypot(r * x / (mid - 1.0 + r) - x, y / mid - y)
+    if a * x < a * a - b * b:  # inside the evolute: the foot leaves the axis
+        u = a * x / (a * a - b * b)
+        return math.hypot(a * u - x, b * math.sqrt(1.0 - u * u))
+    return abs(x - a)
+
+
+def ellipse_dist_by_bisection(piece, pts):
+    """Distance from points to an ellipse piece, from its semiaxes, rotation
+    and centre alone: each point folds into the first quadrant of the
+    ellipse frame and _ellipse_dist_first_quadrant measures it there."""
+    a, b = piece.a, piece.b
+    c, s = math.cos(piece.rotation), math.sin(piece.rotation)
+    rel = np.asarray(pts, dtype=float) - piece.center
+    loc = np.abs(np.column_stack([rel[:, 0] * c + rel[:, 1] * s,
+                                  rel[:, 1] * c - rel[:, 0] * s]))
+    if a < b:
+        a, b, loc = b, a, loc[:, ::-1]
+    return np.array([_ellipse_dist_first_quadrant(a, b, x, y) for x, y in loc])
+
+
 def spline_nearest_dist(piece, pts):
     """golden_nearest_dist on a spline piece from its dense polyline."""
     return golden_nearest_dist(

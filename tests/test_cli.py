@@ -476,6 +476,7 @@ for argv in (["defect-integral", "--curve", "rounded_ngon:n=8", "--nodes", "8"],
 ellipse = cli.parse_curve_spec("ellipse:aspect=1.3")
 max_inscribed_disk(ellipse)
 cli.build_field(ellipse, None)
+ellipse.dist_to_boundary([[0.3, 0.1], [2.0, -1.0]])
 loaded = [m for m in heavy if m in sys.modules]
 assert not loaded, loaded
 for argv in (["defect", "--curve", "ellipse:aspect=1.3",
@@ -488,8 +489,9 @@ for argv in (["defect", "--curve", "ellipse:aspect=1.3",
 
 def test_bulk_commands_import_no_scipy_solvers(tmp_path):
     # the n-gon's integral and energy, and the ellipse's arc-length map,
-    # inscribed disk and field, need none of scipy's solvers,
-    # interpolators or trees; the commands that do import them on call
+    # inscribed disk, field and boundary distance, need none of scipy's
+    # solvers, interpolators or trees; the commands that do import them on
+    # call
     from _domains import blob_points
 
     points = tmp_path / "blob.csv"
@@ -543,3 +545,43 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "gen-domain: ok" in proc.stdout
     assert load(out)["command"] == "gen-domain"
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # perfbench wraps these names from outside the package and its set-up
+    # calls these functions; a refactor that moves one would otherwise
+    # fail only inside the benchmark
+    import importlib
+    from pathlib import Path
+
+    from eikstab import lagrangian
+    from eikstab.fields import distgrad_field
+    from eikstab.geometry import make_rounded_ngon, max_inscribed_disk
+    from eikstab.geometry.curve import BoundaryCurve
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    from tracer import FUNCTIONS, METHODS, Tracer
+    from workloads import WORKLOADS
+
+    for modname, attr, _ in FUNCTIONS.values():
+        assert callable(getattr(importlib.import_module(modname), attr)), attr
+    for _, attr, _ in METHODS:
+        assert callable(BoundaryCurve.__dict__.get(attr)), attr
+    for workload in WORKLOADS.values():
+        for cmd in workload.commands("smoke", 0):
+            if cmd.setup_curve is not None:
+                curve = cli.parse_curve_spec(cmd.setup_curve)
+                max_inscribed_disk(curve)
+                cli.build_field(curve, None)
+
+    ens = lagrangian.sample_ensemble(lagrangian.balanced_spec(
+        distgrad_field(make_rounded_ngon(8)), 300, seed=2))
+    tracer = Tracer()
+    tracer._on_ensemble(ens)
+    counts = tracer.counts[tracer.run_id]
+    assert counts["curves"] == ens.n_curves
+    assert counts["reflections"] == len(ens.events["t"]) > 0
+    assert counts["crossings"] == len(ens.events["cross_t"]) > 0
+    assert (counts["term_horizon"] + counts["term_boundary"]
+            + counts["term_center"]) == ens.n_curves

@@ -22,8 +22,9 @@ from eikstab.geometry import (
 from eikstab.fields import distgrad_field, jump_distance
 from eikstab.geometry.pieces import ArcPiece, SegmentPiece
 from _domains import blob_points, dumbbell_curve
-from _oracles import (ellipse_arclength, ellipse_nearest_dist, first_exit,
-                      ngon_gap_by_sector, ngon_signed_gap, sector_by_np_mod,
+from _oracles import (ellipse_arclength, ellipse_dist_by_bisection,
+                      ellipse_nearest_dist, first_exit, ngon_gap_by_sector,
+                      ngon_signed_gap, sector_by_np_mod,
                       sector_off_spokes_by_rows, spline_nearest_dist)
 
 TWO_PI = 2.0 * math.pi
@@ -218,11 +219,13 @@ def test_hausdorff_values():
 
 
 def test_best_circle_center_recovers_shift():
+    from eikstab.stability import normal_deviation
+
     pts = blob_points() + np.array([0.15, -0.07])
     curve = make_spline_curve(pts)
     center = best_circle_center(curve)
-    hc = hausdorff_to_circle(curve, center)
-    assert hc <= hausdorff_to_circle(curve, curve.centroid()) + 1e-12
+    dev = normal_deviation(curve, center)
+    assert dev <= normal_deviation(curve, curve.centroid()) + 1e-12
 
 
 def test_star_region_circle_full():
@@ -584,6 +587,32 @@ def test_ellipse_nearest_dist_matches_golden_oracle(curve):
     P = _ellipse_probe_points(piece, np.random.default_rng(5))
     err = np.abs(piece.nearest_dist(P) - ellipse_nearest_dist(piece, P))
     assert err.max() < 1e-12
+
+
+@pytest.mark.parametrize("curve", [
+    make_ellipse(1.05), make_ellipse(1.3), make_ellipse(2.0), make_ellipse(4.0),
+    make_ellipse(4.0, rotation=0.4, center=(0.1, -0.2))], ids=lambda c: c.spec)
+def test_ellipse_nearest_dist_matches_bisection_oracle(curve):
+    # the oracle bisects the Lagrange multiplier of the foot, sharing no
+    # step with the angle Newton of nearest_dist; besides the probe points,
+    # points within 1e-9 of the evolute, where the minimum is nearly flat,
+    # and points just off the major axis inside the evolute
+    piece = curve.pieces[0]
+    rng = np.random.default_rng(8)
+    a, b = piece.a, piece.b
+    t = rng.uniform(0.0, TWO_PI, 300)
+    evolute = np.column_stack([(a * a - b * b) / a * np.cos(t) ** 3,
+                               (b * b - a * a) / b * np.sin(t) ** 3])
+    local = np.vstack([
+        evolute * (1.0 + rng.normal(0.0, 1e-9, (300, 1))),
+        np.column_stack([rng.uniform(-1.0, 1.0, 300) * (a * a - b * b) / a,
+                         10.0 ** rng.uniform(-15.0, -3.0, 300)])])
+    c, s = math.cos(piece.rotation), math.sin(piece.rotation)
+    P = np.vstack([_ellipse_probe_points(piece, rng), piece.center
+                   + np.column_stack([local[:, 0] * c - local[:, 1] * s,
+                                      local[:, 0] * s + local[:, 1] * c])])
+    err = np.abs(curve.dist_to_boundary(P) - ellipse_dist_by_bisection(piece, P))
+    assert err.max() < 1e-13
 
 
 @pytest.mark.parametrize("curve", [make_spline_curve(blob_points()),

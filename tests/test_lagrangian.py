@@ -243,7 +243,7 @@ def _engine_vs_reference(field, rng, T):
         X.append(x)
         S.append(s)
     X, S = np.array(X), np.array(S)
-    mu, death, term, _, _, _ = lag._advance_batch(
+    mu, death, term, _ = lag._advance_batch(
         field, X.copy(), S.copy(), np.zeros(len(S)), T)
     names = {0: "time-horizon", 1: "boundary", 2: "center"}
     for i in range(len(S)):
@@ -450,3 +450,41 @@ def test_trajectory_table(ngon8_field):
     assert np.all(np.diff(ids) >= 0)
     n0 = res.bp_offsets[1] - res.bp_offsets[0]
     assert int((ids == 0).sum()) == n0
+
+
+def test_breakpoints_are_birth_reflections_end(ngon8_field):
+    # each curve's rows: its birth, its reflection events in time order,
+    # then its end state at death_t; each reflection is stored once
+    res = lag.sample_ensemble(lag.balanced_spec(ngon8_field, 4000, seed=31))
+    ev, n = res.events, res.n_curves
+    assert len(res.bp_t) == 2 * n + len(ev["t"])
+    assert np.array_equal(np.diff(res.bp_offsets),
+                          2 + np.bincount(ev["curve"], minlength=n))
+    first, last = res.bp_offsets[:-1], res.bp_offsets[1:] - 1
+    assert np.array_equal(res.bp_t[first], res.birth_t)
+    assert np.array_equal(res.bp_x[first], res.start_x)
+    assert np.array_equal(res.bp_s[first], res.start_s)
+    assert np.array_equal(res.bp_t[last], res.death_t)
+    inner = np.ones(len(res.bp_t), dtype=bool)
+    inner[first] = inner[last] = False
+    order = np.lexsort((ev["t"], ev["curve"]))
+    assert np.array_equal(res.bp_t[inner], ev["t"][order])
+    assert np.array_equal(res.bp_x[inner], ev["xy"][order])
+    assert np.array_equal(res.bp_s[inner], ev["s_out"][order])
+    curve_of_row = np.repeat(np.arange(n), np.diff(res.bp_offsets))
+    same = curve_of_row[1:] == curve_of_row[:-1]
+    assert np.all(np.diff(res.bp_t)[same] >= 0.0)
+    assert np.allclose(np.bincount(ev["curve"], weights=ev["mu"], minlength=n),
+                       res.mu_total, rtol=1e-14, atol=0.0)
+
+    # trace() runs a batch of one curve and gives the ensemble's rows
+    interior = np.flatnonzero(np.isnan(res.birth_param))
+    for i in interior[np.argsort(-np.diff(res.bp_offsets)[interior])[:5]]:
+        tr = lag.trace(ngon8_field, res.start_x[i], res.start_s[i],
+                       t0=res.birth_t[i], T=res.spec.horizon)
+        rows = slice(res.bp_offsets[i], res.bp_offsets[i + 1])
+        assert [t for t, _, _ in tr.breakpoints] == list(res.bp_t[rows])
+        assert np.array_equal(np.array([x for _, x, _ in tr.breakpoints]),
+                              res.bp_x[rows])
+        assert [s for _, _, s in tr.breakpoints] == list(res.bp_s[rows])
+        assert tr.t_plus == res.death_t[i] and tr.mu == res.mu_total[i]

@@ -48,7 +48,7 @@ def test_ngon_center_zero_slope():
 def test_minimizer_ordering():
     curve = make_rounded_ngon(12)
     from eikstab.geometry.circlefit import best_circle_center
-    best = best_circle_center(curve, objective="normal_deviation")
+    best = best_circle_center(curve)
     d_best = st.normal_deviation(curve, best)
     d_centroid = st.normal_deviation(curve, curve.centroid())
     assert d_best <= d_centroid + 1e-12
