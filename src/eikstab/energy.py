@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -23,7 +22,6 @@ class GridField:
     h: float
     values: np.ndarray   # (n, n, 3), first index along x
     mask: np.ndarray     # (n, n) bool, cell centers inside the domain
-    meta: Dict
 
     def __post_init__(self):
         if self.values.shape != (self.n, self.n, 3):
@@ -58,19 +56,17 @@ class EnergyBreakdown:
             raise ValueError("total must equal the sum of the terms")
 
 
-def _square_box(curve, pad: float):
-    x0, x1, y0, y1 = curve.bbox()
-    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    half = 0.5 * max(x1 - x0, y1 - y0) * (1.0 + 2.0 * pad)
-    return (cx - half, cx + half, cy - half, cy + half)
-
-
-def raster_field(field: UnitField, grid_n: int, pad: float = 0.5) -> GridField:
-    """Sample the field (analytically extended) on a padded square grid."""
+def raster_field(field: UnitField, grid_n: int) -> GridField:
+    """Sample the field (analytically extended) on a square grid: the
+    domain's bounding box made square and padded by half its side at each
+    end."""
     if grid_n < 1:
         raise ValueError("need grid_n >= 1 cells per side")
     curve = field.domain
-    box = _square_box(curve, pad)
+    x0, x1, y0, y1 = curve.bbox()
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    half = max(x1 - x0, y1 - y0)
+    box = (cx - half, cx + half, cy - half, cy + half)
     h = (box[1] - box[0]) / grid_n
     fx = box[0] + h * (np.arange(grid_n) + 0.5)
     fy = box[2] + h * (np.arange(grid_n) + 0.5)
@@ -83,12 +79,11 @@ def raster_field(field: UnitField, grid_n: int, pad: float = 0.5) -> GridField:
         i1 = min(i0 + block, grid_n)
         P = np.stack(np.meshgrid(fx[i0:i1], fy, indexing="ij"),
                      axis=-1).reshape(-1, 2)
-        m, _ = eval_many(field, P, extend=True)
+        m, _ = eval_many(field, P)
         values[i0:i1, :, 0] = m[:, 0].reshape(i1 - i0, grid_n)
         values[i0:i1, :, 1] = m[:, 1].reshape(i1 - i0, grid_n)
         mask[i0:i1, :] = curve.inside(P).reshape(i1 - i0, grid_n)
-    return GridField(bbox=box, n=grid_n, h=h, values=values, mask=mask,
-                     meta={"pad": pad, "field_kind": field.kind})
+    return GridField(bbox=box, n=grid_n, h=h, values=values, mask=mask)
 
 
 def _bump_kernel(grid: GridField, eps: float) -> np.ndarray:
@@ -103,17 +98,15 @@ def _bump_kernel(grid: GridField, eps: float) -> np.ndarray:
     return w / w.sum()
 
 
-def mollify_field(field: UnitField, eps: float, grid_n: int,
-                  pad: float = 0.5) -> GridField:
+def mollify_field(field: UnitField, eps: float, grid_n: int) -> GridField:
     """Rasterize and convolve with a smooth bump of width eps; m3 = 0."""
-    grid = raster_field(field, grid_n, pad=pad)
+    grid = raster_field(field, grid_n)
     if eps < 4.0 * grid.h:
         raise ValueError("mollification width under-resolved: eps < 4h")
     ker = np.fft.rfft2(_bump_kernel(grid, eps))
     for c in range(2):
         grid.values[:, :, c] = np.fft.irfft2(
             np.fft.rfft2(grid.values[:, :, c]) * ker, s=(grid.n, grid.n))
-    grid.meta["eps"] = eps
     return grid
 
 

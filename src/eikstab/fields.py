@@ -159,7 +159,7 @@ class UnitField:
     def boundary_trace(self, s) -> np.ndarray:
         """Sign of m . tau at the boundary parameters s (m = +-tau there)."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        m, _ = eval_many(self, self.domain.point(s), extend=True)
+        m, _ = eval_many(self, self.domain.point(s))
         return np.sign(np.sum(m * self.domain.tangent(s), axis=-1))
 
 
@@ -211,13 +211,13 @@ def _vortex_rule(rx, ry, nu, alpha):
     return alpha * -(ry / nu), alpha * (rx / nu)
 
 
-def eval_many(field: UnitField, pts, extend: bool = False):
+def eval_many(field: UnitField, pts):
     """Vectorized evaluation: returns (values (n,2), region ids (n,)).
 
-    A region id indexes field.regions.  With extend=True the region
-    formulas are evaluated on all of the plane (no inside or jump-set
-    checks).  There the centre of a full patch gets a zero vector, while
-    the centre of a windowed patch keeps the value of its strip.
+    A region id indexes field.regions.  The region formulas are evaluated
+    on all of the plane, without inside or jump-set checks (field_eval
+    makes them).  The centre of a full patch gets a zero vector, while the
+    centre of a windowed patch keeps the value of its strip.
 
     The work is on x/y planes with 1-D table gathers: every point gets its
     sector and strip value, then for each patch it may lie in (the patches
@@ -226,12 +226,6 @@ def eval_many(field: UnitField, pts, extend: bool = False):
     the window's hits only, the second patch's hits overwriting the first's.
     """
     X = np.atleast_2d(np.asarray(pts, dtype=float))
-    if not extend:
-        if not np.all(field.domain.inside(X)):
-            raise ValueError("evaluation point outside the domain")
-        d = jump_distance(field, X)
-        if d.size and d.min() <= 1e-12:
-            raise OnJumpError("point on the jump set; use the traces")
     tab = field._region_table
     x, y = X[:, 0], X[:, 1]
     n_strips = len(tab.sx)
@@ -248,8 +242,6 @@ def eval_many(field: UnitField, pts, extend: bool = False):
         near = (0,)  # the one full patch, for every point
     for k in near:
         rx, ry = x - tab.cx[k], y - tab.cy[k]
-        if not extend and np.any(np.hypot(rx, ry) <= 1e-12):
-            raise OnJumpError("vortex center; value undefined")
         hit = np.flatnonzero(np.abs(wrap_pi(np.arctan2(ry, rx) - tab.axis[k]))
                              <= tab.limit[k])
         rx, ry = rx[hit], ry[hit]
@@ -264,8 +256,17 @@ def eval_many(field: UnitField, pts, extend: bool = False):
 
 
 def field_eval(field: UnitField, x) -> np.ndarray:
-    """Exact field value at one strictly interior, off-jump point."""
-    v, _ = eval_many(field, np.asarray(x, dtype=float)[None, :])
+    """Exact field value at one strictly interior point, 1e-12 or more from
+    the jump set and the patch centres (ValueError, OnJumpError)."""
+    X = np.asarray(x, dtype=float)[None, :]
+    if not field.domain.inside(X)[0]:
+        raise ValueError("evaluation point outside the domain")
+    if jump_distance(field, X)[0] <= 1e-12:
+        raise OnJumpError("point on the jump set; use the traces")
+    tab = field._region_table
+    if np.any(np.hypot(X[0, 0] - tab.cx, X[0, 1] - tab.cy) <= 1e-12):
+        raise OnJumpError("vortex center; value undefined")
+    v, _ = eval_many(field, X)
     return v[0]
 
 
@@ -357,7 +358,26 @@ def circle_cut_angles(field: UnitField, center, radius: float,
     return np.unique(np.asarray(cuts))
 
 
-def flux_probe(field: UnitField, center, radius: float, order: int = 64) -> float:
+def split_circle_flux(field: UnitField, center, radius: float, value,
+                      extra_segments=()) -> float:
+    """Flux of value(m) through a circle, value mapping (k, 2) field values
+    to (k, 2) vectors: 64-point Gauss-Legendre on each arc between the cuts
+    of circle_cut_angles (with extra_segments), where it is smooth."""
+    cuts = circle_cut_angles(field, center, radius, extra_segments)
+    xg, wg = np.polynomial.legendre.leggauss(64)
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b - a < 1e-14:
+            continue
+        th = 0.5 * (a + b) + 0.5 * (b - a) * xg
+        nrm = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        vals, _ = eval_many(field, center + radius * nrm)
+        total += 0.5 * (b - a) * radius * float(
+            np.sum(wg * np.sum(value(vals) * nrm, axis=1)))
+    return total
+
+
+def flux_probe(field: UnitField, center, radius: float) -> float:
     """Flux of m through a circle, splitting the quadrature at jump crossings.
 
     The circle must lie inside the domain; crossing jump segments is fine
@@ -368,17 +388,7 @@ def flux_probe(field: UnitField, center, radius: float, order: int = 64) -> floa
     ring = center + radius * np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
     if not np.all(field.domain.inside(ring)):
         raise ValueError("probe circle leaves the domain")
-    cuts = circle_cut_angles(field, center, radius)
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a < 1e-14:
-            continue
-        th = 0.5 * (a + b) + 0.5 * (b - a) * xg
-        nrm = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        vals, _ = eval_many(field, center + radius * nrm, extend=True)
-        total += 0.5 * (b - a) * radius * float(np.sum(wg * np.sum(vals * nrm, axis=1)))
-    return total
+    return split_circle_flux(field, center, radius, lambda m: m)
 
 
 def l4_vortex_deviation(field: UnitField, center, alpha: int,
@@ -396,7 +406,7 @@ def l4_vortex_deviation(field: UnitField, center, alpha: int,
     P = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
     keep = field.domain.inside(P)
     P = P[keep]
-    m, _ = eval_many(field, P, extend=True)
+    m, _ = eval_many(field, P)
     rx, ry = P[:, 0] - center[0], P[:, 1] - center[1]
     nu = np.hypot(rx, ry)
     ok = nu > 1e-12

@@ -6,9 +6,9 @@ import numpy as np
 from .curve import BoundaryCurve
 
 
-def _is_star_shaped_about(curve: BoundaryCurve, center, samples: int = 2048) -> bool:
-    """Strict star-shapedness: n(x) . (x - c) > 0 along the boundary."""
-    s = np.linspace(0.0, curve.perimeter, samples, endpoint=False)
+def _is_star_shaped_about(curve: BoundaryCurve, center) -> bool:
+    """Strict star-shapedness: n(x) . (x - c) > 0 at 2048 boundary points."""
+    s = np.linspace(0.0, curve.perimeter, 2048, endpoint=False)
     g = curve.point(s)
     n = curve.normal(s)
     rel = g - np.asarray(center, dtype=float)

@@ -1,13 +1,13 @@
 """Closed boundary curves with exact arc-length parametrization.
 
 A :class:`BoundaryCurve` is a counterclockwise piecewise-analytic closed
-curve of total length 2*pi.  Supported families:
+curve of total length 2*pi.  Supported families, by constructor:
 
-* ``circle``        - the unit circle (optionally translated),
-* ``ellipse``       - axis ratio ``aspect``, perimeter-normalized,
-* ``rounded_ngon``  - convex hull of n congruent disks centered on the
+* ``make_circle``        - the unit circle (optionally translated),
+* ``make_ellipse``       - axis ratio ``aspect``, perimeter-normalized,
+* ``make_rounded_ngon``  - convex hull of n congruent disks centered on the
   vertices of a regular n-gon, rescaled to perimeter 2*pi,
-* ``spline``        - periodic C^2 spline through user samples.
+* ``make_spline_curve``  - periodic C^2 spline through user samples.
 
 The parametrization satisfies |g'| = 1 (exactly for the analytic families,
 to interpolation accuracy ~1e-6 for splines; spline tangents are
@@ -16,7 +16,7 @@ renormalized to unit length on evaluation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import SimpleNamespace
 from typing import Optional
@@ -95,9 +95,12 @@ def _table(pieces, names) -> SimpleNamespace:
 class BoundaryCurve:
     """Closed ccw boundary curve, arc-length parametrized on [0, 2*pi).
 
+    ``medial_star`` alone decides the family: without it the curve is one
+    piece, which answers containment, distance and ray exits itself; with
+    it the curve is the rounded n-gon, described by the star and its arcs.
+
     Attributes
     ----------
-    kind : one of ``circle``, ``ellipse``, ``rounded_ngon``, ``spline``.
     pieces : analytic pieces in traversal order: one piece, or with a
         medial star the rounded n-gon's arc k and side k as pieces 2k and
         2k + 1.
@@ -105,9 +108,8 @@ class BoundaryCurve:
     curvature_bound : max |curvature| over the curve.
     param_offset : shift applied to the public parameter; geometry is
         invariant under it, which reparametrization tests exploit.
-    meta : family-specific payload (centers, axes, vertex data, ...).
-    spec : canonical curve spec, ``kind[:key=value,...]``, as the command
-        line parses it.
+    spec : canonical curve spec, ``family[:key=value,...]``, as the command
+        line parses it; it names the family in reports.
     rotation_order : g such that the rotation by 2*pi/g about the
         centroid maps the curve onto itself and shifts the parameter by
         perimeter/g: n for the rounded n-gon, 2 for the ellipse, 1
@@ -117,13 +119,10 @@ class BoundaryCurve:
         (the rounded n-gon), else None.
     """
 
-    kind: str
     pieces: list
     perimeter: float
     curvature_bound: float
     param_offset: float = 0.0
-    orientation_ccw: bool = True
-    meta: dict = field(default_factory=dict)
     spec: str = ""
     rotation_order: int = 1
     medial_star: Optional[MedialStar] = None
@@ -148,20 +147,27 @@ class BoundaryCurve:
         """The inner polygon's vertex k, edge k (unit direction ex, ey and
         length) and edge k's outward normal and offset (nx, ny, apothem) as
         1-D arrays indexed by k: a query gathers one element per point.
-        Also the squared radii of the circles 1e-9 of the radius inside the
-        domain's inscribed circle and outside its circumscribed one."""
-        m = self.meta
-        v = self.medial_star.vertices
+        Also the arc radius r, the circumradius 2r, the inradius
+        r (1 + cos(half_width)), and the squared radii of the circles 1e-9
+        of the radius inside the inscribed circle and outside the
+        circumscribed one."""
+        star = self.medial_star
+        v = star.vertices
         edges = np.roll(v, -1, axis=0) - v
         elen = np.hypot(edges[:, 0], edges[:, 1])
         e = edges / elen[:, None]
-        nrm = m["side_normals"]
+        psi = star.axes + star.half_width
+        nrm = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
+        big = 2.0 * self._arcs.radius[0]
+        inradius = big * (1.0 + math.cos(star.half_width)) / 2.0
         return SimpleNamespace(vx=v[:, 0].copy(), vy=v[:, 1].copy(),
                                ex=e[:, 0].copy(), ey=e[:, 1].copy(), length=elen,
                                nx=nrm[:, 0].copy(), ny=nrm[:, 1].copy(),
-                               apothem=m["apothem"],
-                               inner2=(m["inradius"] * (1.0 - 1e-9)) ** 2,
-                               outer2=(m["circumradius"] * (1.0 + 1e-9)) ** 2)
+                               apothem=(v * nrm).sum(axis=1),
+                               arc_radius=self._arcs.radius[0],
+                               circumradius=big, inradius=inradius,
+                               inner2=(inradius * (1.0 - 1e-9)) ** 2,
+                               outer2=(big * (1.0 + 1e-9)) ** 2)
 
     # -- parametrization ------------------------------------------------
 
@@ -277,14 +283,9 @@ class BoundaryCurve:
 
     def inside(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind == "circle":
-            c = self.meta["center"]
-            return np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) < 1.0
-        if self.kind == "ellipse":
-            return self.pieces[0].implicit(pts) < 0.0
-        if self.kind == "rounded_ngon":
-            return self._ngon_gap(pts) < 0.0
-        return self.pieces[0].winding_inside(pts)
+        if self.medial_star is None:
+            return self.pieces[0].inside(pts)
+        return self._ngon_gap(pts) < 0.0
 
     def _ngon_gap(self, pts):
         """dist(x, inner polygon) - arc radius, against the polygon edge of
@@ -312,7 +313,7 @@ class BoundaryCurve:
         ex, ey = P.ex[k], P.ey[k]
         rx, ry = px - P.vx[k], py - P.vy[k]
         t = np.clip(rx * ex + ry * ey, 0.0, P.length[k])
-        gap[rim[out]] = np.hypot(rx - t * ex, ry - t * ey) - self.meta["arc_radius"]
+        gap[rim[out]] = np.hypot(rx - t * ex, ry - t * ey) - P.arc_radius
         return gap
 
     def dist_to_boundary(self, pts) -> np.ndarray:
@@ -402,7 +403,7 @@ class BoundaryCurve:
         rel = X - star.hub
         b = np.sum(rel * D, axis=1)
         rho2 = np.sum(rel * rel, axis=1)
-        big = self.meta["circumradius"]
+        big = self._polygon.circumradius
         t_far = -b + np.sqrt(np.maximum(b * b - (rho2 - big * big), 0.0))
         k = star.sector(X + t_far[:, None] * D)
         k1 = (k + 1) % n
@@ -417,7 +418,7 @@ class BoundaryCurve:
         redo = ~hit | (star.sector(X + np.where(hit, best, 0.0)[:, None] * D) != k)
         # an origin outside the inscribed circle may lie outside the domain,
         # where the first hit is an entry, not an exit
-        near_rim = rho2 > self.meta["inradius"] ** 2
+        near_rim = rho2 > self._polygon.inradius ** 2
         if near_rim.any():
             redo[near_rim] |= self._ngon_gap(X[near_rim]) > 0.0
         if redo.any():
@@ -428,7 +429,7 @@ class BoundaryCurve:
 # -- constructors --------------------------------------------------------
 
 
-def _spec(kind: str, rotation: float, **keys) -> str:
+def _spec(family: str, rotation: float, **keys) -> str:
     """Canonical spec; numbers print as %g when that reads back exactly,
     and a zero rotation is left out."""
     def num(x):
@@ -436,21 +437,14 @@ def _spec(kind: str, rotation: float, **keys) -> str:
 
     if rotation:
         keys["rotation"] = rotation
-    return kind + ":" + ",".join(f"{k}={num(v)}" for k, v in keys.items())
+    return family + ":" + ",".join(f"{k}={num(v)}" for k, v in keys.items())
 
 
 def make_circle(center=(0.0, 0.0)) -> BoundaryCurve:
     """Unit circle: the only radius compatible with perimeter 2*pi."""
-    center = np.asarray(center, dtype=float)
     piece = ArcPiece(center, 1.0, 0.0, TWO_PI)
-    return BoundaryCurve(
-        kind="circle",
-        pieces=[piece],
-        perimeter=TWO_PI,
-        curvature_bound=1.0,
-        meta={"center": center},
-        spec="circle",
-    )
+    return BoundaryCurve(pieces=[piece], perimeter=TWO_PI, curvature_bound=1.0,
+                         spec="circle")
 
 
 def make_ellipse(aspect: float, rotation: float = 0.0, center=(0.0, 0.0)) -> BoundaryCurve:
@@ -462,12 +456,9 @@ def make_ellipse(aspect: float, rotation: float = 0.0, center=(0.0, 0.0)) -> Bou
     piece = EllipsePiece(aspect * scale, scale, rotation=rotation, center=center)
     kmax = piece.a / piece.b**2
     return BoundaryCurve(
-        kind="ellipse",
         pieces=[piece],
         perimeter=piece.length,
         curvature_bound=kmax,
-        meta={"a": piece.a, "b": piece.b, "rotation": rotation,
-              "center": np.asarray(center, dtype=float)},
         spec=_spec("ellipse", aspect=aspect, rotation=rotation),
         rotation_order=2,
     )
@@ -500,27 +491,10 @@ def make_rounded_ngon(n: int, rotation: float = 0.0, center=(0.0, 0.0)) -> Bound
         p0 = verts[k] + r * n_side
         p1 = verts[(k + 1) % n] + r * n_side
         pieces.append(SegmentPiece(p0, p1))
-    side_normals = np.stack(
-        [np.cos(phis + math.pi / n), np.sin(phis + math.pi / n)], axis=-1
-    )
-    apothem = (verts * side_normals).sum(axis=1)  # signed offsets of polygon edges
     return BoundaryCurve(
-        kind="rounded_ngon",
         pieces=pieces,
         perimeter=TWO_PI,
         curvature_bound=2.0 / lam,
-        meta={
-            "n": n,
-            "scale": lam,
-            "arc_radius": r,
-            "rotation": rotation,
-            "center": center,
-            "vertices": verts,
-            "side_normals": side_normals,
-            "apothem": apothem,
-            "inradius": lam * (1.0 + math.cos(math.pi / n)) / 2.0,
-            "circumradius": lam,
-        },
         spec=_spec("rounded_ngon", n=n, rotation=rotation),
         rotation_order=n,
         medial_star=MedialStar(hub=center, vertices=verts, axes=phis,
@@ -547,35 +521,29 @@ def make_spline_curve(points) -> BoundaryCurve:
     area2 = float(np.sum(poly[:, 0] * np.roll(poly[:, 1], -1) - np.roll(poly[:, 0], -1) * poly[:, 1]))
     if area2 < 0:
         raise ValueError("sample points must be ordered counterclockwise")
-    return BoundaryCurve(
-        kind="spline",
-        pieces=[piece],
-        perimeter=piece.length,
-        curvature_bound=kmax,
-        meta={"n_samples": len(pts)},
-        spec="spline",
-    )
+    return BoundaryCurve(pieces=[piece], perimeter=piece.length,
+                         curvature_bound=kmax, spec="spline")
+
+
+def _ngon_arc_side_lengths(curve: BoundaryCurve):
+    """n and the arc and side lengths of a rounded n-gon."""
+    star = curve.medial_star
+    if star is None:
+        raise ValueError("not a rounded n-gon")
+    n = len(star.axes)
+    P = curve._polygon
+    return n, P.arc_radius * TWO_PI / n, P.circumradius * math.sin(star.half_width)
 
 
 def rounded_ngon_side_midpoints(curve: BoundaryCurve) -> np.ndarray:
     """Arc-length parameters of the flat-side midpoints of a rounded n-gon."""
-    if curve.kind != "rounded_ngon":
-        raise ValueError("not a rounded n-gon")
-    n = curve.meta["n"]
-    lam = curve.meta["scale"]
-    arc_len = lam / 2.0 * TWO_PI / n
-    side_len = lam * math.sin(math.pi / n)
+    n, arc_len, side_len = _ngon_arc_side_lengths(curve)
     k = np.arange(n)
     return (k + 1) * arc_len + k * side_len + side_len / 2.0 - curve.param_offset
 
 
 def rounded_ngon_vertex_params(curve: BoundaryCurve) -> np.ndarray:
     """Arc-length parameters of the arc midpoints (outermost points)."""
-    if curve.kind != "rounded_ngon":
-        raise ValueError("not a rounded n-gon")
-    n = curve.meta["n"]
-    lam = curve.meta["scale"]
-    arc_len = lam / 2.0 * TWO_PI / n
-    side_len = lam * math.sin(math.pi / n)
+    n, arc_len, side_len = _ngon_arc_side_lengths(curve)
     k = np.arange(n)
     return k * (arc_len + side_len) + arc_len / 2.0 - curve.param_offset

@@ -5,8 +5,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .curve import BoundaryCurve
-
-_CONVEX_KINDS = {"circle", "ellipse", "rounded_ngon"}
+from .pieces import SplinePiece
 
 
 @dataclass(frozen=True)
@@ -41,11 +40,12 @@ class StarRegion:
     def covers_full_boundary(self, tol: float = 1e-9) -> bool:
         return abs(self.total_length - self.curve.perimeter) < tol
 
-    def contains_param(self, s: float, tol: float = 1e-12) -> bool:
+    def contains_param(self, s: float) -> bool:
+        """Whether parameter s lies in an interval, with 1e-12 of slack."""
         per = self.curve.perimeter
         s = s % per
         for a, b in self.intervals:
-            if a - tol <= s <= b + tol or a - tol <= s + per <= b + tol:
+            if a - 1e-12 <= s <= b + 1e-12 or a - 1e-12 <= s + per <= b + 1e-12:
                 return True
         return False
 
@@ -53,29 +53,21 @@ class StarRegion:
 def max_inscribed_disk(curve: BoundaryCurve) -> Disk:
     """Largest disk contained in the domain (Chebyshev center).
 
-    The convex families have closed forms.  The unit circle's disk is
-    itself: its centre, radius 1.  The rounded n-gon's is centred at the
-    hub of its medial star with the closed-form inradius: the hub is the
-    centre of the n-fold rotation, and the distance is concave on a convex
-    domain, so it is the maximizer.  An ellipse's disk is centred at the
-    ellipse's centre, by the same argument with the half-turn, and its
-    radius is the distance there, the minor semiaxis min(a, b).
+    The convex families have closed forms.  The rounded n-gon's is centred
+    at the hub of its medial star with the closed-form inradius: the hub is
+    the centre of the n-fold rotation, and the distance is concave on a
+    convex domain, so it is the maximizer.  The circle's and the ellipse's
+    come from their piece (ArcPiece/EllipsePiece.inscribed_disk).
 
     Only a spline searches: a 64 x 64 interior grid seeded with the exact
     distance-to-boundary function, then a Nelder-Mead polish to 1e-10.
     """
-    if curve.kind == "circle":
-        c = curve.meta["center"]
-        return Disk(center=(float(c[0]), float(c[1])), radius=1.0)
-    if curve.kind == "rounded_ngon":
-        c = curve.medial_star.hub
-        return Disk(center=(float(c[0]), float(c[1])),
-                    radius=float(curve.meta["inradius"]))
-    if curve.kind == "ellipse":
-        piece = curve.pieces[0]
-        c = piece.center
-        return Disk(center=(float(c[0]), float(c[1])),
-                    radius=min(piece.a, piece.b))
+    if curve.medial_star is not None:
+        c, r = curve.medial_star.hub, curve._polygon.inradius
+        return Disk(center=(float(c[0]), float(c[1])), radius=float(r))
+    if not isinstance(curve.pieces[0], SplinePiece):
+        c, r = curve.pieces[0].inscribed_disk()
+        return Disk(center=(float(c[0]), float(c[1])), radius=float(r))
     from scipy.optimize import minimize
 
     x0, x1, y0, y1 = curve.bbox()
@@ -124,20 +116,20 @@ def segment_clearance(curve: BoundaryCurve, disk: Disk, x, z) -> bool:
     return not _segment_blocked(curve, z, x)
 
 
-def star_region(curve: BoundaryCurve, disk: Disk, eta: float,
-                samples: int = 4096) -> StarRegion:
+def star_region(curve: BoundaryCurve, disk: Disk, eta: float) -> StarRegion:
     """Extended star-shaped boundary region about the inscribed center.
 
-    Interval endpoints are located on a dense parameter grid and refined
-    by bisection.  For the convex families the visibility half of the test
-    is automatic, so only the radius condition is evaluated there.
+    Interval endpoints are located on a grid of 4096 parameters and
+    refined by bisection.  The circle, the ellipse and the rounded n-gon
+    are convex, so only a spline runs the visibility half of the test.
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     x0 = disk.center_xy
     R = disk.radius
     per = curve.perimeter
-    convex = curve.kind in _CONVEX_KINDS
+    samples = 4096
+    convex = not isinstance(curve.pieces[0], SplinePiece)
     # relative slack absorbs the rounding of the boundary points and the
     # 1e-10-level optimizer error in a spline's (x0, R); without it eta = 0
     # on a disk would reject half the boundary
@@ -147,19 +139,13 @@ def star_region(curve: BoundaryCurve, disk: Disk, eta: float,
         g = curve.point(s)
         if np.hypot(g[0] - x0[0], g[1] - x0[1]) > lim:
             return False
-        if convex:
-            return True
-        return not _segment_blocked(curve, x0, g)
+        return convex or not _segment_blocked(curve, x0, g)
 
     grid = np.linspace(0.0, per, samples, endpoint=False)
-    radius_flags = np.hypot(*(curve.point(grid) - x0).T) <= lim
-    if convex:
-        flags = radius_flags
-    else:
-        flags = radius_flags.copy()
-        for i in np.nonzero(radius_flags)[0]:
-            if _segment_blocked(curve, x0, curve.point(grid[i])):
-                flags[i] = False
+    flags = np.hypot(*(curve.point(grid) - x0).T) <= lim
+    if not convex:
+        for i in np.nonzero(flags)[0]:
+            flags[i] = not _segment_blocked(curve, x0, curve.point(grid[i]))
 
     if flags.all():
         return StarRegion(eta=eta, intervals=[(0.0, per)], curve=curve, disk=disk)

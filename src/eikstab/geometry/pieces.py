@@ -189,6 +189,15 @@ class ArcPiece:
     def curvature(self, u):
         return np.full(np.shape(np.asarray(u)), 1.0 / self.radius)
 
+    def inside(self, pts):
+        """Points (n, 2) strictly inside the arc's circle."""
+        return np.hypot(pts[:, 0] - self.center[0],
+                        pts[:, 1] - self.center[1]) < self.radius
+
+    def inscribed_disk(self):
+        """Centre and radius of the disk a full-circle arc bounds."""
+        return self.center, self.radius
+
     def nearest_dist(self, pts):
         """Distance from points (n,2) to the arc as a point set."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -412,10 +421,15 @@ class EllipsePiece:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return _rotate(pts - self.center, self._cos, -self._sin)
 
-    def implicit(self, pts):
-        """(x/a)^2 + (y/b)^2 - 1 in the ellipse frame; negative inside."""
+    def inside(self, pts):
+        """(x/a)^2 + (y/b)^2 < 1 in the ellipse frame."""
         loc = self._to_local(pts)
-        return (loc[:, 0] / self.a) ** 2 + (loc[:, 1] / self.b) ** 2 - 1.0
+        return (loc[:, 0] / self.a) ** 2 + (loc[:, 1] / self.b) ** 2 < 1.0
+
+    def inscribed_disk(self):
+        """Centre and minor semiaxis: the distance to the ellipse is concave
+        inside and half-turn symmetric about the centre, so it peaks there."""
+        return self.center, min(self.a, self.b)
 
     def nearest_dist(self, pts):
         """Distance to the ellipse, with numpy alone.
@@ -620,7 +634,7 @@ class SplinePiece:
                     best[i] = t
         return best
 
-    def winding_inside(self, pts):
+    def inside(self, pts):
         """Even-odd containment against the dense polyline, 256 points at a
         time so the crossing matrices stay (256, 8192) instead of (m, 8192)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

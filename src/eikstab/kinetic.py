@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import UnitField, circle_cut_angles, eval_many, jump_distance
+from .fields import UnitField, jump_distance, split_circle_flux
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -212,7 +212,7 @@ def _entropy_kink_segments(field: UnitField, entropy: Entropy):
 
 
 def entropy_disk_flux(field: UnitField, entropy: Entropy, center,
-                      radius: float, order: int = 64) -> float:
+                      radius: float) -> float:
     """Flux of phi(m) through a circle lying in a smooth region."""
     center = np.asarray(center, dtype=float)
     d = jump_distance(field, center[None, :])[0]
@@ -222,20 +222,9 @@ def entropy_disk_flux(field: UnitField, entropy: Entropy, center,
     ring = center + radius * np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
     if not np.all(field.domain.inside(ring)):
         raise ValueError("probe circle leaves the domain")
-    cuts = circle_cut_angles(field, center, radius,
-                             _entropy_kink_segments(field, entropy))
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a < 1e-14:
-            continue
-        th = 0.5 * (a + b) + 0.5 * (b - a) * xg
-        nrm = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        vals, _ = eval_many(field, center + radius * nrm, extend=True)
-        pv = np.array([entropy.phi(v) for v in vals])
-        total += 0.5 * (b - a) * radius * float(
-            np.sum(wg * np.sum(pv * nrm, axis=1)))
-    return total
+    return split_circle_flux(
+        field, center, radius, lambda vals: np.array([entropy.phi(v) for v in vals]),
+        _entropy_kink_segments(field, entropy))
 
 
 def entropy_production(field: UnitField, entropy: Entropy,

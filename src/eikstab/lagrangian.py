@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .fields import UnitField, eval_many, field_eval, jump_distance
+from .fields import UnitField, eval_many, jump_distance
 from .geometry import BoundaryCurve, wrap_pi
 from .geometry.pieces import segment_ray_hits
 
@@ -72,7 +72,7 @@ def trace(field: UnitField, x0, s0: float, t0: float = 0.0,
         raise ValueError("start point must be interior")
     if jump_distance(field, x[None, :])[0] <= 1e-12:
         raise ValueError("start point lies on the jump set")
-    m0 = field_eval(field, x)
+    m0 = eval_many(field, x[None, :])[0][0]
     if float(m0 @ [math.cos(s), math.sin(s)]) <= 0.0:
         raise ValueError("start direction not admitted by the field")
 
@@ -129,7 +129,7 @@ def _influx_at(field: UnitField, sb):
     """
     pts = field.domain.point(sb)
     tau = field.domain.tangent(sb)
-    m, _ = eval_many(field, pts, extend=True)
+    m, _ = eval_many(field, pts)
     inward = np.arctan2(tau[:, 1], tau[:, 0]) + math.pi / 2
     delta = wrap_pi(np.arctan2(m[:, 1], m[:, 0]) - inward)
     lo = np.maximum(-math.pi / 2, delta - math.pi / 2)
@@ -137,13 +137,13 @@ def _influx_at(field: UnitField, sb):
     return pts, inward, lo, hi
 
 
-def boundary_influx_rate(field: UnitField, order: int = 32) -> float:
+def boundary_influx_rate(field: UnitField) -> float:
     """Total birth intensity per unit time along the boundary.
 
-    Integrates the inward flux of admitted directions; the direction
-    integral is in closed form per boundary node.
+    Integrates the inward flux of admitted directions on 32-point panels;
+    the direction integral is in closed form per boundary node.
     """
-    nodes, weights = field.domain.quad_nodes(order)
+    nodes, weights = field.domain.quad_nodes(32)
     _, _, lo, hi = _influx_at(field, nodes)
     return float(np.sum(weights * np.clip(np.sin(hi) - np.sin(lo), 0.0, None)))
 
@@ -319,19 +319,19 @@ def _interior_starts(field: UnitField, count, rng):
         S = rng.uniform(0.0, TWO_PI, draw)
         keep = field.domain.inside(P)
         keep &= jump_distance(field, P) > 1e-9
-        m, _ = eval_many(field, P, extend=True)
+        m, _ = eval_many(field, P)
         keep &= np.cos(S) * m[:, 0] + np.sin(S) * m[:, 1] > 0.0
         out_x = np.concatenate([out_x, P[keep]])
         out_s = np.concatenate([out_s, S[keep]])
     return out_x[:count], out_s[:count]
 
 
-def _birth_table(field: UnitField, n_table: int = 8192):
-    """Cumulative influx-rate table over the boundary parameter."""
-    sb = np.linspace(0.0, field.domain.perimeter, n_table, endpoint=False)
+def _birth_table(field: UnitField):
+    """Cumulative influx-rate table over 8192 boundary parameters."""
+    sb = np.linspace(0.0, field.domain.perimeter, 8192, endpoint=False)
     _, _, lo, hi = _influx_at(field, sb)
     dens = np.clip(np.sin(hi) - np.sin(lo), 0.0, None)
-    h = field.domain.perimeter / n_table
+    h = field.domain.perimeter / 8192
     cum = np.concatenate([[0.0], np.cumsum(dens) * h])
     return sb, dens, cum
 
@@ -538,9 +538,9 @@ def _arc_overlap(lo, width, c):
     return first + np.where(b > TWO_PI, second, 0.0)
 
 
-def exact_bin_masses(field: UnitField, nx: int, ny: int, ns: int,
-                     sub: int = 4) -> np.ndarray:
+def exact_bin_masses(field: UnitField, nx: int, ny: int, ns: int) -> np.ndarray:
     """Masses of 1_{E_m} dx ds on an (nx, ny, ns) grid over the bbox."""
+    sub = 4  # samples per cell side
     x0, x1, y0, y1 = field.domain.bbox()
     hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
     hs = TWO_PI / ns
@@ -548,7 +548,7 @@ def exact_bin_masses(field: UnitField, nx: int, ny: int, ns: int,
     fy = y0 + hy * (np.arange(ny * sub) + 0.5) / sub
     P = np.stack(np.meshgrid(fx, fy, indexing="ij"), axis=-1).reshape(-1, 2)
     inside = field.domain.inside(P)
-    m, _ = eval_many(field, P, extend=True)
+    m, _ = eval_many(field, P)
     theta = np.arctan2(m[:, 1], m[:, 0])
     cell = hx * hy / (sub * sub)
     out = np.zeros((nx, ny, ns))
@@ -585,10 +585,10 @@ def representation_check(result: EnsembleResult, t: float,
     return 0.5 * float(np.abs(emp - exact).sum())
 
 
-def influx_check(result: EnsembleResult, bins: Tuple[int, int] = (16, 16),
-                 sub: int = 16) -> float:
+def influx_check(result: EnsembleResult, bins: Tuple[int, int] = (16, 16)) -> float:
     """TV distance between the empirical birth law over (boundary
     parameter, direction) and the exact influx density."""
+    sub = 16  # samples per boundary bin
     sel = np.isfinite(result.birth_param)
     if not sel.any():
         raise ValueError("ensemble has no boundary births")

@@ -20,11 +20,11 @@ from . import fields, kinetic
 TWO_PI = 2.0 * math.pi
 
 
-def _deviation_integrals(curve: BoundaryCurve, center,
-                         order: int = 48) -> Tuple[float, float]:
-    """(integral |n - u|^2, integral |n - u|) with u the unit radial field."""
+def _deviation_integrals(curve: BoundaryCurve, center) -> Tuple[float, float]:
+    """(integral |n - u|^2, integral |n - u|) with u the unit radial field,
+    on the curve's 48-point quadrature nodes."""
     center = np.asarray(center, dtype=float)
-    s, w = curve.quad_nodes(order=order, min_panels=192)
+    s, w = curve.quad_nodes(order=48, min_panels=192)
     g = curve.point(s)
     n = curve.normal(s)
     rel = g - center

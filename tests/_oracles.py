@@ -1,8 +1,8 @@
 """Brute-force reference computations kept independent of the package's
 optimizers and batch kernels.  Only elementary numpy is used, and scipy's
 adaptive quadrature for the ellipse's arc length; geometry comes from the
-caller (points, tangents) or from a curve's stored data and segment
-intersections, never from its ray exits or inside tests."""
+caller (points, tangents), from a curve's pieces and medial star and
+segment intersections, never from its ray exits or inside tests."""
 
 import math
 
@@ -134,13 +134,21 @@ def certified_defect(X, T, x0, R, tol=1e-6):
     return lo, hi
 
 
+def ngon_side_lines(curve):
+    """The rounded n-gon's inner polygon from its medial star: vertices,
+    outward side normals at axes + half_width, apothems v . n, and the arc
+    radius (that of arc piece 0)."""
+    star = curve.medial_star
+    v = star.vertices
+    psi = star.axes + star.half_width
+    n_out = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
+    return v, n_out, (v * n_out).sum(axis=1), curve.pieces[0].radius
+
+
 def ngon_signed_gap(curve, pts, block=8192):
     """dist(x, inner polygon) - arc radius of a rounded n-gon, negative
     inside, against every polygon edge (O(n) per point)."""
-    v = curve.meta["vertices"]
-    n_out = curve.meta["side_normals"]
-    apothem = curve.meta["apothem"]
-    r = curve.meta["arc_radius"]
+    v, n_out, apothem, r = ngon_side_lines(curve)
     edges = np.roll(v, -1, axis=0) - v
     elen = np.linalg.norm(edges, axis=1)
     edir = edges / elen[:, None]
@@ -187,19 +195,18 @@ def sector_off_spokes_by_rows(star, pts):
 def ngon_gap_by_sector(curve, pts):
     """dist(x, inner polygon) - arc radius against the polygon edge of the
     point's sector only; -inf inside the polygon."""
-    m, star = curve.meta, curve.medial_star
+    star = curve.medial_star
+    v, n_out, apothem, r = ngon_side_lines(curve)
     k = sector_by_np_mod(star, pts)
-    v = star.vertices
     edges = np.roll(v, -1, axis=0) - v
     elen = np.hypot(edges[:, 0], edges[:, 1])
     ex, ey = (edges / elen[:, None])[k].T
     vx, vy = v[k].T
     rx, ry = pts[:, 0] - vx, pts[:, 1] - vy
     t = np.clip(rx * ex + ry * ey, 0.0, elen[k])
-    nx, ny = m["side_normals"][k].T
-    in_poly = pts[:, 0] * nx + pts[:, 1] * ny <= m["apothem"][k]
-    return np.where(in_poly, -np.inf,
-                    np.hypot(rx - t * ex, ry - t * ey) - m["arc_radius"])
+    nx, ny = n_out[k].T
+    in_poly = pts[:, 0] * nx + pts[:, 1] * ny <= apothem[k]
+    return np.where(in_poly, -np.inf, np.hypot(rx - t * ex, ry - t * ey) - r)
 
 
 def field_values_by_rows(field, pts):

@@ -9,6 +9,7 @@ from eikstab.geometry import (
     make_ellipse,
     make_rounded_ngon,
     max_inscribed_disk,
+    ngon_scale,
     rounded_ngon_side_midpoints,
     rounded_ngon_vertex_params,
     star_region,
@@ -75,7 +76,7 @@ def test_symmetric_arc_triple_closed_form():
         g = make_rounded_ngon(n)
         d = max_inscribed_disk(g)
         vps = rounded_ngon_vertex_params(g)
-        r_arc = g.meta["arc_radius"]
+        r_arc = ngon_scale(n) / 2.0
         trip = np.array([vps[k] + r_arc * chi for k in ks])
         res = defect_a(g, d, trip)
         assert abs(res.a - math.sin(chi / 2.0)) < 1e-9
@@ -94,7 +95,7 @@ def test_certified_oracle_brackets_closed_form():
         g = make_rounded_ngon(n)
         d = max_inscribed_disk(g)
         vps = rounded_ngon_vertex_params(g)
-        trip = np.array([vps[k] + g.meta["arc_radius"] * chi for k in ks])
+        trip = np.array([vps[k] + ngon_scale(n) / 2.0 * chi for k in ks])
         lo, hi = certified_defect(g.point(trip), g.tangent(trip),
                                   d.center_xy, d.radius)
         assert lo <= math.sin(chi / 2.0) <= hi
@@ -157,7 +158,7 @@ def test_defect_dominates_oracle_and_is_certified(ellipse13, ngon6):
 def test_result_conditions(ngon6):
     c, d = ngon6
     vps = rounded_ngon_vertex_params(c)
-    r_arc = c.meta["arc_radius"]
+    r_arc = ngon_scale(6) / 2.0
     trip = np.array([vps[k] + r_arc * math.pi / 8 for k in (0, 2, 4)])
     res = defect_a(c, d, trip)
     assert res.a > 0.1
@@ -215,7 +216,7 @@ def test_incircle_ellipse_defining_property(ellipse13):
 def test_incircle_parallel_normals(ngon6):
     c, _ = ngon6
     mids = rounded_ngon_side_midpoints(c)
-    seg_half = c.meta["scale"] * 0.5 * 0.4
+    seg_half = ngon_scale(6) * 0.5 * 0.4
     # two points on the same flat side have parallel normal lines
     center, radius = incircle_candidate(
         c, (mids[0] - seg_half, mids[0] + seg_half, mids[3]))

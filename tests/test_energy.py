@@ -31,7 +31,7 @@ def uniform_disk_grid(n, pad, R=1.0):
     vals = np.zeros((n, n, 3))
     vals[:, :, 0] = 1.0
     g = en.GridField(bbox=box, n=n, h=h, values=vals,
-                     mask=X * X + Y * Y < R * R, meta={})
+                     mask=X * X + Y * Y < R * R)
     return g, X, Y
 
 
@@ -71,7 +71,7 @@ def test_dipole_matches_free_space_kernel():
     vals[ic, ic, 0] = 1.0
     mask[ic, ic] = True
     g = en.GridField(bbox=(-0.5, 0.5, -0.5, 0.5), n=n, h=h,
-                     values=vals, mask=mask, meta={})
+                     values=vals, mask=mask)
     H = en.solve_stray_field(g)
     fx = -0.5 + h * (np.arange(n) + 0.5)
     X, Y = np.meshgrid(fx, fx, indexing="ij")
@@ -115,7 +115,7 @@ def test_insufficient_padding_raises():
     vals[:, :, 0] = 1.0
     mask = np.ones((n, n), dtype=bool)
     g = en.GridField(bbox=(-1.0, 1.0, -1.0, 1.0), n=n, h=2.0 / n,
-                     values=vals, mask=mask, meta={})
+                     values=vals, mask=mask)
     with pytest.raises(ValueError, match="pad"):
         en.solve_stray_field(g)
 
@@ -146,7 +146,7 @@ def test_constant_field_zero_dirichlet():
     vals = np.zeros((n, n, 3))
     vals[:, :, 0] = 1.0
     g = en.GridField(bbox=(0.0, 1.0, 0.0, 1.0), n=n, h=1.0 / n,
-                     values=vals, mask=np.ones((n, n), dtype=bool), meta={})
+                     values=vals, mask=np.ones((n, n), dtype=bool))
     b = en.evaluate_E_AG(g, 0.1)
     assert b.dirichlet == 0.0
     assert b.penalty == 0.0
@@ -245,7 +245,7 @@ def _raster_by_rows(field, grid):
     P = np.stack(np.meshgrid(fx, fy, indexing="ij"), axis=-1).reshape(-1, 2)
     curve = field.domain
     if curve.medial_star is None:
-        c = curve.meta["center"]
+        c = curve.pieces[0].center
         inside = np.hypot(P[:, 0] - c[0], P[:, 1] - c[1]) < 1.0
     else:
         inside = ngon_gap_by_sector(curve, P) < 0.0
@@ -287,7 +287,7 @@ def test_raster_and_local_terms_bits_match_row_formulas(case):
     centres = np.array([p.center for p in field.patches])
     P = np.vstack([centres, centres[0] + np.random.default_rng(n).uniform(
         -1.6, 1.6, (5000, 2))])
-    assert np.array_equal(_bits(fields.eval_many(field, P, extend=True)[0]),
+    assert np.array_equal(_bits(fields.eval_many(field, P)[0]),
                           _bits(field_values_by_rows(field, P)))
 
 
@@ -306,7 +306,7 @@ def test_local_terms_periodic_halo_and_m3_plane():
     for mask in (edges, low, inner, rng.random((n, n)) < 0.3,
                  np.zeros((n, n), dtype=bool)):
         g = en.GridField(bbox=(-1.0, 1.0, -1.0, 1.0), n=n, h=2.0 / n,
-                         values=vals, mask=mask, meta={})
+                         values=vals, mask=mask)
         terms = en._local_terms(g, 0.1)
         assert terms == _local_terms_by_roll(g, 0.1)
         assert (terms[2] > 0.0) == mask.any()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import distance_transform_edt
 
-from eikstab.geometry import make_circle, make_ellipse, make_rounded_ngon
+from eikstab.geometry import make_circle, make_ellipse, make_rounded_ngon, ngon_scale
 from eikstab.fields import (
     JumpSegment,
     OnJumpError,
@@ -75,7 +75,7 @@ def test_distgrad_structure(f6):
         assert abs(seg.amplitude - 1.0) < 1e-12  # 2 sin(pi/6)
         assert abs(seg.half_angle - math.pi / 6) < 1e-15
         assert abs(np.hypot(*seg.p0)) < 1e-15
-        assert abs(np.hypot(*seg.p1) - f6.domain.meta["scale"] / 2) < 1e-12
+        assert abs(np.hypot(*seg.p1) - ngon_scale(6) / 2) < 1e-12
     with pytest.raises(ValueError):
         distgrad_field(make_ellipse(1.3))
     s = np.linspace(0.0, TWO_PI, 100)
@@ -105,20 +105,19 @@ def test_distgrad_region_values(f6):
     assert eval_many(f6, q)[1][0] == 6
     u = (q - v0) / np.hypot(*(q - v0))
     assert np.allclose(field_eval(f6, q), [u[1], -u[0]], atol=1e-15)
-    # singular points under extend: a windowed patch centre keeps its strip
-    # value, the centre of a full patch gets a zero vector
-    m, r = eval_many(f6, v0, extend=True)
+    # singular points: a windowed patch centre keeps its strip value, the
+    # centre of a full patch gets a zero vector
+    m, r = eval_many(f6, v0)
     assert np.allclose(m[0], [0.5, -math.sqrt(3.0) / 2.0], atol=1e-15)
     assert r[0] == 0
-    m, _ = eval_many(vortex(make_circle(), (0.1, 0.0), 1), (0.1, 0.0),
-                     extend=True)
+    m, _ = eval_many(vortex(make_circle(), (0.1, 0.0), 1), (0.1, 0.0))
     assert np.array_equal(m[0], [0.0, 0.0])
 
 
 def test_boundary_trace_is_negative_tangent(f6):
     s = np.linspace(0.0, TWO_PI, 777)
     bp = f6.domain.point(s) * (1.0 - 1e-9)
-    m, _ = eval_many(f6, bp, extend=True)
+    m, _ = eval_many(f6, bp)
     assert np.abs(m + f6.domain.tangent(s)).max() < 1e-8
 
 
@@ -234,7 +233,7 @@ def test_distance_transform_oracle(f6):
 
     # jump located on the segment: near-unit trace difference across it,
     # and no jump beyond the claimed far endpoint
-    lam_half = g.meta["scale"] / 2.0
+    lam_half = ngon_scale(6) / 2.0
     e0 = np.array([1.0, 0.0])
     perp = np.array([0.0, 1.0])
     for t in (0.4, 0.8):

@@ -20,6 +20,7 @@ from eikstab.geometry import (
     wrap_pi,
 )
 from eikstab.fields import distgrad_field, jump_distance
+from eikstab.geometry import inscribed
 from eikstab.geometry.pieces import ArcPiece, SegmentPiece
 from _domains import blob_points, dumbbell_curve
 from _oracles import (ellipse_arclength, ellipse_dist_by_bisection,
@@ -45,7 +46,10 @@ def families():
     ]
 
 
-@pytest.mark.parametrize("curve", families(), ids=lambda c: c.kind + str(c.meta.get("n", "")))
+FAMILY_IDS = ["circle", "ellipse", "rounded_ngon6", "rounded_ngon12", "spline"]
+
+
+@pytest.mark.parametrize("curve", families(), ids=FAMILY_IDS)
 def test_parametrization_invariants(curve):
     s = np.linspace(0.0, curve.perimeter, 400, endpoint=False)
     assert abs(curve.perimeter - TWO_PI) < 1e-12
@@ -75,8 +79,7 @@ def test_parametrization_invariants(curve):
 def test_rounded_ngon_closed_forms():
     g6 = make_rounded_ngon(6)
     assert abs(ngon_scale(6) - LAM6) < 1e-15
-    assert abs(g6.meta["scale"] - LAM6) < 1e-12
-    assert abs(g6.meta["inradius"] - R6) < 1e-12
+    assert abs(max_inscribed_disk(g6).radius - R6) < 1e-12
     assert abs(g6.curvature_bound - 2.0 / LAM6) < 1e-12
     assert g6.curvature_bound <= 2.0
 
@@ -110,7 +113,7 @@ def test_ellipse_construction():
     assert abs(e.perimeter - TWO_PI) < 1e-10
 
     e12 = make_ellipse(1.2)
-    a, b = e12.meta["a"], e12.meta["b"]
+    a, b = e12.pieces[0].a, e12.pieces[0].b
     kmax_closed = a / b**2
     assert abs(np.max(np.abs(e12.curvature(np.linspace(0, TWO_PI, 4096)))) - kmax_closed) < 1e-6
 
@@ -175,7 +178,7 @@ def test_inscribed_disk_ngon_closed_form_and_grid_oracle():
     assert abs(edt.max() - d.radius) < 2.0 * hx
 
 
-@pytest.mark.parametrize("curve", families(), ids=lambda c: c.kind + str(c.meta.get("n", "")))
+@pytest.mark.parametrize("curve", families(), ids=FAMILY_IDS)
 def test_inscribed_disk_bounds(curve):
     d = max_inscribed_disk(curve)
     assert 1.0 / curve.curvature_bound - 1e-7 <= d.radius <= 1.0 + 1e-7
@@ -195,11 +198,12 @@ def test_inscribed_disk_ellipse(curve):
     make_rounded_ngon(3), make_rounded_ngon(8), make_rounded_ngon(32),
     make_rounded_ngon(128),
     make_rounded_ngon(6, rotation=0.3, center=(0.25, -0.4))],
-    ids=lambda c: c.spec + str(c.meta["center"]))
+    ids=lambda c: c.spec + str(c.medial_star.hub))
 def test_inscribed_disk_ngon_is_exact_closed_form(curve):
     d = max_inscribed_disk(curve)
+    n = len(curve.medial_star.axes)
     assert d.center == tuple(float(v) for v in curve.medial_star.hub)
-    assert d.radius == curve.meta["inradius"]
+    assert d.radius == ngon_scale(n) * (1.0 + math.cos(math.pi / n)) / 2.0
 
 
 def test_inscribed_disk_circle_is_exact():
@@ -240,7 +244,7 @@ def test_star_region_ngon8_eta1_full():
     g8 = make_rounded_ngon(8)
     d = max_inscribed_disk(g8)
     # circumradius/inradius - 1 < 1 so eta = 1 admits the whole boundary
-    assert g8.meta["circumradius"] / g8.meta["inradius"] - 1.0 < 1.0
+    assert ngon_scale(8) / d.radius - 1.0 < 1.0
     assert star_region(g8, d, 1.0).covers_full_boundary()
 
 
@@ -265,6 +269,29 @@ def test_star_region_dumbbell_proper_subset():
         r_ok = np.hypot(*(x - z)) <= (1.0 + 0.05) * d.radius + 1e-9
         expected = r_ok and segment_clearance(db, d, x, z)
         assert sr.contains_param(s) == expected
+
+
+def test_star_region_tests_visibility_on_splines_only(monkeypatch):
+    # the circle, the ellipse and the rounded n-gon are convex, so their
+    # regions take the radius condition alone; a spline's also take the
+    # segment test
+    blocked, calls = inscribed._segment_blocked, []
+
+    def refuse(*args):
+        raise AssertionError("segment test on a convex domain")
+
+    def counted(*args):
+        calls.append(args)
+        return blocked(*args)
+
+    monkeypatch.setattr(inscribed, "_segment_blocked", refuse)
+    for c in (make_circle((0.1, 0.0)), make_ellipse(1.3, rotation=0.4),
+              make_rounded_ngon(8)):
+        star_region(c, max_inscribed_disk(c), 0.05)
+    monkeypatch.setattr(inscribed, "_segment_blocked", counted)
+    db = dumbbell_curve(delta=0.2)
+    star_region(db, max_inscribed_disk(db), 0.05)
+    assert calls
 
 
 def test_star_region_maximal_intervals_ngon():
@@ -326,7 +353,7 @@ def test_segment_clearance_dumbbell_blocked():
         segment_clearance(db, d, z0 + np.array([1e-3, 0.0]), z0)  # x not on boundary
 
 
-@pytest.mark.parametrize("curve", families(), ids=lambda c: c.kind + str(c.meta.get("n", "")))
+@pytest.mark.parametrize("curve", families(), ids=FAMILY_IDS)
 def test_geom1_inequality(curve):
     # |tau(x) . (x-x0)/|x-x0|| <= 2 sqrt(K dist(x, boundary of B_R(x0)))
     d = max_inscribed_disk(curve)
@@ -766,8 +793,8 @@ def test_ngon_inside_exact_at_the_rim_circles(curve):
     rng = np.random.default_rng(3)
     star = curve.medial_star
     offsets = np.array([-2e-9, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 2e-9])
-    radii = np.outer([curve.meta["inradius"], curve.meta["circumradius"]],
-                     1.0 + offsets)
+    inner, outer = max_inscribed_disk(curve).radius, ngon_scale(len(star.axes))
+    radii = np.outer([inner, outer], 1.0 + offsets)
     # random directions, and those of the arc and side midpoints, where
     # the boundary touches the circumscribed and the inscribed circle
     th = np.concatenate([rng.uniform(0.0, TWO_PI, 2000), star.axes,

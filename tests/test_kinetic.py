@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eikstab.geometry import make_circle, make_rounded_ngon
+from eikstab.geometry import make_circle, make_rounded_ngon, ngon_scale
 from eikstab.fields import distgrad_field, vortex
 from eikstab.kinetic import (
     check_entropy,
@@ -122,7 +122,7 @@ def test_nu_vortex_zero():
 def test_nu_ngon_closed_forms():
     g6 = make_rounded_ngon(6)
     f6 = distgrad_field(g6)
-    lam6 = g6.meta["scale"]
+    lam6 = ngon_scale(6)
     cub = nu_total(f6, "cubic")
     ars = nu_total(f6, "ars_wall")
     assert abs(cub.nu_total - 3.0 * lam6) < 1e-12
@@ -157,7 +157,7 @@ def test_ngon_production_closed_form():
     ent = entropy_sigma1()
     got = entropy_production(f8, ent)
     expect = 0.0
-    lam_half = g8.meta["scale"] / 2.0
+    lam_half = ngon_scale(8) / 2.0
     for k in range(8):
         phi_k = 2.0 * math.pi * k / 8.0
         tm = phi_k + math.pi / 8 - math.pi / 2  # left strip direction angle

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eikstab.fields import distgrad_field, vortex
-from eikstab.geometry import make_circle, make_ellipse, make_rounded_ngon
+from eikstab.geometry import make_circle, make_ellipse, make_rounded_ngon, ngon_scale
 from eikstab.kinetic import nu_total, wall_cost_ars
 from eikstab import lagrangian as lag
 from _oracles import trace_reference
@@ -380,7 +380,7 @@ def test_dissipation_ngon_matches_nu(ngon8_field):
     # regional restriction: a disk meeting only the positive-x segment
     # collects that segment's share of the rate
     c, r = np.array([0.3, 0.0]), 0.15
-    lam8 = ngon8_field.domain.meta["scale"]
+    lam8 = ngon_scale(8)
     covered = min(c[0] + r, lam8 / 2) - max(c[0] - r, 0.0)
     share = 2.0 * covered * wall_cost_ars(2.0 * math.sin(math.pi / 8))
 
