@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import BoundaryCurve, wrap_pi
+from .geometry import BoundaryCurve, max_inscribed_disk, wrap_pi
 
 TWO_PI = 2.0 * math.pi
 
@@ -417,19 +417,29 @@ def l4_vortex_deviation(field: UnitField, center, alpha: int,
 
 
 def best_vortex_fit(field: UnitField, grid_n: int = 128):
-    """Minimal l4 deviation over vortex center (Nelder-Mead) and both signs.
+    """Minimal l4 deviation over vortex center and both signs.
 
-    Returns (deviation, center, alpha); the search is seeded at the domain
-    centroid.
+    Returns (deviation, center, alpha).  With rotation order g >= 2 the
+    center is the centre of rotation, the inscribed disk's centre, with no
+    search: the rotation fixes it.  Other domains run Nelder-Mead from the
+    centroid, its first simplex stepping 5% of the inscribed radius along
+    each axis.
     """
+    disk = max_inscribed_disk(field.domain)
+    if field.domain.rotation_order >= 2:
+        c = disk.center_xy
+        return min(((l4_vortex_deviation(field, c, a, grid_n), c, a) for a in (1, -1)),
+                   key=lambda fit: fit[0])
     from scipy.optimize import minimize
 
     seed = field.domain.centroid()
+    simplex = seed + 0.05 * disk.radius * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     best = (math.inf, seed, 1)
     for alpha in (1, -1):
         res = minimize(lambda c: l4_vortex_deviation(field, c, alpha, grid_n),
                        seed, method="Nelder-Mead",
-                       options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 200})
+                       options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 200,
+                                "initial_simplex": simplex})
         if res.fun < best[0]:
             best = (float(res.fun), np.asarray(res.x), alpha)
     return best

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curve import BoundaryCurve
+from .inscribed import max_inscribed_disk
 
 
 def _is_star_shaped_about(curve: BoundaryCurve, center) -> bool:
@@ -16,13 +17,9 @@ def _is_star_shaped_about(curve: BoundaryCurve, center) -> bool:
 
 
 def hausdorff_to_circle(curve: BoundaryCurve, center) -> float:
-    """Hausdorff distance between the boundary and the unit circle at ``center``.
-
-    For a domain star-shaped about ``center`` this equals the sup of
-    ||x - center| - 1| over the boundary, evaluated per analytic piece
-    with local refinement.  Otherwise a two-sided dense point-set
-    computation (4096 samples each way) is used.
-    """
+    """Hausdorff distance between the boundary and the unit circle at ``center``:
+    the sup of ||x - center| - 1| when the domain is star-shaped about
+    ``center``, else two-sided on dense point sets (4096 samples each way)."""
     center = np.asarray(center, dtype=float)
     if _is_star_shaped_about(curve, center):
         return _radial_sup(curve, center)
@@ -37,52 +34,55 @@ def hausdorff_to_circle(curve: BoundaryCurve, center) -> float:
 
 
 def _radial_sup(curve: BoundaryCurve, center) -> float:
-    from scipy.optimize import minimize_scalar
+    # 4096 samples, then golden sections on the top 8 brackets at once
+    def gap(s):
+        return np.abs(np.hypot(*(curve.point(s) - center).T) - 1.0)
 
-    per = curve.perimeter
-    coarse = np.linspace(0.0, per, 4096, endpoint=False)
-    f = np.abs(np.hypot(*(curve.point(coarse) - center).T) - 1.0)
-    best = float(f.max())
-    h = per / 4096
-    # refine around the top few coarse maxima
-    order = np.argsort(f)[-8:]
-    for i in order:
-        s0 = coarse[i]
-
-        def neg(s):
-            g = curve.point(float(s))
-            return -abs(np.hypot(g[0] - center[0], g[1] - center[1]) - 1.0)
-
-        res = minimize_scalar(neg, bounds=(s0 - h, s0 + h), method="bounded",
-                              options={"xatol": 1e-13})
-        best = max(best, -float(res.fun))
+    coarse = np.linspace(0.0, curve.perimeter, 4096, endpoint=False)
+    f = gap(coarse)
+    top, h = coarse[np.argsort(f)[-8:]], curve.perimeter / 4096
+    a, b, best = top - h, top + h, float(f.max())
+    while (b - a).max() > 1e-13:
+        c, d = b - 0.6180339887498949 * (b - a), a + 0.6180339887498949 * (b - a)
+        fc, fd = gap(np.concatenate([c, d])).reshape(2, -1)
+        best = max(best, float(fc.max()), float(fd.max()))
+        a, b = np.where(fc >= fd, a, c), np.where(fc >= fd, d, b)
     return best
 
 
 def best_circle_center(curve: BoundaryCurve):
-    """Center minimizing the squared normal-deviation functional
-    (stability.normal_deviation).
-
-    Nelder-Mead from the area centroid, restarted from the inscribed disk
-    center only when that lies more than 1e-9 from the centroid; the
-    better result is kept.  A closer restart would repeat the first
-    search, and from an exact zero coordinate (the rounded n-gon's hub at
-    the origin) Nelder-Mead takes an absolute initial step and runs long.
-    """
-    from scipy.optimize import minimize
-
-    from ..stability import normal_deviation
-    from .inscribed import max_inscribed_disk
-
-    seeds = [curve.centroid()]
+    """Minimizer of stability.normal_deviation.  With rotation order g >= 2
+    it is the centre of rotation, the inscribed disk's centre, with no
+    search: the rotation fixes it, so the gradient vanishes there.  Other
+    curves take damped Newton with backtracking from the centroid and from
+    the disk centre, keeping the lower value."""
     disk_center = max_inscribed_disk(curve).center_xy
-    if np.hypot(*(disk_center - seeds[0])) > 1e-9:
-        seeds.append(disk_center)
-    best_val, best_x = np.inf, seeds[0]
-    for s0 in seeds:
-        res = minimize(lambda c: normal_deviation(curve, c), s0,
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
-        if res.fun < best_val:
-            best_val, best_x = float(res.fun), res.x
-    return np.asarray(best_x)
+    if curve.rotation_order >= 2:
+        return disk_center
+    s, w = curve.quad_nodes(order=48, min_panels=192)
+    x, n = curve.point(s), curve.normal(s)
+
+    def terms(c):
+        # sum w |n - u|^2 = sum w (2 - 2p), p = n.u, v = n - p u: gradient
+        # 2 sum w v / r, Hessian 2 sum w (u v' + v u' + p (I - u u')) / r^2
+        r = np.hypot(*(x - c).T)
+        u, wr = (x - c) / r[:, None], w / r**2
+        p = np.sum(n * u, axis=1)
+        v = n - p[:, None] * u
+        a = (wr * u.T) @ v
+        hess = 2.0 * (a + a.T + np.sum(wr * p) * np.eye(2) - (wr * p * u.T) @ u)
+        return np.sum(w * (2.0 - 2.0 * p)), 2.0 * ((w / r) @ v), hess
+
+    def newton(c):
+        val, g, hess = terms(c)
+        for _ in range(100):
+            pd = np.all(np.linalg.eigvalsh(hess) > 0.0)
+            step, t = np.linalg.solve(hess, -g) if pd else -g, 1.0
+            while (trial := terms(c + t * step))[0] > val and t > 1e-12:
+                t /= 2.0
+            if trial[0] > val or np.hypot(*(t * step)) < 1e-15 * (1.0 + np.hypot(*c)):
+                return val, c
+            c, (val, g, hess) = c + t * step, trial
+        return val, c
+
+    return min((newton(c0) for c0 in (curve.centroid(), disk_center)), key=lambda vc: vc[0])[1]

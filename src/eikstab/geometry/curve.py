@@ -111,10 +111,13 @@ class BoundaryCurve:
     spec : canonical curve spec, ``family[:key=value,...]``, as the command
         line parses it; it names the family in reports.
     rotation_order : g such that the rotation by 2*pi/g about the
-        centroid maps the curve onto itself and shifts the parameter by
-        perimeter/g: n for the rounded n-gon, 2 for the ellipse, 1
-        otherwise (the circle's defect vanishes identically, so its full
-        symmetry buys nothing).
+        centre of rotation maps the curve onto itself and shifts the
+        parameter by perimeter/g: n for the rounded n-gon, 2 for the
+        ellipse, 1 otherwise (the circle's defect vanishes identically, so
+        its full symmetry buys nothing).  For g >= 2 the centre of rotation
+        is the inscribed disk's centre (``max_inscribed_disk(curve).center_xy``:
+        the n-gon's hub, the ellipse's centre), which is also the centroid;
+        the best-fit circle and vortex centres are taken there.
     medial_star : the medial axis when it is a star of straight spokes
         (the rounded n-gon), else None.
     """

@@ -471,7 +471,10 @@ heavy = ("scipy.optimize", "scipy.interpolate", "scipy.spatial",
          "scipy.integrate")
 for argv in (["defect-integral", "--curve", "rounded_ngon:n=8", "--nodes", "8"],
              ["energy", "--curve", "rounded_ngon:n=8", "--grid", "128",
-              "--eps", "0.15"]):
+              "--eps", "0.15"],
+             ["sharpness", "--n", "8,16"],
+             ["stability", "--curve", "rounded_ngon:n=8"],
+             ["stability", "--curve", "ellipse:aspect=1.3"]):
     assert cli.run(argv + ["--out", out]) == 0, argv
 ellipse = cli.parse_curve_spec("ellipse:aspect=1.3")
 max_inscribed_disk(ellipse)
@@ -488,10 +491,11 @@ for argv in (["defect", "--curve", "ellipse:aspect=1.3",
 
 
 def test_bulk_commands_import_no_scipy_solvers(tmp_path):
-    # the n-gon's integral and energy, and the ellipse's arc-length map,
-    # inscribed disk, field and boundary distance, need none of scipy's
-    # solvers, interpolators or trees; the commands that do import them on
-    # call
+    # the n-gon's integral and energy, sharpness and stability on the
+    # n-gon and the ellipse (their centres come from symmetry), and the
+    # ellipse's arc-length map, inscribed disk, field and boundary distance,
+    # need none of scipy's solvers, interpolators or trees; the commands
+    # that do import them on call
     from _domains import blob_points
 
     points = tmp_path / "blob.csv"

@@ -232,6 +232,32 @@ def test_best_circle_center_recovers_shift():
     assert dev <= normal_deviation(curve, curve.centroid()) + 1e-12
 
 
+def test_best_circle_center_shift_equivariant_on_spline():
+    # an asymmetric spline (rotation order 1) takes the Newton fit; the
+    # Nelder-Mead search it replaced, from both of its seeds, is the reference
+    from scipy.optimize import minimize
+    from eikstab.stability import normal_deviation
+
+    th = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    r = 1 + 0.1 * np.cos(2 * th) + 0.08 * np.sin(3 * th) + 0.05 * np.cos(th + 0.3)
+    pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    base = make_spline_curve(pts)
+    c0 = best_circle_center(base)
+    ref = min(minimize(lambda c: normal_deviation(base, c), seed,
+                       method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000}).fun
+              for seed in (base.centroid(), max_inscribed_disk(base).center_xy))
+    s = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    for shift in ((0.0, 0.0), (0.3, -0.2), (5.0, 5.0)):
+        curve = make_spline_curve(pts + np.array(shift))
+        # the perimeter normalization scales the samples about the origin,
+        # so the curve moves by the scaled shift; measure it on the curve
+        move = (curve.point(s) - base.point(s)).mean(axis=0)
+        center = best_circle_center(curve)
+        assert np.hypot(*(center - c0 - move)) < 1e-8
+        assert normal_deviation(curve, center) <= ref + 1e-12
+
+
 def test_star_region_circle_full():
     c = make_circle()
     d = max_inscribed_disk(c)

@@ -58,6 +58,26 @@ def test_minimizer_ordering():
         assert d_centroid <= st.normal_deviation(curve, probe) + 1e-12
 
 
+@pytest.mark.parametrize("curve", [
+    *(make_rounded_ngon(n) for n in (3, 5, 8, 16, 64, 128)),
+    make_rounded_ngon(7, rotation=0.25),
+    *(make_ellipse(a) for a in (1.05, 1.3, 4.0)),
+    make_ellipse(2.0, rotation=0.4),
+], ids=lambda c: c.spec)
+def test_symmetric_best_center_is_local_minimum(curve):
+    # the centre of rotation is a critical point by symmetry; the Hessian is
+    # a multiple of the identity only for rotation order >= 3, so on the
+    # ellipse (order 2) only a probe shows it is a minimum
+    from eikstab.geometry.circlefit import best_circle_center
+    center = best_circle_center(curve)
+    assert np.hypot(*(center - curve.centroid())) < 1e-12
+    d0 = st.normal_deviation(curve, center)
+    for h in (1e-2, 1e-4):
+        for th in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
+            probe = center + h * np.array([math.cos(th), math.sin(th)])
+            assert st.normal_deviation(curve, probe) > d0
+
+
 def test_cauchy_schwarz_chain():
     cases = [
         (make_ellipse(1.3), (0.1, 0.05)),
