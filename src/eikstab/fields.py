@@ -391,22 +391,25 @@ def flux_probe(field: UnitField, center, radius: float) -> float:
     return split_circle_flux(field, center, radius, lambda m: m)
 
 
-def l4_vortex_deviation(field: UnitField, center, alpha: int,
-                        grid_n: int = 128) -> float:
-    """Midpoint-rule integral of |m - vortex(center, alpha)|^4 over the domain."""
+def _l4_grid(field: UnitField, grid_n: int):
+    """The midpoint grid of l4_vortex_deviation: its points inside the
+    domain, the field there and the cell sides (P, m, hx, hy)."""
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
-    if alpha not in (1, -1):
-        raise ValueError("alpha must be +1 or -1")
-    center = np.asarray(center, dtype=float)
     x0, x1, y0, y1 = field.domain.bbox()
     hx, hy = (x1 - x0) / grid_n, (y1 - y0) / grid_n
     cx = x0 + hx * (np.arange(grid_n) + 0.5)
     cy = y0 + hy * (np.arange(grid_n) + 0.5)
     P = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
-    keep = field.domain.inside(P)
-    P = P[keep]
+    P = P[field.domain.inside(P)]
     m, _ = eval_many(field, P)
+    return P, m, hx, hy
+
+
+def _l4_on_grid(grid, center, alpha: int) -> float:
+    """l4_vortex_deviation on a grid from _l4_grid."""
+    P, m, hx, hy = grid
+    center = np.asarray(center, dtype=float)
     rx, ry = P[:, 0] - center[0], P[:, 1] - center[1]
     nu = np.hypot(rx, ry)
     ok = nu > 1e-12
@@ -416,6 +419,14 @@ def l4_vortex_deviation(field: UnitField, center, alpha: int,
     return float(np.sum(diff * diff) * hx * hy)
 
 
+def l4_vortex_deviation(field: UnitField, center, alpha: int,
+                        grid_n: int = 128) -> float:
+    """Midpoint-rule integral of |m - vortex(center, alpha)|^4 over the domain."""
+    if alpha not in (1, -1):
+        raise ValueError("alpha must be +1 or -1")
+    return _l4_on_grid(_l4_grid(field, grid_n), center, alpha)
+
+
 def best_vortex_fit(field: UnitField, grid_n: int = 128):
     """Minimal l4 deviation over vortex center and both signs.
 
@@ -423,12 +434,14 @@ def best_vortex_fit(field: UnitField, grid_n: int = 128):
     center is the centre of rotation, the inscribed disk's centre, with no
     search: the rotation fixes it.  Other domains run Nelder-Mead from the
     centroid, its first simplex stepping 5% of the inscribed radius along
-    each axis.
+    each axis.  The grid, its inside mask and the field on it do not
+    depend on the centre and are computed once.
     """
+    grid = _l4_grid(field, grid_n)
     disk = max_inscribed_disk(field.domain)
     if field.domain.rotation_order >= 2:
         c = disk.center_xy
-        return min(((l4_vortex_deviation(field, c, a, grid_n), c, a) for a in (1, -1)),
+        return min(((_l4_on_grid(grid, c, a), c, a) for a in (1, -1)),
                    key=lambda fit: fit[0])
     from scipy.optimize import minimize
 
@@ -436,7 +449,7 @@ def best_vortex_fit(field: UnitField, grid_n: int = 128):
     simplex = seed + 0.05 * disk.radius * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     best = (math.inf, seed, 1)
     for alpha in (1, -1):
-        res = minimize(lambda c: l4_vortex_deviation(field, c, alpha, grid_n),
+        res = minimize(lambda c: _l4_on_grid(grid, c, alpha),
                        seed, method="Nelder-Mead",
                        options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 200,
                                 "initial_simplex": simplex})

@@ -420,10 +420,11 @@ class BoundaryCurve:
         hit = np.isfinite(best)
         redo = ~hit | (star.sector(X + np.where(hit, best, 0.0)[:, None] * D) != k)
         # an origin outside the inscribed circle may lie outside the domain,
-        # where the first hit is an entry, not an exit
+        # where the first hit is an entry, not an exit; a gap of rounding
+        # size (up to 3e-16 on the rim, where births start) is not outside
         near_rim = rho2 > self._polygon.inradius ** 2
         if near_rim.any():
-            redo[near_rim] |= self._ngon_gap(X[near_rim]) > 0.0
+            redo[near_rim] |= self._ngon_gap(X[near_rim]) > 1e-12
         if redo.any():
             best[redo] = self._all_pieces_exit(X[redo], D[redo], tol)
         return best

@@ -144,13 +144,15 @@ def segment_ray_hits(x, d, p0, e, length, tol):
 
     x, d: (..., 2) origins and unit directions; the segment parameters
     broadcast against them, so (n, 1, 2) rays against (k, 2) segments give
-    an (n, k) table.
+    an (n, k) table.  The work is on x/y planes, so such a table makes no
+    (n, k, 2) temporary.
     """
-    den = d[..., 0] * e[..., 1] - d[..., 1] * e[..., 0]
-    rel = p0 - x
+    d0, d1, e0, e1 = d[..., 0], d[..., 1], e[..., 0], e[..., 1]
+    den = d0 * e1 - d1 * e0
+    r0, r1 = p0[..., 0] - x[..., 0], p0[..., 1] - x[..., 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (rel[..., 0] * e[..., 1] - rel[..., 1] * e[..., 0]) / den
-        v = (rel[..., 0] * d[..., 1] - rel[..., 1] * d[..., 0]) / den
+        t = (r0 * e1 - r1 * e0) / den
+        v = (r0 * d1 - r1 * d0) / den
     ok = (np.abs(den) > 1e-14) & (t > tol) & (v >= -1e-9) & (v <= length + 1e-9)
     return np.where(ok, t, np.inf)
 

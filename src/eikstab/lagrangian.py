@@ -163,55 +163,29 @@ def balanced_spec(field: UnitField, total: int, horizon: float = 3.0 * math.pi,
 # -- batch engine ---------------------------------------------------------
 
 
-def _jump_hits(x, d, J, fan, u_stop):
-    """First jump-segment hit of each ray: (ray parameter, segment index),
-    inf where the ray meets no segment.  J is the field's jump table.
+# a hit table holds about this many (line, segment) entries
+_TABLE_ENTRIES = 2 ** 20
 
-    Without a fan every ray is tested against every segment.  With one
-    (see UnitField.fan), a ray is tested against the two spokes of the
-    sector it heads into.  All spokes lie in the disk of radius max(L)
-    about the hub; when the ray's part inside that disk, cut at u_stop and
-    at the nearer of the two hits, starts and ends in the closed sector, it
-    stays there (the sector is convex) and no other spoke can come first.
-    Rays that fail this, or whose line passes within 1e-7 of the hub,
-    where all spokes meet, are tested against every segment.  Both tests
-    share one kernel, so they give the same bits.
+
+def _line_hits(x, d, u_end, J):
+    """Jump-segment hits of the lines x + u d with 1e-9 < u < u_end, as
+    flat arrays (line, u, segment) ordered by line, then segment.
+
+    The segment_ray_hits table of the lines against every segment of the
+    jump table J is built in row blocks of about _TABLE_ENTRIES entries.
+    Its arithmetic is elementwise, so a line's hits do not depend on the
+    other lines of the batch.
     """
-    P0, E, L = J.p0, J.e, J.length
-    if fan is None:
-        sure = np.zeros(len(x), dtype=bool)
-        u_seg = np.full(len(x), np.inf)
-        which = np.zeros(len(x), dtype=int)
-    else:
-        n = len(L)
-        rel = x - fan.hub
-        b = np.sum(rel * d, axis=1)
-        reach = L.max() + 1e-8
-        disc = b * b - (np.sum(rel * rel, axis=1) - reach * reach)
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        t0 = np.maximum(-b - sq, 0.0)
-        k0 = fan.sector(x + (t0 + 1e-9)[:, None] * d)
-        k1 = (k0 + 1) % n
-        h0 = segment_ray_hits(x, d, P0[k0], E[k0], L[k0], 1e-9)
-        h1 = segment_ray_hits(x, d, P0[k1], E[k1], L[k1], 1e-9)
-        u_seg = np.minimum(h0, h1)
-        which = np.where(h1 < h0, k1, k0)
-        t_end = np.minimum(np.minimum(u_stop, u_seg), -b + sq)
-        sure = np.abs(rel[:, 0] * d[:, 1] - rel[:, 1] * d[:, 0]) > 1e-7
-        for t in (t0, t_end):
-            q = rel + t[:, None] * d
-            sure &= E[k0, 0] * q[:, 1] - E[k0, 1] * q[:, 0] >= -1e-12
-            sure &= q[:, 0] * E[k1, 1] - q[:, 1] * E[k1, 0] >= -1e-12
-        # a ray whose part inside the disk ends before it starts meets no
-        # spoke before u_stop
-        sure |= (disc <= 0.0) | (t_end <= t0)
-    redo = np.flatnonzero(~sure)
-    if len(redo):
-        uu = segment_ray_hits(x[redo, None, :], d[redo, None, :],
-                              P0, E, L, 1e-9)
-        u_seg[redo] = uu.min(axis=1)
-        which[redo] = uu.argmin(axis=1)
-    return u_seg, which
+    nseg = len(J.length)
+    rows = max(1, _TABLE_ENTRIES // max(nseg, 1))
+    parts = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int))]
+    for lo in range(0, len(x) if nseg else 0, rows):
+        block = slice(lo, lo + rows)
+        tab = segment_ray_hits(x[block, None, :], d[block, None, :],
+                               J.p0, J.e, J.length, 1e-9)
+        r, k = np.nonzero(tab < u_end[block, None])
+        parts.append((r + lo, tab[r, k], k))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 # event column -> its empty column, which fixes the dtype and row shape
@@ -226,81 +200,83 @@ _EVENT_COLUMNS = {
 
 
 def _advance_batch(field: UnitField, x, s, t, T):
-    """Run one batch of curves to completion (event-synchronous lockstep).
+    """Run one batch of curves to completion, one lockstep step per
+    straight line.
 
-    Each curve carries its direction d = (cos s, sin s) and its boundary
-    exit distance along d from its current point.  Both are computed when
-    the curve is born or reflects, the only events that change s; a
-    crossing keeps s, so the curve stays on the same straight line and its
-    exit after a step of length u is the old exit minus u.  Only newborn
-    and reflected curves call ray_exit.
+    A crossing keeps the direction s, and whether a hit crosses depends
+    only on the segment, the side and s, so all hits of a line are known
+    from the point where it starts.  Each step takes the alive curves'
+    lines (from their birth or last reflection), their boundary exits
+    (ray_exit) and the horizon, and runs each line to its first hit that
+    reflects or lies within 1e-9 of the hub, where all segments meet, or
+    else to the exit or the horizon.  The crossings before that point are
+    recorded; only reflected curves take another step.
 
     x, s and t are advanced in place, so they end as each curve's end
     point, direction and time.  Returns (mu, death, term, events): the
     per-curve variation, end time (t itself) and termination code (0
     horizon, 1 boundary, 2 hub), and the batch's reflections and crossings
     as the named columns of EnsembleResult.events, 'curve' and
-    'cross_curve' indexing the batch.  Each event is recorded once.
+    'cross_curve' indexing the batch.  Each event is recorded once; each
+    step adds its reflections by curve, then its crossings by curve and
+    segment.
     """
-    n = len(s)
     J = field._jump_table
-    nseg = len(J.length)
-    fan = field.fan
-    alive = np.ones(n, dtype=bool)
-    mu = np.zeros(n)
-    term = np.zeros(n, dtype=np.int8)
-    steps = []  # each step's jump hits as _EVENT_COLUMNS parts
-    dirs = np.empty((n, 2))
-    exits = np.empty(n)
-    fresh = np.arange(n)  # curves whose line is new: born or reflected
+    # a hit's far-side trace: row k on side +, row nseg + k on side -
+    far_x, far_y = np.concatenate([J.m_minus, J.m_plus]).T
+    mu = np.zeros(len(s))
+    term = np.zeros(len(s), dtype=np.int8)
+    steps = []  # each step's events as _EVENT_COLUMNS parts
+    idx = np.arange(len(s))  # the alive curves
 
     for _ in range(200_000):
-        if not alive.any():
+        if not len(idx):
             break
-        if len(fresh):
-            dirs[fresh] = np.stack([np.cos(s[fresh]), np.sin(s[fresh])], axis=-1)
-            exits[fresh] = field.domain.ray_exit(x[fresh], dirs[fresh], tol=1e-9)
-        idx = np.flatnonzero(alive)
-        d = dirs[idx]
-        u_exit = exits[idx]
-        u_cap = T - t[idx]
-        if nseg:
-            u_seg, which = _jump_hits(x[idx], d, J, fan,
-                                      np.minimum(u_exit, u_cap))
-        else:
-            u_seg = np.full(len(idx), np.inf)
-            which = np.zeros(len(idx), dtype=int)
-        u = np.minimum(np.minimum(u_exit, u_cap), u_seg)
-        x[idx] = x[idx] + u[:, None] * d
-        t[idx] = t[idx] + u
-        exits[idx] = u_exit - u
+        x0, s0, t0 = x[idx], s[idx], t[idx]
+        d = np.stack([np.cos(s0), np.sin(s0)], axis=-1)
+        u_exit = field.domain.ray_exit(x0, d, tol=1e-9)
+        u_cap = T - t0
+        u = np.minimum(u_exit, u_cap)
+        line, uh, k = _line_hits(x0, d, u, J)
+        c, sn = d[:, 0][line], d[:, 1][line]
+        hx = x0[:, 0][line] + uh * c
+        hy = x0[:, 1][line] + uh * sn
+        side = c * J.normal[:, 0][k] + sn * J.normal[:, 1][k]
+        f = k + len(J.length) * (side < 0.0)
+        # jump_rule's crossing test, on d = (cos s, sin s)
+        crossed = far_x[f] * c + far_y[f] * sn > 0.0
+        at_hub = np.hypot(hx - J.hub[0], hy - J.hub[1]) < 1e-9
 
-        # what each step ends on: the horizon (0), the boundary (1), the
-        # hub, where all spokes meet (2), or another jump point (-1)
-        code = np.where(u_cap <= np.minimum(u_exit, u_seg), 0,
-                        np.where(u_exit <= u_seg, 1, -1)).astype(np.int8)
-        jj = np.flatnonzero(code < 0)
-        ii = idx[jj]
-        at_hub = np.hypot(x[ii, 0] - J.hub[0], x[ii, 1] - J.hub[1]) < 1e-9
-        code[jj[at_hub]] = 2
-        end = code >= 0
-        alive[idx[end]] = False
-        term[idx[end]] = code[end]
-        jj, ii = jj[~at_hub], ii[~at_hub]
-        k = which[jj]
-        side = np.sum(d[jj] * J.normal[k], axis=1)
-        far = np.where(side[:, None] < 0.0, J.m_plus[k], J.m_minus[k])
-        s_new, dmu, crossed = jump_rule(J.theta[k], far, s[ii])
-        rr, aa = np.flatnonzero(~crossed), np.flatnonzero(crossed)
-        mu[ii[rr]] += dmu[rr]
-        s[ii[rr]] = s_new[rr]
-        fresh = ii[rr]
+        # each line's first hit (least u, then least segment) that stops
+        # it; the hits before it cross
+        stops = np.flatnonzero(~crossed | at_hub)
+        stops = stops[np.lexsort((uh[stops], line[stops]))]
+        stopped, first = np.unique(line[stops], return_index=True)
+        stops = stops[first]
+        u[stopped] = uh[stops]
+        cc = np.flatnonzero(uh < u[line])
+        x[idx] = x0 + u[:, None] * d
+        t[idx] = t0 + u
+
+        # what each line ends on: the horizon (0), the boundary (1), the
+        # hub (2) or a reflection (-1; the curve takes another step)
+        code = np.where(u_cap <= u_exit, 0, 1).astype(np.int8)
+        code[stopped] = np.where(at_hub[stops], 2, -1)
+        term[idx] = code
+        rr = stops[~at_hub[stops]]
+        ii = idx[line[rr]]
+        s_new, dmu, _ = jump_rule(J.theta[k[rr]], np.stack(
+            [far_x[f[rr]], far_y[f[rr]]], axis=-1), s[ii])
+        mu[ii] += dmu
+        s[ii] = s_new
         side = np.sign(side)
         steps.append(dict(
-            curve=ii[rr], t=t[ii[rr]], xy=x[ii[rr]], mu=dmu[rr], seg=k[rr],
-            side=side[rr], s_out=s_new[rr], cross_curve=ii[aa],
-            cross_t=t[ii[aa]], cross_xy=x[ii[aa]], cross_seg=k[aa],
-            cross_side=side[aa], cross_s=s_new[aa]))
+            curve=ii, t=t[ii], xy=x[ii], mu=dmu, seg=k[rr], side=side[rr],
+            s_out=s_new, cross_curve=idx[line[cc]],
+            cross_t=t0[line[cc]] + uh[cc],
+            cross_xy=np.stack([hx[cc], hy[cc]], axis=-1), cross_seg=k[cc],
+            cross_side=side[cc], cross_s=s0[line[cc]]))
+        idx = ii
     else:
         raise RuntimeError("runaway batch: event cap exceeded")
     # popping frees each step's parts as its column is joined
@@ -409,19 +385,27 @@ def _breakpoints(curves: dict):
     curve its birth, its reflections in time order, then its end state.
 
     A curve's direction changes only at reflections, so these rows are its
-    polyline.  The sort on (curve, time) is stable, so a reflection at a
-    curve's birth or end time stays between the two.
+    polyline.  The engine records a curve's reflections in time order, so
+    a stable sort on the curve alone places them: the j-th reflection of
+    that order belongs to curve c and lands on row j + 2c + 1, after the
+    birth and end rows of the curves before c and c's own birth.
     """
     ev = curves["events"]
-    every = np.arange(len(curves["birth_t"]))
-    bc = np.concatenate([every, ev["curve"], every])
-    bt = np.concatenate([curves["birth_t"], ev["t"], curves["death_t"]])
-    bx = np.concatenate([curves["start_x"], ev["xy"], curves["end_x"]])
-    bs = np.concatenate([curves["start_s"], ev["s_out"], curves["end_s"]])
-    order = np.lexsort((bt, bc))
-    counts = np.bincount(bc, minlength=len(every))
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return offsets, bt[order], bx[order], bs[order]
+    n = len(curves["birth_t"])
+    order = np.argsort(ev["curve"], kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(
+        2 + np.bincount(ev["curve"], minlength=n))])
+    rows = np.arange(len(order)) + 2 * ev["curve"][order] + 1
+    out = []
+    for birth, event, end in (("birth_t", "t", "death_t"),
+                              ("start_x", "xy", "end_x"),
+                              ("start_s", "s_out", "end_s")):
+        col = np.empty((offsets[-1],) + curves[birth].shape[1:])
+        col[offsets[:-1]] = curves[birth]
+        col[rows] = ev[event][order]
+        col[offsets[1:] - 1] = curves[end]
+        out.append(col)
+    return (offsets, *out)
 
 
 def _run_batch(job) -> dict:

@@ -254,11 +254,12 @@ def trace_reference(field, x0, s0, T):
     and time horizon; at a jump the direction crosses when the far trace
     admits it and otherwise reflects across the jump tangent.
 
-    Returns (termination, t_plus, mu).
+    Returns (termination, t_plus, mu, crossings), the crossings as
+    (t, segment index) pairs in time order.
     """
     x = np.asarray(x0, dtype=float).copy()
     s = float(s0) % TWO_PI
-    t, mu = 0.0, 0.0
+    t, mu, crossings = 0.0, 0.0, []
     # the hub: the endpoint that all jump segments share
     ends = [{tuple(seg.p0), tuple(seg.p1)} for seg in field.jump_set]
     shared = set.intersection(*ends) if len(ends) > 1 else set()
@@ -268,7 +269,7 @@ def trace_reference(field, x0, s0, T):
         u_exit = first_exit(field.domain, x, d)
         u_cap = T - t
         u_seg, hit = math.inf, None
-        for seg in field.jump_set:
+        for j, seg in enumerate(field.jump_set):
             e = np.asarray(seg.p1) - np.asarray(seg.p0)
             L = math.hypot(*e)
             e = e / L
@@ -279,18 +280,19 @@ def trace_reference(field, x0, s0, T):
             u = (rel[0] * e[1] - rel[1] * e[0]) / den
             v = (rel[0] * d[1] - rel[1] * d[0]) / den
             if 1e-9 < u < u_seg and -1e-9 <= v <= L + 1e-9:
-                u_seg, hit = u, seg
+                u_seg, hit, j_hit = u, seg, j
         if u_cap <= min(u_exit, u_seg):
-            return "time-horizon", T, mu
+            return "time-horizon", T, mu, crossings
         u = min(u_exit, u_seg)
         x, t = x + u * d, t + u
         if u_exit <= u_seg:
-            return "boundary", t, mu
+            return "boundary", t, mu, crossings
         if hub is not None and math.hypot(*(x - hub)) < 1e-9:
-            return "center", t, mu
+            return "center", t, mu, crossings
         side = d[0] * -math.sin(hit.theta_J) + d[1] * math.cos(hit.theta_J)
         far = hit.m_plus if side < 0.0 else hit.m_minus
         if float(np.dot(far, d)) > 0.0:
+            crossings.append((t, j_hit))
             continue
         s_new = (2.0 * hit.theta_J - s) % TWO_PI
         mu += abs((s - s_new + math.pi) % TWO_PI - math.pi)

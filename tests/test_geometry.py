@@ -607,6 +607,25 @@ def test_sector_ray_exit_needs_no_fallback_inside(curve, monkeypatch):
     assert not asked and np.all(np.isfinite(t))
 
 
+@pytest.mark.parametrize("curve", SECTOR_CURVES, ids=_sector_id)
+def test_sector_ray_exit_needs_no_fallback_from_rim(curve, monkeypatch):
+    # a boundary birth starts on the rim, where the gap reads a few 1e-16
+    # either way by rounding; such an origin is not outside the domain, so
+    # its exit comes from the sector window, exact against every piece
+    rng = np.random.default_rng(len(curve.pieces) + 3)
+    sb = rng.uniform(0.0, curve.perimeter, 3000)
+    inward = np.arctan2(*curve.tangent(sb).T[::-1]) + math.pi / 2
+    s = inward + rng.uniform(-1.0, 1.0, len(sb)) * (math.pi / 2 - 1e-6)
+    X = curve.point(sb)
+    D = np.column_stack([np.cos(s), np.sin(s)])
+    expected = _all_pieces_min(curve, "ray_hits", X, D, 1e-9)
+    asked = []
+    monkeypatch.setattr(type(curve), "_all_pieces_exit",
+                        lambda self, X, *a: asked.append(len(X)))
+    assert np.array_equal(curve.ray_exit(X, D, tol=1e-9), expected)
+    assert not asked
+
+
 # -- batched distance kernels -----------------------------------------------
 
 

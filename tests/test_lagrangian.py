@@ -243,20 +243,29 @@ def _engine_vs_reference(field, rng, T):
         X.append(x)
         S.append(s)
     X, S = np.array(X), np.array(S)
-    mu, death, term, _ = lag._advance_batch(
+    mu, death, term, ev = lag._advance_batch(
         field, X.copy(), S.copy(), np.zeros(len(S)), T)
     names = {0: "time-horizon", 1: "boundary", 2: "center"}
     for i in range(len(S)):
-        termination, t_plus, mu_ref = trace_reference(field, X[i], S[i], T)
+        termination, t_plus, mu_ref, crossings = trace_reference(
+            field, X[i], S[i], T)
         assert names[int(term[i])] == termination
         assert abs(death[i] - t_plus) < 1e-9
         assert abs(mu[i] - mu_ref) < 1e-9
+        # the engine records a line's crossings by segment; compare in time
+        mine = np.flatnonzero(ev["cross_curve"] == i)
+        mine = mine[np.argsort(ev["cross_t"][mine])]
+        assert len(mine) == len(crossings)
+        for j, (t_ref, seg_ref) in zip(mine, crossings):
+            assert ev["cross_seg"][j] == seg_ref
+            assert abs(ev["cross_t"][j] - t_ref) < 1e-9
 
 
 def test_engine_matches_scalar_trace(ngon8_field):
-    # the reference takes its exits from segment_hits, not ray_exit, tests
-    # every jump segment and applies the crossing rule inline; the engine
-    # takes its exits and jump hits from one sector on the n-gons
+    # the reference takes its exits from segment_hits, not ray_exit, and
+    # its jump hits one event at a time from the event point, applying the
+    # crossing rule inline; the engine takes its exits from one sector on
+    # the n-gons and all jump hits of a line from the line's start
     _engine_vs_reference(ngon8_field, np.random.default_rng(21), T=7.0)
     shifted = make_rounded_ngon(7, rotation=0.3, center=(0.1, -0.2))
     _engine_vs_reference(distgrad_field(shifted),
@@ -269,11 +278,33 @@ def test_engine_matches_scalar_trace(ngon8_field):
 
 
 @pytest.mark.parametrize("n", [8, 32])
+def test_engine_hub_aimed_batch_ends_at_hub(n):
+    # a line aimed at the hub meets every spoke there, within 1e-9 of the
+    # hub, whether that hit would cross or reflect: each curve ends code 2
+    from eikstab.fields import eval_many, jump_distance
+    field = distgrad_field(make_rounded_ngon(n))
+    rng = np.random.default_rng(40 + n)
+    P = rng.uniform(-0.9, 0.9, (20_000, 2))
+    P = P[field.domain.inside(P) & (jump_distance(field, P) > 1e-6)]
+    S = np.arctan2(-P[:, 1], -P[:, 0]) % TWO_PI
+    m, _ = eval_many(field, P)
+    keep = m[:, 0] * np.cos(S) + m[:, 1] * np.sin(S) > 1e-9
+    X, S = P[keep][:200], S[keep][:200]
+    assert len(S) >= 50
+    x = X.copy()
+    mu, death, term, ev = lag._advance_batch(
+        field, x, S.copy(), np.zeros(len(S)), 7.0)
+    assert np.all(term == 2)
+    assert np.hypot(x[:, 0], x[:, 1]).max() < 1e-9
+    assert np.allclose(death, np.hypot(X[:, 0], X[:, 1]), rtol=0.0, atol=1e-12)
+    assert len(ev["t"]) == len(ev["cross_t"]) == 0 and not mu.any()
+
+
+@pytest.mark.parametrize("n", [8, 32])
 def test_engine_exits_only_new_lines(n, monkeypatch):
     # a crossing keeps a curve's line, so the engine asks ray_exit only for
-    # newborn and reflected curves and carries the exit through crossings;
-    # the carried exit must still land on the boundary, where a fresh exit
-    # from the curve's last direction change puts it
+    # newborn and reflected curves, once per line; a curve that exits ends
+    # where that exit, from its last direction change, puts it
     field = distgrad_field(make_rounded_ngon(n))
     curve = field.domain
     asked = []
@@ -477,9 +508,13 @@ def test_breakpoints_are_birth_reflections_end(ngon8_field):
     assert np.allclose(np.bincount(ev["curve"], weights=ev["mu"], minlength=n),
                        res.mu_total, rtol=1e-14, atol=0.0)
 
-    # trace() runs a batch of one curve and gives the ensemble's rows
+    # trace() runs a batch of one curve and gives the ensemble's rows: the
+    # curves with the most rows, and 200 random ones
     interior = np.flatnonzero(np.isnan(res.birth_param))
-    for i in interior[np.argsort(-np.diff(res.bp_offsets)[interior])[:5]]:
+    rng = np.random.default_rng(31)
+    for i in np.concatenate([
+            interior[np.argsort(-np.diff(res.bp_offsets)[interior])[:5]],
+            rng.choice(interior, 200, replace=False)]):
         tr = lag.trace(ngon8_field, res.start_x[i], res.start_s[i],
                        t0=res.birth_t[i], T=res.spec.horizon)
         rows = slice(res.bp_offsets[i], res.bp_offsets[i + 1])
@@ -488,3 +523,4 @@ def test_breakpoints_are_birth_reflections_end(ngon8_field):
                               res.bp_x[rows])
         assert [s for _, _, s in tr.breakpoints] == list(res.bp_s[rows])
         assert tr.t_plus == res.death_t[i] and tr.mu == res.mu_total[i]
+        assert tr.termination == lag._TERMINATIONS[res.termination[i]]
