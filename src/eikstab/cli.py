@@ -19,119 +19,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import defect, energy, fields, kinetic, lagrangian, report, stability, svgplot
-from .geometry import (
-    BoundaryCurve,
-    make_circle,
-    make_ellipse,
-    make_rounded_ngon,
-    make_spline_curve,
-    max_inscribed_disk,
-    star_region,
-)
+from .geometry import (BoundaryCurve, CurveSpecError, make_circle,
+                       make_rounded_ngon, max_inscribed_disk, parse_curve_spec,
+                       star_region)
+from .geometry.curve import finite_float
 
 TWO_PI = 2.0 * math.pi
 
 
-class CurveSpecError(ValueError):
-    def __init__(self, message: str, key: str):
-        super().__init__(message)
-        self.key = key
-
-
 class UsageError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------- curve specs
-
-_CURVE_KEYS = {
-    "circle": set(),
-    "ellipse": {"aspect", "rotation"},
-    "rounded_ngon": {"n", "rotation"},
-    "spline": {"points"},
-}
-
-
-def parse_curve_spec(text: str) -> BoundaryCurve:
-    """Parse 'circle', 'ellipse:aspect=1.3', 'rounded_ngon:n=8', or the
-    equivalent comma list 'kind=rounded_ngon,n=8'."""
-    text = text.strip()
-    kind, _, rest = text.partition(":")
-    keyed = "=" in kind  # the comma-list form carries the kind as a key
-    kv = {}
-    for part in (p for p in (text if keyed else rest).split(",") if p):
-        key, eq, val = part.partition("=")
-        if not eq:
-            raise CurveSpecError(
-                f"curve spec entry {key!r} is not key=value", key)
-        kv[key.strip()] = val.strip()
-    if keyed:
-        kind = kv.pop("kind", None)
-        if kind is None:
-            raise CurveSpecError("curve spec is missing the 'kind' key",
-                                 "kind")
-    if kind not in _CURVE_KEYS:
-        raise CurveSpecError(f"unknown curve kind {kind!r}", "kind")
-    bad = set(kv) - _CURVE_KEYS[kind]
-    if bad:
-        key = sorted(bad)[0]
-        raise CurveSpecError(
-            f"curve key {key!r} is not valid for kind {kind!r}", key)
-
-    def need(key: str) -> str:
-        if key not in kv:
-            raise CurveSpecError(
-                f"curve kind {kind!r} requires the {key!r} key", key)
-        return kv[key]
-
-    def as_float(key: str, raw: str) -> float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise CurveSpecError(
-                f"curve key {key!r} has non-numeric value {raw!r}", key)
-
-    if kind == "circle":
-        return make_circle()
-    if kind == "ellipse":
-        aspect = as_float("aspect", need("aspect"))
-        rotation = as_float("rotation", kv.get("rotation", "0"))
-        if aspect < 1.0:
-            raise CurveSpecError("curve key 'aspect' must be >= 1", "aspect")
-        return make_ellipse(aspect, rotation=rotation)
-    if kind == "rounded_ngon":
-        raw = need("n")
-        try:
-            n = int(raw)
-        except ValueError:
-            raise CurveSpecError(
-                f"curve key 'n' has non-integer value {raw!r}", "n")
-        if n < 3:
-            raise CurveSpecError("curve key 'n' must be at least 3", "n")
-        rotation = as_float("rotation", kv.get("rotation", "0"))
-        return make_rounded_ngon(n, rotation=rotation)
-    path = need("points")
-    try:
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                cells = line.replace(",", " ").split()
-                try:
-                    rows.append([float(cells[0]), float(cells[1])])
-                except (ValueError, IndexError):
-                    if rows:
-                        raise
-                    continue  # header row
-    except OSError as exc:
-        raise CurveSpecError(
-            f"curve key 'points' file cannot be read: {exc}", "points")
-    if len(rows) < 8:
-        raise CurveSpecError(
-            "curve key 'points' needs at least 8 samples", "points")
-    return make_spline_curve(np.asarray(rows))
 
 
 def build_field(curve: BoundaryCurve, kind: Optional[str]):
@@ -276,11 +173,11 @@ def cmd_gen_domain(cfg, args) -> Tuple[dict, List[dict]]:
 def cmd_defect(cfg, args) -> Tuple[dict, List[dict]]:
     curve = parse_curve_spec(cfg["curve"])
     try:
-        triple = [float(v) for v in cfg["triple"].split(",")]
+        triple = [finite_float(v) for v in cfg["triple"].split(",")]
     except ValueError:
         triple = []
     if len(triple) != 3:
-        raise UsageError("--triple must be three comma-separated numbers")
+        raise UsageError("--triple must be 3 comma-separated finite numbers")
     disk = max_inscribed_disk(curve)
     try:
         res = defect.defect_a(curve, disk, triple)
@@ -307,13 +204,12 @@ def cmd_defect_integral(cfg, args) -> Tuple[dict, List[dict]]:
     eta = None
     if region_spec != "full":
         head, _, tail = region_spec.partition(":")
-        if head != "star" or not tail:
-            raise UsageError(
-                "--region must be 'full' or 'star:<eta>'")
         try:
-            eta = float(tail)
+            eta = finite_float(tail)
         except ValueError:
-            raise UsageError("--region star eta must be numeric")
+            eta = None
+        if head != "star" or eta is None:
+            raise UsageError("--region must be 'full' or 'star:<finite eta>'")
     try:
         region = None if eta is None else star_region(curve, disk, eta)
         res = defect.integral_a2(
@@ -728,12 +624,13 @@ COMMANDS: Dict[str, Tuple[Callable, Tuple[Option, ...]]] = {
     "nu": (cmd_nu, (_CURVE, _COST, _FIELD, _CSV)),
     "lagrangian": (cmd_lagrangian, (
         _CURVE, _FIELD, Option("curves", int, 100_000),
-        Option("horizon", float), Option("boundary_rate", float),
+        Option("horizon", finite_float),
+        Option("boundary_rate", finite_float),
         Option("traj_csv", flag_only=True),
         Option("workers", int, 1, flag_only=True),
         Option("seed", int, required="stochastic command"))),
     "energy": (cmd_energy, (
-        _CURVE, _FIELD, Option("eps", float, 0.02), Option("grid", int, 1024),
+        _CURVE, _FIELD, Option("eps", finite_float, 0.02), Option("grid", int, 1024),
         Option("functional", default="F", choices=("F", "AG")), _CSV)),
     "stability": (cmd_stability, (_CURVE, _FIELD)),
     "sharpness": (cmd_sharpness, (
@@ -772,10 +669,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     try:
         config = resolve(args, options)
         results, asserts = handler(config, args)
-    except CurveSpecError as exc:
-        print(f"error: invalid curve spec: {exc}", file=sys.stderr)
-        return 2
-    except UsageError as exc:
+    except (CurveSpecError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     timing = time.perf_counter() - t0 if args.timing else None

@@ -9,6 +9,9 @@ curve of total length 2*pi.  Supported families, by constructor:
   vertices of a regular n-gon, rescaled to perimeter 2*pi,
 * ``make_spline_curve``  - periodic C^2 spline through user samples.
 
+``FAMILIES`` is their spec grammar, one row per family: ``parse_curve_spec``
+reads it and every constructor prints its canonical spec from it.
+
 The parametrization satisfies |g'| = 1 (exactly for the analytic families,
 to interpolation accuracy ~1e-6 for splines; spline tangents are
 renormalized to unit length on evaluation).
@@ -19,16 +22,30 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .pieces import (ArcPiece, EllipsePiece, SegmentPiece, SplinePiece,
                      arc_nearest_dist, arc_point, arc_ray_hits, arc_tangent,
-                     ellipse_speed_series, mod_2pi, segment_nearest_dist,
-                     segment_point, segment_ray_hits, segment_tangent)
+                     ellipse_speed_series, mod_2pi, sampled_bbox,
+                     segment_nearest_dist, segment_point, segment_ray_hits,
+                     segment_tangent)
 
 TWO_PI = 2.0 * math.pi
+
+# (point, piece) entries per block of the rounded n-gon's dist_to_boundary
+_DIST_ENTRIES = 2 ** 16
+
+
+@dataclass(frozen=True)
+class Disk:
+    center: tuple
+    radius: float
+
+    @property
+    def center_xy(self) -> np.ndarray:
+        return np.asarray(self.center, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -115,8 +132,8 @@ class BoundaryCurve:
         parameter by perimeter/g: n for the rounded n-gon, 2 for the
         ellipse, 1 otherwise (the circle's defect vanishes identically, so
         its full symmetry buys nothing).  For g >= 2 the centre of rotation
-        is the inscribed disk's centre (``max_inscribed_disk(curve).center_xy``:
-        the n-gon's hub, the ellipse's centre), which is also the centroid;
+        is the inscribed disk's centre (``inscribed_disk.center_xy``: the
+        n-gon's hub, the ellipse's centre), which is also the centroid;
         the best-fit circle and vortex centres are taken there.
     medial_star : the medial axis when it is a star of straight spokes
         (the rounded n-gon), else None.
@@ -322,42 +339,44 @@ class BoundaryCurve:
     def dist_to_boundary(self, pts) -> np.ndarray:
         """Distance from each point (n, 2) to the curve.
 
-        On a curve with a medial star (the rounded n-gon) a point of sector
-        k is nearest to arc k, side k or arc k+1, pieces 2k, 2k+1 and
-        2k+2 mod 2n, at every point of the plane; only those three are
-        measured.  Points that MedialStar.sector_off_spokes puts on a spoke
-        line take the minimum over all pieces.  Both read the piece tables
-        through the pieces' own kernels, so they give the bits of the
-        pieces' nearest_dist.
+        On a curve with a medial star (the rounded n-gon) it is the minimum
+        over the arc and side tables, read through the pieces' own kernels,
+        so it gives the bits of the pieces' nearest_dist; the points go in
+        blocks of about _DIST_ENTRIES (point, piece) entries.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.medial_star is None:
             return self.pieces[0].nearest_dist(pts)
         A, S = self._arcs, self._sides
-        n = len(S.length)
-
-        def arcs(q, k):
-            return arc_nearest_dist(q, A.center[k], A.radius[k], A.a0[k],
-                                    A.width[k], A.e0[k], A.e1[k])
-
-        def sides(q, k):
-            return segment_nearest_dist(q, S.p0[k], S.dir[k], S.length[k])
-
-        k = self.medial_star.sector_off_spokes(pts)
-        d = np.minimum(np.minimum(arcs(pts, k), sides(pts, k)),
-                       arcs(pts, (k + 1) % n))
-        tie = np.flatnonzero(k < 0)
-        if len(tie):
-            q, every = pts[tie, None, :], slice(None)
-            d[tie] = np.minimum(arcs(q, every), sides(q, every)).min(axis=1)
+        rows = max(1, _DIST_ENTRIES // len(S.length))
+        d = np.empty(len(pts))
+        for lo in range(0, len(pts), rows):
+            q = pts[lo:lo + rows, None, :]
+            d[lo:lo + rows] = np.minimum(
+                arc_nearest_dist(q, A.center, A.radius, A.a0, A.width, A.e0,
+                                 A.e1),
+                segment_nearest_dist(q, S.p0, S.dir, S.length)).min(axis=1)
         return d
 
+    @cached_property
+    def inscribed_disk(self) -> Disk:
+        """Largest disk contained in the domain (Chebyshev center), computed
+        once per curve.  The rounded n-gon's is centred at the hub of its
+        medial star with the closed-form inradius: the hub is the centre of
+        the n-fold rotation, and the distance is concave on a convex domain,
+        so it is the maximizer.  A single piece answers its own."""
+        c, r = (self.pieces[0].inscribed_disk() if self.medial_star is None
+                else (self.medial_star.hub, self._polygon.inradius))
+        return Disk(center=(float(c[0]), float(c[1])), radius=float(r))
+
+    @property
+    def convex(self) -> bool:
+        """Whether the domain is known to be convex: the rounded n-gon, or a
+        single piece that says so (the circle and the ellipse)."""
+        return self.medial_star is not None or self.pieces[0].convex
+
     def bbox(self):
-        s = np.linspace(0.0, self.perimeter, 4096, endpoint=False)
-        g = self.point(s)
-        pad = 1.0 / 4096
-        return (g[:, 0].min() - pad, g[:, 0].max() + pad,
-                g[:, 1].min() - pad, g[:, 1].max() + pad)
+        return sampled_bbox(self.point, self.perimeter)
 
     # -- intersections ---------------------------------------------------
 
@@ -433,28 +452,29 @@ class BoundaryCurve:
 # -- constructors --------------------------------------------------------
 
 
-def _spec(family: str, rotation: float, **keys) -> str:
-    """Canonical spec; numbers print as %g when that reads back exactly,
-    and a zero rotation is left out."""
+def _spec(family: str, **values) -> str:
+    """Canonical spec: the given keys in the family's FAMILIES order, each
+    left out at its default; numbers print as %g when that reads back
+    exactly."""
     def num(x):
         return f"{x:g}" if float(f"{x:g}") == x else repr(float(x))
 
-    if rotation:
-        keys["rotation"] = rotation
-    return family + ":" + ",".join(f"{k}={num(v)}" for k, v in keys.items())
+    keys = [f"{k.name}={num(values[k.name])}" for k in FAMILIES[family][1]
+            if k.name in values and values[k.name] != k.default]
+    return family + (":" + ",".join(keys) if keys else "")
 
 
 def make_circle(center=(0.0, 0.0)) -> BoundaryCurve:
     """Unit circle: the only radius compatible with perimeter 2*pi."""
     piece = ArcPiece(center, 1.0, 0.0, TWO_PI)
     return BoundaryCurve(pieces=[piece], perimeter=TWO_PI, curvature_bound=1.0,
-                         spec="circle")
+                         spec=_spec("circle"))
 
 
 def make_ellipse(aspect: float, rotation: float = 0.0, center=(0.0, 0.0)) -> BoundaryCurve:
     """Ellipse with semiaxis ratio ``aspect`` >= 1, perimeter 2*pi."""
-    if aspect < 1.0:
-        raise ValueError("aspect must be >= 1 (major over minor axis)")
+    if not (1.0 <= aspect < math.inf):
+        raise ValueError("aspect must be finite and >= 1 (major over minor axis)")
     raw_length = TWO_PI * ellipse_speed_series(aspect, 1.0)[0]
     scale = TWO_PI / raw_length
     piece = EllipsePiece(aspect * scale, scale, rotation=rotation, center=center)
@@ -482,6 +502,8 @@ def make_rounded_ngon(n: int, rotation: float = 0.0, center=(0.0, 0.0)) -> Bound
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    if not math.isfinite(rotation):
+        raise ValueError("rotation must be finite")
     lam = ngon_scale(n)
     r = lam / 2.0
     center = np.asarray(center, dtype=float)
@@ -526,7 +548,110 @@ def make_spline_curve(points) -> BoundaryCurve:
     if area2 < 0:
         raise ValueError("sample points must be ordered counterclockwise")
     return BoundaryCurve(pieces=[piece], perimeter=piece.length,
-                         curvature_bound=kmax, spec="spline")
+                         curvature_bound=kmax, spec=_spec("spline"))
+
+
+# -- spec grammar ----------------------------------------------------------
+
+
+class CurveSpecError(ValueError):
+    """A curve spec that FAMILIES rejects; key names the offending key."""
+
+    def __init__(self, message: str, key: str):
+        super().__init__(message)
+        self.key = key
+
+
+def finite_float(raw: str) -> float:
+    """float(raw), refusing NaN and the infinities."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
+def _read_points(path: str) -> np.ndarray:
+    """Finite x, y rows separated by commas or spaces, after '#' comment
+    lines and an optional header row; at least 8 rows."""
+    try:
+        with open(path) as fh:
+            lines = [ln.replace(",", " ") for ln in fh
+                     if ln.strip() and not ln.lstrip().startswith("#")]
+    except OSError as exc:
+        raise ValueError(f"file cannot be read: {exc}") from None
+    if len(lines) < 8:
+        raise ValueError("needs at least 8 samples")
+    try:
+        pts = np.loadtxt(lines, usecols=(0, 1), ndmin=2)
+    except ValueError:  # a header row
+        pts = np.loadtxt(lines[1:], usecols=(0, 1), ndmin=2)
+    if len(pts) < 8 or not np.isfinite(pts).all():
+        raise ValueError("needs at least 8 samples, all finite")
+    return pts
+
+
+class SpecKey(NamedTuple):
+    name: str
+    convert: Callable[[str], object]
+    default: object = None  # None: the key is required
+    lowest: Optional[float] = None
+
+
+# family -> (constructor, its keys in spec order)
+FAMILIES = {
+    "circle": (make_circle, ()),
+    "ellipse": (make_ellipse, (SpecKey("aspect", finite_float, lowest=1.0),
+                               SpecKey("rotation", finite_float, 0.0))),
+    "rounded_ngon": (make_rounded_ngon, (SpecKey("n", int, lowest=3),
+                                         SpecKey("rotation", finite_float, 0.0))),
+    "spline": (make_spline_curve, (SpecKey("points", _read_points),)),
+}
+
+
+def parse_curve_spec(text: str) -> BoundaryCurve:
+    """The curve of 'circle', 'ellipse:aspect=1.3', 'rounded_ngon:n=8', or
+    the equivalent comma list 'kind=rounded_ngon,n=8'.
+
+    The family's row of FAMILIES gives the constructor and its keys; each
+    value is converted (numbers must be finite) and checked against its
+    lowest allowed value.  Every error is a CurveSpecError naming its key;
+    one the constructor raises (clockwise spline samples) names 'kind'.
+    """
+    kind, _, rest = text.strip().partition(":")
+    if "=" in kind:  # the comma list carries the kind as a key
+        kind, rest = None, text.strip()
+    kv = {}
+    for part in filter(None, rest.split(",")):
+        key, eq, val = part.partition("=")
+        if not eq:
+            raise CurveSpecError(f"curve spec entry {key!r} is not key=value", key)
+        kv[key.strip()] = val.strip()
+    kind = kv.pop("kind", None) if kind is None else kind
+    if kind not in FAMILIES:
+        raise CurveSpecError(f"curve kind {kind!r} is not one of "
+                             + ", ".join(FAMILIES), "kind")
+    make, keys = FAMILIES[kind]
+    bad = sorted(set(kv) - {k.name for k in keys})
+    if bad:
+        raise CurveSpecError(
+            f"curve key {bad[0]!r} is not valid for kind {kind!r}", bad[0])
+    args = {}
+    for k in keys:
+        if k.name not in kv and k.default is None:
+            raise CurveSpecError(
+                f"curve kind {kind!r} requires the {k.name!r} key", k.name)
+        try:
+            value = k.convert(kv[k.name]) if k.name in kv else k.default
+        except ValueError as exc:
+            raise CurveSpecError(f"curve key {k.name!r}: {exc}", k.name) from None
+        if k.lowest is not None and not value >= k.lowest:
+            raise CurveSpecError(
+                f"curve key {k.name!r} must be >= {k.lowest:g}", k.name)
+        args[k.name] = value
+    try:
+        return make(**args)
+    except ValueError as exc:
+        raise CurveSpecError(f"curve kind {kind!r}: {exc}", "kind") from None
 
 
 def _ngon_arc_side_lengths(curve: BoundaryCurve):

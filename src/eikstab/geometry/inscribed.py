@@ -4,18 +4,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .curve import BoundaryCurve
-from .pieces import SplinePiece
-
-
-@dataclass(frozen=True)
-class Disk:
-    center: tuple
-    radius: float
-
-    @property
-    def center_xy(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=float)
+from .curve import BoundaryCurve, Disk
 
 
 @dataclass
@@ -51,46 +40,11 @@ class StarRegion:
 
 
 def max_inscribed_disk(curve: BoundaryCurve) -> Disk:
-    """Largest disk contained in the domain (Chebyshev center).
-
-    The convex families have closed forms.  The rounded n-gon's is centred
-    at the hub of its medial star with the closed-form inradius: the hub is
-    the centre of the n-fold rotation, and the distance is concave on a
-    convex domain, so it is the maximizer.  The circle's and the ellipse's
-    come from their piece (ArcPiece/EllipsePiece.inscribed_disk).
-
-    Only a spline searches: a 64 x 64 interior grid seeded with the exact
-    distance-to-boundary function, then a Nelder-Mead polish to 1e-10.
-    """
-    if curve.medial_star is not None:
-        c, r = curve.medial_star.hub, curve._polygon.inradius
-        return Disk(center=(float(c[0]), float(c[1])), radius=float(r))
-    if not isinstance(curve.pieces[0], SplinePiece):
-        c, r = curve.pieces[0].inscribed_disk()
-        return Disk(center=(float(c[0]), float(c[1])), radius=float(r))
-    from scipy.optimize import minimize
-
-    x0, x1, y0, y1 = curve.bbox()
-    gx = np.linspace(x0, x1, 64)
-    gy = np.linspace(y0, y1, 64)
-    X, Y = np.meshgrid(gx, gy)
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    ins = curve.inside(pts)
-    if not ins.any():
-        raise ValueError("no interior grid point found")
-    cand = pts[ins]
-    d = curve.dist_to_boundary(cand)
-    seed = cand[int(np.argmax(d))]
-
-    def neg_dist(p):
-        if not curve.inside(p[None, :])[0]:
-            return 0.0
-        return -float(curve.dist_to_boundary(p[None, :])[0])
-
-    res = minimize(neg_dist, seed, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000,
-                            "maxfev": 8000})
-    return Disk(center=(float(res.x[0]), float(res.x[1])), radius=-float(res.fun))
+    """Largest disk contained in the domain (Chebyshev center), as the
+    curve computed it once (BoundaryCurve.inscribed_disk): closed forms on
+    the circle, the ellipse and the rounded n-gon, a grid seed and a
+    Nelder-Mead polish on a spline."""
+    return curve.inscribed_disk
 
 
 def _segment_blocked(curve: BoundaryCurve, z, x) -> bool:
@@ -120,63 +74,43 @@ def star_region(curve: BoundaryCurve, disk: Disk, eta: float) -> StarRegion:
     """Extended star-shaped boundary region about the inscribed center.
 
     Interval endpoints are located on a grid of 4096 parameters and
-    refined by bisection.  The circle, the ellipse and the rounded n-gon
-    are convex, so only a spline runs the visibility half of the test.
+    refined by bisection.  A convex domain (BoundaryCurve.convex) skips
+    the visibility half of the test; only a spline runs it.
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    x0 = disk.center_xy
-    R = disk.radius
-    per = curve.perimeter
+    x0, per, convex = disk.center_xy, curve.perimeter, curve.convex
     samples = 4096
-    convex = not isinstance(curve.pieces[0], SplinePiece)
     # relative slack absorbs the rounding of the boundary points and the
     # 1e-10-level optimizer error in a spline's (x0, R); without it eta = 0
     # on a disk would reject half the boundary
-    lim = (1.0 + eta) * R * (1.0 + 1e-9)
+    lim = (1.0 + eta) * disk.radius * (1.0 + 1e-9)
 
     def ok(s: float) -> bool:
         g = curve.point(s)
-        if np.hypot(g[0] - x0[0], g[1] - x0[1]) > lim:
-            return False
-        return convex or not _segment_blocked(curve, x0, g)
+        return (np.hypot(g[0] - x0[0], g[1] - x0[1]) <= lim
+                and (convex or not _segment_blocked(curve, x0, g)))
 
     grid = np.linspace(0.0, per, samples, endpoint=False)
     flags = np.hypot(*(curve.point(grid) - x0).T) <= lim
     if not convex:
         for i in np.nonzero(flags)[0]:
             flags[i] = not _segment_blocked(curve, x0, curve.point(grid[i]))
-
     if flags.all():
         return StarRegion(eta=eta, intervals=[(0.0, per)], curve=curve, disk=disk)
-    if not flags.any():
-        return StarRegion(eta=eta, intervals=[], curve=curve, disk=disk)
 
-    h = per / samples
-
-    def refine_edge(hi_idx: int, lo_val: bool) -> float:
-        # flag flips between grid[hi_idx] - h and grid[hi_idx]
-        lo = grid[hi_idx] - h
-        hi = grid[hi_idx]
+    def refine_edge(i: int, lo_val: bool) -> float:
+        # the flag flips between grid[i] - per / samples and grid[i]
+        lo, hi = grid[i] - per / samples, grid[i]
         for _ in range(50):
             mid = 0.5 * (lo + hi)
-            if ok(mid) == lo_val:
-                lo = mid
-            else:
-                hi = mid
+            lo, hi = (mid, hi) if ok(mid) == lo_val else (lo, mid)
         return 0.5 * (lo + hi)
 
-    starts, ends = [], []
-    for i in range(samples):
-        if flags[i] and not flags[i - 1]:
-            starts.append(refine_edge(i, False) % per)
-        if flags[i - 1] and not flags[i]:
-            ends.append(refine_edge(i, True) % per)
-    starts.sort()
-    ends.sort()
-    intervals = []
-    for a in starts:
-        later = [b for b in ends if b > a]
-        b = later[0] if later else ends[0] + per
-        intervals.append((a, b))
+    starts = sorted(refine_edge(i, False) % per for i in range(samples)
+                    if flags[i] and not flags[i - 1])
+    ends = sorted(refine_edge(i, True) % per for i in range(samples)
+                  if flags[i - 1] and not flags[i])
+    intervals = [(a, min((b for b in ends if b > a), default=ends[0] + per))
+                 for a in starts]
     return StarRegion(eta=eta, intervals=intervals, curve=curve, disk=disk)

@@ -49,6 +49,15 @@ def wrap_pi(a):
     return mod_2pi(np.asarray(a, dtype=float) + math.pi) - math.pi
 
 
+def sampled_bbox(point, length: float, n: int = 4096):
+    """(x0, x1, y0, y1) of point(s) at n equispaced s in [0, length),
+    padded by 1/n."""
+    g = point(np.linspace(0.0, length, n, endpoint=False))
+    pad = 1.0 / n
+    return (g[:, 0].min() - pad, g[:, 0].max() + pad,
+            g[:, 1].min() - pad, g[:, 1].max() + pad)
+
+
 # -- elementwise kernels -------------------------------------------------
 #
 # One kernel per piece type and query.  A piece passes its own attributes;
@@ -165,6 +174,8 @@ class ArcPiece:
     center, radius : circle carrying the arc.
     a0, a1 : angular window of the outward radial direction, a1 > a0.
     """
+
+    convex = True  # the domain the piece bounds alone (BoundaryCurve.convex)
 
     def __init__(self, center, radius: float, a0: float, a1: float):
         if radius <= 0:
@@ -331,10 +342,13 @@ class EllipsePiece:
     """
 
     _TABLE_N = 8192
+    convex = True
 
     def __init__(self, a: float, b: float, rotation: float = 0.0, center=(0.0, 0.0)):
-        if a <= 0 or b <= 0:
-            raise ValueError("semiaxes must be positive")
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise ValueError("semiaxes must be positive and finite")
+        if not math.isfinite(rotation):
+            raise ValueError("rotation must be finite")
         self.a = float(a)
         self.b = float(b)
         self.rotation = float(rotation)
@@ -515,6 +529,7 @@ class SplinePiece:
     """
 
     _RESAMPLE = 4096
+    convex = False  # not known, so star regions test visibility
 
     def __init__(self, points):
         from scipy.interpolate import CubicSpline, PchipInterpolator
@@ -593,6 +608,30 @@ class SplinePiece:
 
         s = _foot_newton(s0, s0 - h, s0 + h, slope)
         return np.sqrt(np.minimum(sq_dist(s), sq_dist(s0)))
+
+    def inscribed_disk(self):
+        """Centre and radius of the largest inscribed disk: the interior
+        point of a 64 x 64 grid over the bounding box farthest from the
+        spline seeds a Nelder-Mead polish of that distance to 1e-10."""
+        from scipy.optimize import minimize
+
+        x0, x1, y0, y1 = sampled_bbox(self.point, self.length)
+        X, Y = np.meshgrid(np.linspace(x0, x1, 64), np.linspace(y0, y1, 64))
+        pts = np.column_stack([X.ravel(), Y.ravel()])
+        cand = pts[self.inside(pts)]
+        if not len(cand):
+            raise ValueError("no interior grid point found")
+        seed = cand[int(np.argmax(self.nearest_dist(cand)))]
+
+        def neg_dist(p):
+            if not self.inside(p[None, :])[0]:
+                return 0.0
+            return -float(self.nearest_dist(p[None, :])[0])
+
+        res = minimize(neg_dist, seed, method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000,
+                                "maxfev": 8000})
+        return res.x, -float(res.fun)
 
     def _crossings(self, p, d, tmax):
         """Parameters (t, u) where p + t d crosses the spline, 0 < t <= tmax."""

@@ -626,13 +626,15 @@ def dissipation_decomposition(result: EnsembleResult,
     """Weighted reflection variation per unit time over the late window.
 
     The rate is a sum of independent per-curve contributions c, so its
-    standard error is closed-form.  The interior starts are a fixed count
-    n_i of draws and enter as n_i * var(c).  The boundary births come in a
-    Poisson number with mean lambda (sample_ensemble draws the count), and
-    a compound Poisson sum has variance lambda * E[c^2], so they enter as
-    the unbiased estimate sum(c^2): the spread of their count is part of
-    the error, and n * var over the pooled curves would leave it out.  On
-    the rounded N-gons the two forms differ by 0.2-3% of the error.
+    standard error is closed-form.  Each c sums its curve's rows in time
+    order and the rate sums the c, so neither depends on the row order.
+    The interior starts are a fixed count n_i of draws and enter as
+    n_i * var(c).  The boundary births come in a Poisson number with mean
+    lambda (sample_ensemble draws the count), and a compound Poisson sum
+    has variance lambda * E[c^2], so they enter as the unbiased estimate
+    sum(c^2): the spread of their count is part of the error, and n * var
+    over the pooled curves would leave it out.  On the rounded N-gons the
+    two forms differ by 0.2-3% of the error.
     """
     T = result.spec.horizon
     burn = min(math.pi, T / 3.0) if burn_in is None else burn_in
@@ -642,14 +644,13 @@ def dissipation_decomposition(result: EnsembleResult,
     keep = ev["t"] >= burn
     if region is not None:
         keep &= region(ev["xy"])
-    mu = ev["mu"][keep]
-    curves = ev["curve"][keep]
+    t, curves, mu = (ev[k][keep] for k in ("t", "curve", "mu"))
+    order = np.lexsort((t, curves))
+    per_curve = np.bincount(curves[order], weights=mu[order],
+                            minlength=result.n_curves)
     window = T - burn
-    rate = float(np.sum(result.weights[curves] * mu)) / window
-
-    per_curve = np.zeros(result.n_curves)
-    np.add.at(per_curve, curves, mu)
     contrib = per_curve * result.weights / window
+    rate = float(np.sum(contrib))
     born = ~np.isnan(result.birth_param)
     interior = contrib[~born]
     var = float(np.sum(contrib[born] ** 2))

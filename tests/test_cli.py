@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from eikstab import cli
+from eikstab.geometry import CurveSpecError
+from eikstab.geometry.curve import FAMILIES
 
 
 def run_cli(argv, tmp_path=None):
@@ -69,6 +71,13 @@ def test_field_without_construction_names_field(tmp_path, curve, field):
     assert not (tmp_path / "x.json").exists()
 
 
+def _capped_child():
+    import resource
+
+    cap = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
 @pytest.mark.parametrize("argv,option", [
     (["defect-integral", "--curve", "circle", "--nodes", "5"], "nodes"),
     (["defect-integral", "--curve", "circle", "--mc", "0", "--seed", "1"],
@@ -85,18 +94,47 @@ def test_field_without_construction_names_field(tmp_path, curve, field):
      "seed"),
     (["gen-domain", "--curve", "circle", "--samples", "-1"], "samples"),
     (["gen-domain", "--curve", "circle", "--samples", "0"], "samples"),
+    (["energy", "--curve", "circle", "--grid", "128", "--eps", "nan"], "eps"),
+    (["lagrangian", "--curve", "circle", "--curves", "100", "--seed", "1",
+      "--horizon", "nan"], "horizon"),
+    (["lagrangian", "--curve", "circle", "--curves", "100", "--seed", "1",
+      "--boundary-rate", "nan"], "boundary-rate"),
+    (["defect-integral", "--curve", "circle", "--nodes", "8",
+      "--region", "star:inf"], "region"),
+    (["defect", "--curve", "circle", "--triple", "1,2,nan"], "triple"),
+    (["gen-domain", "--curve", "ellipse:aspect=nan"], "'aspect'"),
+    (["gen-domain", "--curve", "ellipse:aspect=inf"], "'aspect'"),
+    (["gen-domain", "--curve", "kind=ellipse,aspect=1.3,rotation=-inf"],
+     "'rotation'"),
+    (["gen-domain", "--curve", "rounded_ngon:n=8,rotation=nan"], "'rotation'"),
 ], ids=["nodes", "mc-zero", "mc-negative", "grid", "triple", "workers",
-        "seed-lagrangian", "seed-mc", "samples-negative", "samples-zero"])
+        "seed-lagrangian", "seed-mc", "samples-negative", "samples-zero",
+        "eps-nan", "horizon-nan", "boundary-rate-nan", "region-inf",
+        "triple-nan", "aspect-nan", "aspect-inf", "rotation-inf",
+        "rotation-nan"])
 def test_out_of_range_value_is_usage_error(tmp_path, argv, option):
     # the library entry point rejects the value; the command maps it to
-    # exit 2 instead of a traceback or a silently replaced value
+    # exit 2 instead of a traceback or a silently replaced value.  The
+    # child's time and memory are capped, so a value that sends a
+    # constructor into an endless loop fails instead of hanging the run.
     proc = subprocess.run(
         [sys.executable, "-m", "eikstab.cli", *argv,
          "--out", str(tmp_path / "x.json")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, timeout=60, preexec_fn=_capped_child)
     assert proc.returncode == 2
     assert option in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_non_finite_config_value_is_usage_error(tmp_path, capsys):
+    # the config merge converts through the option's own converter
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = nan\n")
+    rc = run_cli(["energy", "--curve", "circle", "--grid", "128",
+                  "--config", cfg, "--out", tmp_path / "x.json"])
+    assert rc == 2
+    assert "'eps'" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 
@@ -524,6 +562,80 @@ def test_curve_spec_round_trips(spec):
     again = cli.parse_curve_spec(curve.spec)
     s = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     assert np.array_equal(again.point(s), curve.point(s))
+
+
+def _points_file(tmp_path):
+    from _domains import blob_points
+
+    path = tmp_path / "blob.csv"
+    np.savetxt(path, blob_points(), delimiter=",", header="x,y")
+    return path
+
+
+def test_every_family_parses_both_syntaxes_and_prints_its_spec(tmp_path):
+    points = _points_file(tmp_path)
+    # family -> (key=value list, canonical spec)
+    cases = {"circle": ("", "circle"),
+             "ellipse": ("aspect=1.3,rotation=0", "ellipse:aspect=1.3"),
+             "rounded_ngon": ("rotation=0.25,n=7",
+                              "rounded_ngon:n=7,rotation=0.25"),
+             "spline": (f"points={points}", "spline")}
+    assert set(cases) == set(FAMILIES)
+    s = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    for kind, (keys, canonical) in cases.items():
+        colon = cli.parse_curve_spec(kind + (":" + keys if keys else ""))
+        comma = cli.parse_curve_spec(",".join(
+            p for p in (f"kind={kind}", keys) if p))
+        assert colon.spec == comma.spec == canonical, kind
+        assert np.array_equal(colon.point(s), comma.point(s)), kind
+
+
+@pytest.mark.parametrize("spec,key", [
+    ("kind=rounded_ngon,rotation=0.1", "n"),
+    ("rounded_ngon:n=8.5", "n"),
+    ("ellipse:aspect=wide", "aspect"),
+    ("rounded_ngon:n=2", "n"),
+    ("kind=ellipse,aspect=0.9", "aspect"),
+    ("spline:points=/nonexistent/points.csv", "points"),
+], ids=["missing", "bad-int", "bad-float", "below-n",
+        "below-aspect", "unreadable"])
+def test_curve_spec_error_names_its_key(spec, key):
+    with pytest.raises(CurveSpecError) as err:
+        cli.parse_curve_spec(spec)
+    assert err.value.key == key
+    assert repr(key) in str(err.value)
+
+
+def test_clockwise_spline_points_are_a_spec_error(tmp_path, capsys):
+    from _domains import blob_points
+
+    path = tmp_path / "cw.csv"
+    np.savetxt(path, blob_points()[::-1], delimiter=",")
+    rc = run_cli(["gen-domain", "--curve", f"spline:points={path}",
+                  "--out", tmp_path / "x.json"])
+    assert rc == 2
+    assert "counterclockwise" in capsys.readouterr().err
+
+
+def test_spline_stability_searches_its_disk_once(tmp_path, capsys,
+                                                 monkeypatch):
+    # the field's vortex centre, the best-fit circle and the vortex fit
+    # all read the disk the curve computed
+    from eikstab.geometry.pieces import SplinePiece
+
+    search, calls = SplinePiece.inscribed_disk, []
+
+    def counted(piece):
+        calls.append(piece)
+        return search(piece)
+
+    monkeypatch.setattr(SplinePiece, "inscribed_disk", counted)
+    rc = run_cli(["stability", "--curve",
+                  f"spline:points={_points_file(tmp_path)}",
+                  "--out", tmp_path / "x.json"])
+    capsys.readouterr()
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_spline_curve_from_points_file(tmp_path, capsys):

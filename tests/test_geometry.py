@@ -212,6 +212,55 @@ def test_inscribed_disk_circle_is_exact():
     assert d.radius == 1.0
 
 
+@pytest.mark.parametrize("curve", families(), ids=FAMILY_IDS)
+def test_inscribed_disk_is_computed_once(curve):
+    assert max_inscribed_disk(curve) is max_inscribed_disk(curve)
+    assert curve.convex == (curve.spec != "spline")
+
+
+def test_spline_disk_ignores_param_offset():
+    # the spline's piece searches in its own parameter
+    curve = make_spline_curve(blob_points())
+    assert (max_inscribed_disk(curve.with_param_offset(0.37))
+            == max_inscribed_disk(curve))
+
+
+_NON_FINITE_CHECK = """
+import math
+from eikstab.geometry import make_ellipse, make_rounded_ngon
+from eikstab.geometry.pieces import EllipsePiece
+
+nan, inf = math.nan, math.inf
+for make, args, kw in ((make_ellipse, (nan,), {}), (make_ellipse, (inf,), {}),
+                       (make_ellipse, (1.3,), {"rotation": nan}),
+                       (make_rounded_ngon, (8,), {"rotation": nan}),
+                       (EllipsePiece, (nan, 1.0), {}),
+                       (EllipsePiece, (1.0, inf), {}),
+                       (EllipsePiece, (1.2, 1.0), {"rotation": -inf})):
+    try:
+        make(*args, **kw)
+    except ValueError:
+        continue
+    raise SystemExit(f"{make.__name__}{args} {kw} accepted")
+"""
+
+
+def test_constructors_refuse_non_finite_values():
+    # a NaN aspect would keep doubling the ellipse's speed series, so the
+    # check runs in a child with capped time and memory
+    import resource
+    import subprocess
+    import sys
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run([sys.executable, "-c", _NON_FINITE_CHECK],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=cap)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_hausdorff_values():
     c = make_circle()
     assert hausdorff_to_circle(c, (0.0, 0.0)) < 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -420,6 +421,22 @@ def test_dissipation_ngon_matches_nu(ngon8_field):
 
     est_r = lag.dissipation_decomposition(res, region=region)
     assert abs(est_r.rate - share) / share < 0.2
+
+
+def test_dissipation_rate_ignores_row_order(ngon8_field):
+    # the rate and its error sum per curve, so shuffling the reflection
+    # rows moves neither in any bit
+    res = lag.sample_ensemble(lag.balanced_spec(ngon8_field, 20_000, seed=1))
+    a = lag.dissipation_decomposition(res)
+    assert a.n_events > 0
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        perm = rng.permutation(len(res.events["t"]))
+        events = {k: v if k.startswith("cross_") else v[perm]
+                  for k, v in res.events.items()}
+        b = lag.dissipation_decomposition(
+            dataclasses.replace(res, events=events))
+        assert (a.rate, a.standard_error) == (b.rate, b.standard_error)
 
 
 def test_dissipation_se_matches_bootstrap(ngon8_field):
