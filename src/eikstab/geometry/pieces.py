@@ -49,11 +49,11 @@ def wrap_pi(a):
     return mod_2pi(np.asarray(a, dtype=float) + math.pi) - math.pi
 
 
-def sampled_bbox(point, length: float, n: int = 4096):
-    """(x0, x1, y0, y1) of point(s) at n equispaced s in [0, length),
-    padded by 1/n."""
-    g = point(np.linspace(0.0, length, n, endpoint=False))
-    pad = 1.0 / n
+def sampled_bbox(point, length: float):
+    """(x0, x1, y0, y1) of point(s) at 4096 equispaced s in [0, length),
+    padded by 1/4096."""
+    g = point(np.linspace(0.0, length, 4096, endpoint=False))
+    pad = 1.0 / 4096
     return (g[:, 0].min() - pad, g[:, 0].max() + pad,
             g[:, 1].min() - pad, g[:, 1].max() + pad)
 

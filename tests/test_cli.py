@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -71,13 +72,6 @@ def test_field_without_construction_names_field(tmp_path, curve, field):
     assert not (tmp_path / "x.json").exists()
 
 
-def _capped_child():
-    import resource
-
-    cap = 2 << 30
-    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-
 @pytest.mark.parametrize("argv,option", [
     (["defect-integral", "--curve", "circle", "--nodes", "5"], "nodes"),
     (["defect-integral", "--curve", "circle", "--mc", "0", "--seed", "1"],
@@ -102,27 +96,50 @@ def _capped_child():
     (["defect-integral", "--curve", "circle", "--nodes", "8",
       "--region", "star:inf"], "region"),
     (["defect", "--curve", "circle", "--triple", "1,2,nan"], "triple"),
-    (["gen-domain", "--curve", "ellipse:aspect=nan"], "'aspect'"),
-    (["gen-domain", "--curve", "ellipse:aspect=inf"], "'aspect'"),
-    (["gen-domain", "--curve", "kind=ellipse,aspect=1.3,rotation=-inf"],
-     "'rotation'"),
-    (["gen-domain", "--curve", "rounded_ngon:n=8,rotation=nan"], "'rotation'"),
 ], ids=["nodes", "mc-zero", "mc-negative", "grid", "triple", "workers",
         "seed-lagrangian", "seed-mc", "samples-negative", "samples-zero",
         "eps-nan", "horizon-nan", "boundary-rate-nan", "region-inf",
-        "triple-nan", "aspect-nan", "aspect-inf", "rotation-inf",
-        "rotation-nan"])
+        "triple-nan"])
 def test_out_of_range_value_is_usage_error(tmp_path, argv, option):
     # the library entry point rejects the value; the command maps it to
-    # exit 2 instead of a traceback or a silently replaced value.  The
-    # child's time and memory are capped, so a value that sends a
-    # constructor into an endless loop fails instead of hanging the run.
+    # exit 2 instead of a traceback or a silently replaced value
     proc = subprocess.run(
         [sys.executable, "-m", "eikstab.cli", *argv,
          "--out", str(tmp_path / "x.json")],
-        capture_output=True, text=True, timeout=60, preexec_fn=_capped_child)
+        capture_output=True, text=True)
     assert proc.returncode == 2
     assert option in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+# Runs the command line in a child that caps its own address space at
+# 2 GiB before numpy loads; one BLAS thread keeps numpy's own buffers
+# far below the cap on a machine with many cores.
+_CAPPED_CLI = ("import resource, runpy; "
+               "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+               "runpy.run_module('eikstab.cli', run_name='__main__', "
+               "alter_sys=True)")
+_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1"}
+
+
+@pytest.mark.parametrize("spec,key", [
+    ("ellipse:aspect=nan", "'aspect'"),
+    ("ellipse:aspect=inf", "'aspect'"),
+    ("kind=ellipse,aspect=1.3,rotation=-inf", "'rotation'"),
+    ("rounded_ngon:n=8,rotation=nan", "'rotation'"),
+], ids=["aspect-nan", "aspect-inf", "rotation-inf", "rotation-nan"])
+def test_non_finite_curve_spec_is_usage_error(tmp_path, spec, key):
+    # a NaN aspect used to keep doubling the ellipse's speed series, so the
+    # child's time and memory are capped: a regression fails, not hangs
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, "gen-domain", "--curve", spec,
+         "--out", str(tmp_path / "x.json")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, **_ONE_THREAD})
+    assert proc.returncode == 2
+    assert key in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "x.json").exists()
 

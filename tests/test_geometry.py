@@ -227,6 +227,9 @@ def test_spline_disk_ignores_param_offset():
 
 _NON_FINITE_CHECK = """
 import math
+import resource
+
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 from eikstab.geometry import make_ellipse, make_rounded_ngon
 from eikstab.geometry.pieces import EllipsePiece
 
@@ -247,17 +250,17 @@ for make, args, kw in ((make_ellipse, (nan,), {}), (make_ellipse, (inf,), {}),
 
 def test_constructors_refuse_non_finite_values():
     # a NaN aspect would keep doubling the ellipse's speed series, so the
-    # check runs in a child with capped time and memory
-    import resource
+    # check runs in a child that caps its own memory (before numpy loads,
+    # with one BLAS thread) and is given a time limit
+    import os
     import subprocess
     import sys
 
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
+    one_thread = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                  "MKL_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", _NON_FINITE_CHECK],
                           capture_output=True, text=True, timeout=60,
-                          preexec_fn=cap)
+                          env={**os.environ, **one_thread})
     assert proc.returncode == 0, proc.stderr
 
 
