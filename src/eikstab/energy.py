@@ -90,11 +90,16 @@ def _bump_kernel(grid: GridField, eps: float) -> np.ndarray:
     """Normalized compactly supported C-infinity bump on the grid."""
     n, h = grid.n, grid.h
     k = np.fft.fftfreq(n, d=1.0 / n) * h   # signed cell offsets
-    X, Y = np.meshgrid(k, k, indexing="ij")
+    # the rows and columns that hold every cell with r2 < 1, kept in order:
+    # exp sees the full-grid formula's inputs in its order (the same bits)
+    sup = np.flatnonzero(k * k / (eps * eps) < 1.0)
+    X, Y = np.meshgrid(k[sup], k[sup], indexing="ij")
     r2 = (X * X + Y * Y) / (eps * eps)
-    w = np.zeros((n, n))
+    bump = np.zeros(r2.shape)
     inside = r2 < 1.0
-    w[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    bump[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    w = np.zeros((n, n))
+    w[np.ix_(sup, sup)] = bump
     return w / w.sum()
 
 
@@ -105,8 +110,12 @@ def mollify_field(field: UnitField, eps: float, grid_n: int) -> GridField:
         raise ValueError("mollification width under-resolved: eps < 4h")
     ker = np.fft.rfft2(_bump_kernel(grid, eps))
     for c in range(2):
-        grid.values[:, :, c] = np.fft.irfft2(
-            np.fft.rfft2(grid.values[:, :, c]) * ker, s=(grid.n, grid.n))
+        spec = np.fft.rfft2(grid.values[:, :, c])
+        spec *= ker
+        # irfft2's two passes, so at most two spectra live beside the kernel's
+        spec = np.fft.ifft(spec, axis=0)
+        grid.values[:, :, c] = np.fft.irfft(spec, grid.n, axis=1)
+        del spec
     return grid
 
 
@@ -132,14 +141,8 @@ def _mask_gaps(grid: GridField):
     return (mx0 - x0, x1 - mx1, my0 - y0, y1 - my1), (mx1 - mx0, my1 - my0)
 
 
-def solve_stray_field(grid: GridField) -> np.ndarray:
-    """H = grad u with Delta u = -div(m 1_mask), periodic box, FFT.
-
-    Compact five-point Laplacian symbol with central-difference divergence
-    and gradient: no even/odd decoupling, O(h^2) consistency.  Needs the
-    box to pad the masked region by at least half its extent per side;
-    the leftover periodic-image error is second order in the padding.
-    """
+def _stray_spectrum(grid: GridField):
+    """(u_hat, sig1, sig2), where H_c = irfft2(1j * sig_c * u_hat)."""
     gaps = _mask_gaps(grid)
     if gaps is not None:
         (gl, gr, gb, gt), (ex, ey) = gaps
@@ -151,25 +154,46 @@ def solve_stray_field(grid: GridField) -> np.ndarray:
     k_half = k_full[: n // 2 + 1]
     sig1 = (np.sin(k_full * h) / h)[:, None]
     sig2 = (np.sin(k_half * h) / h)[None, :]
+    # F_c = rfft2(m_c * mask) in its two passes (same calls, same bits), so
+    # each masked plane is freed before the column pass; then in place:
+    # u_hat = 1j * (sig1 * F1 + sig2 * F2) / lap, products in that order
+    u_hat, spec = (np.fft.fft(np.fft.rfft(grid.values[:, :, c] * grid.mask,
+                                          axis=1), axis=0) for c in (0, 1))
     lap = ((2.0 - 2.0 * np.cos(k_full * h)) / h ** 2)[:, None] \
         + ((2.0 - 2.0 * np.cos(k_half * h)) / h ** 2)[None, :]
     lap[0, 0] = 1.0
-    # u_hat = 1j * (sig1 * F1 + sig2 * F2) / lap, each product formed in
-    # place in that order (the same ufunc calls, so the same bits), and
-    # F2's buffer reused for the gradient spectra
-    u_hat = np.fft.rfft2(grid.values[:, :, 0] * grid.mask)
-    spec = np.fft.rfft2(grid.values[:, :, 1] * grid.mask)
     u_hat *= sig1
     spec *= sig2
     u_hat += spec
     np.multiply(1j, u_hat, out=u_hat)
     u_hat /= lap
     u_hat[0, 0] = 0.0
+    return u_hat, sig1, sig2
+
+
+def solve_stray_field(grid: GridField) -> np.ndarray:
+    """H = grad u with Delta u = -div(m 1_mask), periodic box, FFT.
+
+    Compact five-point Laplacian symbol with central-difference divergence
+    and gradient: no even/odd decoupling, O(h^2) consistency.  Needs the
+    box to pad the masked region by at least half its extent per side;
+    the leftover periodic-image error is second order in the padding.
+    """
+    u_hat, sig1, sig2 = _stray_spectrum(grid)
+    n = grid.n
     H = np.empty((n, n, 2))
     for c, sig in enumerate((sig1, sig2)):
-        H[:, :, c] = np.fft.irfft2(np.multiply(1j * sig, u_hat, out=spec),
-                                   s=(n, n))
+        H[:, :, c] = np.fft.irfft2(1j * sig * u_hat, s=(n, n))
     return H
+
+
+def _stray_sum_sq(grid: GridField) -> float:
+    """Sum of |H|^2 over the grid by Parseval: the rfft2 columns other than
+    0 and (n even) n/2 each stand for two."""
+    u_hat, sig1, sig2 = _stray_spectrum(grid)
+    p = (u_hat.real ** 2 + u_hat.imag ** 2) * (sig1 * sig1 + sig2 * sig2)
+    p[:, 1:(grid.n + 1) // 2] *= 2.0
+    return float(np.sum(p)) / grid.n ** 2
 
 
 def _local_terms(grid: GridField, eps: float):
@@ -210,9 +234,8 @@ def evaluate_F_eps(grid: GridField, eps: float) -> EnergyBreakdown:
 
     The two-term energy of the same grid is ``dirichlet + penalty``."""
     dirichlet, penalty, m3_term = _local_terms(grid, eps)
-    H = solve_stray_field(grid)
     h2 = grid.h * grid.h
-    magnetostatic = 0.5 / eps * float(np.sum(H * H)) * h2
+    magnetostatic = 0.5 / eps * _stray_sum_sq(grid) * h2
     total = dirichlet + magnetostatic + penalty + m3_term
     return EnergyBreakdown(dirichlet=dirichlet, magnetostatic=magnetostatic,
                            penalty=penalty, m3_term=m3_term, total=total,
@@ -228,5 +251,4 @@ def evaluate_E_AG(grid: GridField, eps: float) -> EnergyBreakdown:
 
 
 def stray_field_l2(grid: GridField) -> float:
-    H = solve_stray_field(grid)
-    return math.sqrt(float(np.sum(H * H)) * grid.h * grid.h)
+    return math.sqrt(_stray_sum_sq(grid) * grid.h * grid.h)

@@ -1,6 +1,8 @@
 """Grid energy tests: stray-field solver oracles, mollification, functionals."""
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,17 +64,22 @@ def test_zero_field_zero_stray(disk_vortex):
     assert np.max(np.abs(H)) < 1e-14
 
 
-def test_dipole_matches_free_space_kernel():
-    n = 512
-    h = 1.0 / n
+def dipole_grid(n):
+    """One magnetized cell (m = e1) at the centre of the unit box."""
     vals = np.zeros((n, n, 3))
     mask = np.zeros((n, n), dtype=bool)
     ic = n // 2
     vals[ic, ic, 0] = 1.0
     mask[ic, ic] = True
-    g = en.GridField(bbox=(-0.5, 0.5, -0.5, 0.5), n=n, h=h,
-                     values=vals, mask=mask)
-    H = en.solve_stray_field(g)
+    return en.GridField(bbox=(-0.5, 0.5, -0.5, 0.5), n=n, h=1.0 / n,
+                        values=vals, mask=mask)
+
+
+def test_dipole_matches_free_space_kernel():
+    n = 512
+    h = 1.0 / n
+    ic = n // 2
+    H = en.solve_stray_field(dipole_grid(n))
     fx = -0.5 + h * (np.arange(n) + 0.5)
     X, Y = np.meshgrid(fx, fx, indexing="ij")
     dx, dy = X - fx[ic], Y - fx[ic]
@@ -84,6 +91,50 @@ def test_dipole_matches_free_space_kernel():
     rel = np.hypot(H[:, :, 0][sel] - ex[sel], H[:, :, 1][sel] - ey[sel]) \
         / np.hypot(ex[sel], ey[sel])
     assert rel.max() < 0.02
+
+
+@pytest.mark.parametrize("n", [255, 256, 511])
+def test_spectral_stray_sum_matches_real_space(ngon8_field, n):
+    # Parseval over the rfft2 half spectrum: column 0 (and n/2 for even n)
+    # once, every other column twice
+    for g in (en.mollify_field(ngon8_field, 0.1, n), dipole_grid(n)):
+        H = en.solve_stray_field(g)
+        assert en._stray_sum_sq(g) == pytest.approx(float(np.sum(H * H)),
+                                                    rel=1e-12, abs=0.0)
+    zero = dipole_grid(n)
+    zero.values[:] = 0.0
+    assert en._stray_sum_sq(zero) == 0.0
+
+
+@pytest.mark.parametrize("n", [128, 255, 1024])
+def test_bump_kernel_bits_match_full_grid_formula(n):
+    h = 4.0 / n
+    for eps in (4.0 * h, 0.02, 3.0):     # 3.0: the support is the whole box
+        k = np.fft.fftfreq(n, d=1.0 / n) * h
+        X, Y = np.meshgrid(k, k, indexing="ij")
+        r2 = (X * X + Y * Y) / (eps * eps)
+        w = np.zeros((n, n))
+        inside = r2 < 1.0
+        w[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+        ker = en._bump_kernel(SimpleNamespace(n=n, h=h), eps)
+        assert np.array_equal(ker, w / w.sum())
+    assert np.all(inside)
+
+
+def test_mollify_and_F_eps_traced_peak():
+    # the largest live set is the grid plus three half spectra (the kernel
+    # spectrum and two passes of one component, or u_hat and one FFT's two
+    # passes), below the grid plus four
+    field = fields.distgrad_field(make_rounded_ngon(32))
+    n = 512
+    tracemalloc.start()
+    try:
+        g = en.mollify_field(field, 0.05, n)
+        en.evaluate_F_eps(g, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= g.values.nbytes + 4 * (16 * n * (n // 2 + 1))
 
 
 def test_uniform_disk_interior_value():
