@@ -329,14 +329,12 @@ def cmd_energy(cfg, args) -> Tuple[dict, List[dict]]:
         bd = energy.evaluate_E_AG(grid, eps)
     if args.csv:
         step = max(1, grid.n // 256)
-        fx, fy = grid.cell_centers()
-        rows = []
-        for i in range(0, grid.n, step):
-            for j in range(0, grid.n, step):
-                rows.append((fx[i], fy[j], grid.values[i, j, 0],
-                             grid.values[i, j, 1], grid.values[i, j, 2],
-                             bool(grid.mask[i, j])))
-        report.write_csv(args.csv, ["x", "y", "m1", "m2", "m3", "mask"], rows)
+        fx, fy = (c[::step] for c in grid.cell_centers())
+        v = grid.values[::step, ::step].reshape(-1, 3)
+        cols = (np.repeat(fx, len(fy)), np.tile(fy, len(fx)), v[:, 0], v[:, 1],
+                v[:, 2], grid.mask[::step, ::step].ravel())
+        report.write_csv(args.csv, ["x", "y", "m1", "m2", "m3", "mask"],
+                         zip(*cols))
     results = {
         "curve": curve.spec,
         "field": f.kind,

@@ -88,7 +88,9 @@ class UnitField:
     With strips, regions holds strip k for sector k of the domain's medial
     star and, after the strips, patch k at spoke k, which can cut into the
     strips on both sides of the spoke.  A field without strips is one full
-    patch.  kind names the construction in reports.
+    patch.  A nonempty jump set is the domain's spokes in order, segment k
+    running from the hub to vertex k, as distgrad_field builds it.  kind
+    names the construction in reports.
     """
 
     domain: BoundaryCurve
@@ -103,18 +105,6 @@ class UnitField:
     @property
     def patches(self) -> Tuple[VortexPatch, ...]:
         return tuple(r for r in self.regions if isinstance(r, VortexPatch))
-
-    @cached_property
-    def fan(self):
-        """The domain's medial star when the jump set is its spokes, segment
-        k running from the hub to vertex k; else None."""
-        star = self.domain.medial_star
-        if star is None or len(self.jump_set) != len(star.vertices):
-            return None
-        for seg, v in zip(self.jump_set, star.vertices):
-            if not (np.array_equal(seg.p0, star.hub) and np.array_equal(seg.p1, v)):
-                return None
-        return star
 
     @cached_property
     def _region_table(self) -> SimpleNamespace:
@@ -138,14 +128,12 @@ class UnitField:
         that jump_distance and the tracer read: start p0, offset d = p1 -
         p0 and L2 = |d|^2, unit direction e and length, theta_J and the
         normal (-sin theta_J, cos theta_J), the traces m_minus and m_plus,
-        and hub, the endpoint all segments share (at infinity when fewer
-        than two segments share one)."""
+        and the medial star's hub, where all segments meet (at infinity
+        without segments)."""
         p0 = np.array([seg.p0 for seg in self.jump_set], dtype=float).reshape(-1, 2)
         d = np.array([seg.p1 for seg in self.jump_set], dtype=float).reshape(-1, 2) - p0
         length = np.hypot(d[:, 0], d[:, 1])
         theta = np.array([seg.theta_J for seg in self.jump_set], dtype=float)
-        ends = [{tuple(seg.p0), tuple(seg.p1)} for seg in self.jump_set]
-        shared = set.intersection(*ends) if len(ends) > 1 else set()
         return SimpleNamespace(
             p0=p0, d=d, L2=np.array([float(e @ e) for e in d]),
             e=d / length[:, None], length=length, theta=theta,
@@ -154,7 +142,8 @@ class UnitField:
                              dtype=float).reshape(-1, 2),
             m_plus=np.array([seg.m_plus for seg in self.jump_set],
                             dtype=float).reshape(-1, 2),
-            hub=np.array(shared.pop() if shared else (np.inf, np.inf)))
+            hub=(self.domain.medial_star.hub if self.jump_set
+                 else np.array([np.inf, np.inf])))
 
     def boundary_trace(self, s) -> np.ndarray:
         """Sign of m . tau at the boundary parameters s (m = +-tau there)."""
@@ -272,43 +261,29 @@ def field_eval(field: UnitField, x) -> np.ndarray:
 
 def _segment_dist(X, p0, d, L2):
     """Distance from points X to the segments from p0 to p0 + d, |d|^2 =
-    L2, elementwise: one segment for all points or one per point."""
-    t = np.clip(((X[:, 0] - p0[..., 0]) * d[..., 0]
-                 + (X[:, 1] - p0[..., 1]) * d[..., 1]) / L2, 0.0, 1.0)
-    return np.hypot(X[:, 0] - (p0[..., 0] + t * d[..., 0]),
-                    X[:, 1] - (p0[..., 1] + t * d[..., 1]))
-
-
-def _all_segments_dist(X, p0, d, L2):
-    best = np.full(len(X), np.inf)
-    for j in range(len(L2)):
-        best = np.minimum(best, _segment_dist(X, p0[j], d[j], L2[j]))
-    return best
+    L2, elementwise: each point against its own gathered segment."""
+    t = np.clip(((X[:, 0] - p0[:, 0]) * d[:, 0]
+                 + (X[:, 1] - p0[:, 1]) * d[:, 1]) / L2, 0.0, 1.0)
+    return np.hypot(X[:, 0] - (p0[:, 0] + t * d[:, 0]),
+                    X[:, 1] - (p0[:, 1] + t * d[:, 1]))
 
 
 def jump_distance(field: UnitField, pts) -> np.ndarray:
     """Distance from each point to the jump set (inf if the set is empty).
 
-    On a fan (UnitField.fan) the nearest spoke of a point of sector k is
-    spoke k or k+1, the two whose directions lie nearest its own; only
-    those two are measured.  Points that MedialStar.sector_off_spokes puts
-    on a spoke line, and every point without a fan, take the minimum over
-    all segments.
+    The jump set is the domain's spokes (UnitField).  At a fixed distance
+    from the hub the distance to a spoke grows with its angle to the point,
+    so spokes k and k+1 of a point's sector k hold the nearest one, on a
+    spoke line and at the hub too; only those two are measured.
     """
     X = np.atleast_2d(np.asarray(pts, dtype=float))
     J = field._jump_table
-    p0, d, L2 = J.p0, J.d, J.L2
-    fan = field.fan
-    if fan is None:
-        return _all_segments_dist(X, p0, d, L2)
-    k = fan.sector_off_spokes(X)
-    k1 = (k + 1) % len(L2)
-    best = np.minimum(_segment_dist(X, p0[k], d[k], L2[k]),
-                      _segment_dist(X, p0[k1], d[k1], L2[k1]))
-    tie = np.flatnonzero(k < 0)
-    if len(tie):
-        best[tie] = _all_segments_dist(X[tie], p0, d, L2)
-    return best
+    if not len(J.L2):
+        return np.full(len(X), np.inf)
+    k = field.domain.medial_star.sector(X)
+    k1 = (k + 1) % len(J.L2)
+    return np.minimum(_segment_dist(X, J.p0[k], J.d[k], J.L2[k]),
+                      _segment_dist(X, J.p0[k1], J.d[k1], J.L2[k1]))
 
 
 def segment_circle_angles(p0, p1, center, radius: float):

@@ -83,24 +83,6 @@ class MedialStar:
             k[tie] = np.floor_divide(r[tie], w).astype(int) % n
         return k
 
-    def sector_off_spokes(self, pts) -> np.ndarray:
-        """sector(pts), but -1 for points within 1e-12 of the line of
-        either spoke bounding their sector, the hub among them.  There two
-        sectors' nearest pieces (or spokes) tie, rounding picks one, and a
-        query must take the minimum over all of them."""
-        k = self.sector(pts)
-        rx, ry = pts[:, 0] - self.hub[0], pts[:, 1] - self.hub[1]
-        cos, sin = self._axis_cos_sin
-        tie = np.zeros(len(pts), dtype=bool)
-        for j in (k, (k + 1) % len(self.axes)):
-            tie |= np.abs(cos[j] * ry - sin[j] * rx) < 1e-12
-        return np.where(tie, -1, k)
-
-    @cached_property
-    def _axis_cos_sin(self):
-        """cos and sin of each spoke's axis, gathered by sector."""
-        return np.cos(self.axes), np.sin(self.axes)
-
 
 def _table(pieces, names) -> SimpleNamespace:
     """The named attributes of the pieces as arrays indexed by piece."""

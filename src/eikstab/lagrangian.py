@@ -22,11 +22,21 @@ from .geometry.pieces import segment_ray_hits
 
 TWO_PI = 2.0 * math.pi
 BATCH = 16384
+# the tracer's one tolerance: starts within it of the jump set are refused,
+# jump hits and boundary exits within it of a line's start are ignored, and
+# a jump hit within it of the hub ends the curve there
+TOL = 1e-9
 
 
 def circ_dist(a, b):
     """Distance on the circle of directions."""
     return np.abs(wrap_pi(np.asarray(a) - np.asarray(b)))
+
+
+def _admits(mx, my, c, sn):
+    """Whether the trace (mx, my) admits the direction (c, sn) = (cos s,
+    sin s): a start's own trace, or at a jump the far one, which crosses."""
+    return mx * c + my * sn > 0.0
 
 
 def jump_rule(theta_J, m_far, s):
@@ -40,7 +50,7 @@ def jump_rule(theta_J, m_far, s):
     theta_J = np.asarray(theta_J, dtype=float)
     m_far = np.asarray(m_far, dtype=float)
     s = np.asarray(s, dtype=float)
-    crossed = m_far[..., 0] * np.cos(s) + m_far[..., 1] * np.sin(s) > 0.0
+    crossed = _admits(m_far[..., 0], m_far[..., 1], np.cos(s), np.sin(s))
     s_ref = (2.0 * theta_J - s) % TWO_PI
     s_new = np.where(crossed, s, s_ref)
     dmu = np.where(crossed, 0.0, circ_dist(s, s_ref))
@@ -65,15 +75,17 @@ def trace(field: UnitField, x0, s0: float, t0: float = 0.0,
           T: float = 3.0 * math.pi) -> Trajectory:
     """Exact characteristic through (x0, s0), traced by the batch engine
     as a batch of one curve.  Its breakpoints are the rows sample_ensemble
-    keeps for the curve: the birth, each reflection and the end state."""
+    keeps for the curve: the birth, each reflection and the end state.
+    The start lies inside, more than TOL from the jump set, and its trace
+    admits s0 (ValueError)."""
     x = np.asarray(x0, dtype=float).copy()
     s = float(s0) % TWO_PI
     if not bool(field.domain.inside(x[None, :])[0]):
         raise ValueError("start point must be interior")
-    if jump_distance(field, x[None, :])[0] <= 1e-12:
+    if jump_distance(field, x[None, :])[0] <= TOL:
         raise ValueError("start point lies on the jump set")
     m0 = eval_many(field, x[None, :])[0][0]
-    if float(m0 @ [math.cos(s), math.sin(s)]) <= 0.0:
+    if not _admits(m0[0], m0[1], math.cos(s), math.sin(s)):
         raise ValueError("start direction not admitted by the field")
 
     cols = _trace_curves(field, x[None, :], np.array([s]),
@@ -168,7 +180,7 @@ _TABLE_ENTRIES = 2 ** 20
 
 
 def _line_hits(x, d, u_end, J):
-    """Jump-segment hits of the lines x + u d with 1e-9 < u < u_end, as
+    """Jump-segment hits of the lines x + u d with TOL < u < u_end, as
     flat arrays (line, u, segment) ordered by line, then segment.
 
     The segment_ray_hits table of the lines against every segment of the
@@ -182,7 +194,7 @@ def _line_hits(x, d, u_end, J):
     for lo in range(0, len(x) if nseg else 0, rows):
         block = slice(lo, lo + rows)
         tab = segment_ray_hits(x[block, None, :], d[block, None, :],
-                               J.p0, J.e, J.length, 1e-9)
+                               J.p0, J.e, J.length, TOL)
         r, k = np.nonzero(tab < u_end[block, None])
         parts.append((r + lo, tab[r, k], k))
     return tuple(np.concatenate(p) for p in zip(*parts))
@@ -208,7 +220,7 @@ def _advance_batch(field: UnitField, x, s, t, T):
     from the point where it starts.  Each step takes the alive curves'
     lines (from their birth or last reflection), their boundary exits
     (ray_exit) and the horizon, and runs each line to its first hit that
-    reflects or lies within 1e-9 of the hub, where all segments meet, or
+    reflects or lies within TOL of the hub, where all segments meet, or
     else to the exit or the horizon.  The crossings before that point are
     recorded; only reflected curves take another step.
 
@@ -234,7 +246,7 @@ def _advance_batch(field: UnitField, x, s, t, T):
             break
         x0, s0, t0 = x[idx], s[idx], t[idx]
         d = np.stack([np.cos(s0), np.sin(s0)], axis=-1)
-        u_exit = field.domain.ray_exit(x0, d, tol=1e-9)
+        u_exit = field.domain.ray_exit(x0, d, tol=TOL)
         u_cap = T - t0
         u = np.minimum(u_exit, u_cap)
         line, uh, k = _line_hits(x0, d, u, J)
@@ -243,9 +255,8 @@ def _advance_batch(field: UnitField, x, s, t, T):
         hy = x0[:, 1][line] + uh * sn
         side = c * J.normal[:, 0][k] + sn * J.normal[:, 1][k]
         f = k + len(J.length) * (side < 0.0)
-        # jump_rule's crossing test, on d = (cos s, sin s)
-        crossed = far_x[f] * c + far_y[f] * sn > 0.0
-        at_hub = np.hypot(hx - J.hub[0], hy - J.hub[1]) < 1e-9
+        crossed = _admits(far_x[f], far_y[f], c, sn)
+        at_hub = np.hypot(hx - J.hub[0], hy - J.hub[1]) < TOL
 
         # each line's first hit (least u, then least segment) that stops
         # it; the hits before it cross
@@ -294,9 +305,9 @@ def _interior_starts(field: UnitField, count, rng):
                              rng.uniform(y0, y1, draw)])
         S = rng.uniform(0.0, TWO_PI, draw)
         keep = field.domain.inside(P)
-        keep &= jump_distance(field, P) > 1e-9
+        keep &= jump_distance(field, P) > TOL
         m, _ = eval_many(field, P)
-        keep &= np.cos(S) * m[:, 0] + np.sin(S) * m[:, 1] > 0.0
+        keep &= _admits(m[:, 0], m[:, 1], np.cos(S), np.sin(S))
         out_x = np.concatenate([out_x, P[keep]])
         out_s = np.concatenate([out_s, S[keep]])
     return out_x[:count], out_s[:count]

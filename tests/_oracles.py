@@ -166,10 +166,10 @@ def ngon_signed_gap(curve, pts, block=8192):
 
 # -- per-point kernels as (n, 2)-row formulas ---------------------------------
 #
-# MedialStar.sector and sector_off_spokes, the rounded n-gon's sector-edge
-# gap and field evaluation written with np.mod, np.floor_divide, row gathers
-# and hypot on every point, from a star's, curve's or field's stored data.
-# The package's x/y-plane kernels must give their bits.
+# MedialStar.sector, the rounded n-gon's sector-edge gap and field
+# evaluation written with np.mod, np.floor_divide, row gathers and hypot on
+# every point, from a star's, curve's or field's stored data.  The
+# package's x/y-plane kernels must give their bits.
 
 
 def sector_by_np_mod(star, pts):
@@ -179,17 +179,6 @@ def sector_by_np_mod(star, pts):
     theta = np.arctan2(rel[:, 1], rel[:, 0]) - star.axes[0]
     n = len(star.axes)
     return np.floor_divide(theta % TWO_PI, TWO_PI / n).astype(int) % n
-
-
-def sector_off_spokes_by_rows(star, pts):
-    """sector_by_np_mod, but -1 within 1e-12 of either bounding spoke's
-    line, with cos and sin taken of each point's gathered axes."""
-    k = sector_by_np_mod(star, pts)
-    rel = pts - star.hub
-    tie = np.zeros(len(pts), dtype=bool)
-    for a in (star.axes[k], star.axes[(k + 1) % len(star.axes)]):
-        tie |= np.abs(np.cos(a) * rel[:, 1] - np.sin(a) * rel[:, 0]) < 1e-12
-    return np.where(tie, -1, k)
 
 
 def ngon_gap_by_sector(curve, pts):

@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from eikstab import cli
-from eikstab.geometry import CurveSpecError
+from eikstab import cli, energy
+from eikstab.fields import distgrad_field
+from eikstab.geometry import CurveSpecError, make_rounded_ngon
 from eikstab.geometry.curve import FAMILIES
 
 
@@ -452,6 +453,25 @@ def test_energy_ag_variant(tmp_path, capsys):
     assert rep["results"]["magnetostatic"] == 0.0
     assert "dominates_two_term_energy" not in {
         a["name"] for a in rep["assertions"]}
+
+
+def test_energy_csv_is_every_step_th_cell(tmp_path, capsys):
+    # the cells (i, j) with i and j multiples of n // 256 (2 at n = 600),
+    # i-major, as a double loop over the mollified grid writes them
+    table = tmp_path / "grid.csv"
+    rc = run_cli(["energy", "--curve", "rounded_ngon:n=8", "--grid", "600",
+                  "--eps", "0.05", "--csv", table, "--out", tmp_path / "e.json"])
+    capsys.readouterr()
+    assert rc == 0
+    grid = energy.mollify_field(distgrad_field(make_rounded_ngon(8)), 0.05, 600)
+    fx, fy = grid.cell_centers()
+    expect = [[repr(float(fx[i])), repr(float(fy[j]))]
+              + [repr(float(v)) for v in grid.values[i, j]]
+              + ["1" if grid.mask[i, j] else "0"]
+              for i in range(0, 600, 2) for j in range(0, 600, 2)]
+    header, rows = read_csv(table)
+    assert header == ["x", "y", "m1", "m2", "m3", "mask"]
+    assert rows == expect
 
 
 def test_energy_unresolved_eps_is_usage_error(tmp_path, capsys):

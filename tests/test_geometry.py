@@ -25,8 +25,7 @@ from eikstab.geometry.pieces import ArcPiece, SegmentPiece
 from _domains import blob_points, dumbbell_curve
 from _oracles import (ellipse_arclength, ellipse_dist_by_bisection,
                       ellipse_nearest_dist, first_exit, ngon_gap_by_sector,
-                      ngon_signed_gap, sector_by_np_mod,
-                      sector_off_spokes_by_rows, spline_nearest_dist)
+                      ngon_signed_gap, sector_by_np_mod, spline_nearest_dist)
 
 TWO_PI = 2.0 * math.pi
 
@@ -799,17 +798,43 @@ def _all_segments_min(field, P):
     return best
 
 
+def _spoke_lines(star, offsets):
+    """41 points on each spoke's line, on both sides of the hub, and on
+    its parallels at the given offsets."""
+    t = np.linspace(-1.5, 1.5, 41)[:, None, None]
+    lines = star.hub + t * np.stack([np.cos(star.axes), np.sin(star.axes)],
+                                    axis=-1)
+    normal = np.stack([-np.sin(star.axes), np.cos(star.axes)], axis=-1)
+    return np.concatenate([lines] + [lines + h * normal for h in offsets]
+                          ).reshape(-1, 2)
+
+
 @pytest.mark.parametrize("curve", SECTOR_CURVES, ids=_sector_id)
 def test_fan_jump_distance_matches_all_segments(curve):
-    # the points of test_sector_dist_matches_all_pieces
+    # the points of test_sector_dist_matches_all_pieces, and those where
+    # the sector is a rounding away from its neighbour or the two nearest
+    # spokes tie: every spoke line and its parallels 1e-15 to 2e-12 away,
+    # points 1e-16 to 1e-8 from the hub, the sector bisectors and the
+    # vertices
     field = distgrad_field(curve)
-    assert field.fan is curve.medial_star
+    star = curve.medial_star
     rng = np.random.default_rng(len(curve.pieces))
-    hub = curve.medial_star.hub
+    hub = star.hub
+    lines = _spoke_lines(star, (-2e-12, -1e-12, -1e-13, -1e-15,
+                                1e-15, 1e-13, 1e-12, 2e-12))
+    r = 10.0 ** rng.uniform(-16.0, -8.0, 20_000)
+    th = rng.uniform(0.0, TWO_PI, 20_000)
+    near_hub = hub + r[:, None] * np.column_stack([np.cos(th), np.sin(th)])
+    bis = star.axes + star.half_width
+    bisectors = hub + np.linspace(0.0, 1.5, 31)[:, None, None] * np.stack(
+        [np.cos(bis), np.sin(bis)], axis=-1)
     P = np.vstack([hub + rng.uniform(-1.6, 1.6, (20_000, 2)),
-                   hub[None, :], _spoke_points(curve, rng, 2000)])
+                   hub[None, :], _spoke_points(curve, rng, 2000),
+                   lines, near_hub, bisectors.reshape(-1, 2),
+                   star.vertices])
     assert np.array_equal(jump_distance(field, P), _all_segments_min(field, P))
-    for p in P[-200:]:
+    # one point per call, from every kind above
+    for p in P[rng.choice(len(P), 300, replace=False)]:
         assert np.array_equal(jump_distance(field, p[None]),
                               _all_segments_min(field, p[None]))
 
@@ -857,13 +882,8 @@ def test_sector_matches_np_mod_reference(curve):
     hub = star.hub
     rng = np.random.default_rng(len(star.axes))
     # every spoke line on both sides of the hub, where the quotient is
-    # within rounding of an integer
-    t = np.linspace(-1.5, 1.5, 41)[:, None, None]
-    lines = hub + t * np.stack([np.cos(star.axes), np.sin(star.axes)], axis=-1)
-    # and parallel to them, on both sides of sector_off_spokes' 1e-12 band
-    normal = np.stack([-np.sin(star.axes), np.cos(star.axes)], axis=-1)
-    lines = np.concatenate([lines] + [lines + h * normal for h in
-                                      (-2e-12, -5e-13, 5e-13, 2e-12)])
+    # within rounding of an integer, and parallel to them
+    lines = _spoke_lines(star, (-2e-12, -5e-13, 5e-13, 2e-12))
     # the ray theta = +-pi through the hub: relative y of +0.0 and -0.0
     rel_x = -rng.uniform(0.0, 1.5, 50)
     ray = np.concatenate([np.column_stack([rel_x, np.zeros(50)]),
@@ -871,14 +891,11 @@ def test_sector_matches_np_mod_reference(curve):
     if np.any(hub):
         ray = ray + hub   # rel y = -0.0 needs a hub at the origin
     P = np.vstack([hub + rng.uniform(-1.6, 1.6, (20_000, 2)), hub[None, :],
-                   lines.reshape(-1, 2), _spoke_points(curve, rng, 2000), ray])
+                   lines, _spoke_points(curve, rng, 2000), ray])
     if abs(star.axes[0]) > 4.0:   # np.mod's own branch runs
         assert np.any(np.abs(np.arctan2(P[:, 1] - hub[1], P[:, 0] - hub[0])
                              - star.axes[0]) >= TWO_PI)
     assert np.array_equal(star.sector(P), sector_by_np_mod(star, P))
-    off = star.sector_off_spokes(P)
-    assert (off < 0).any()
-    assert np.array_equal(off, sector_off_spokes_by_rows(star, P))
 
 
 @pytest.mark.parametrize("curve", ANGLE_CURVES, ids=_sector_id)

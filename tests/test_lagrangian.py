@@ -50,6 +50,26 @@ def test_jump_rule_crossing_free():
 # -- scalar tracer ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("side, turn", [(1, -0.35), (-1, math.pi - 0.35)])
+def test_trace_refuses_starts_within_tol_of_a_jump(ngon8_field, side, turn):
+    # starts 0.3 out along spoke 1, on either side of it, heading 0.35 rad
+    # across it where the far trace refuses the direction: every start the
+    # tracer takes reflects at the spoke (variation 0.7), and a start
+    # within its tolerance is refused, not traced through the spoke or
+    # reflected at its far side
+    star = ngon8_field.domain.medial_star
+    a = star.axes[1]
+    e = np.array([math.cos(a), math.sin(a)])
+    n = np.array([-math.sin(a), math.cos(a)])
+    for off in (1e-6, 1e-8, 2e-9):
+        tr = lag.trace(ngon8_field, star.hub + 0.3 * e + side * off * n, a + turn)
+        assert abs(tr.mu - 0.7) < 1e-12
+        assert len(tr.breakpoints) == 3   # birth, the reflection, the end
+    for off in (9.99e-10, 5e-10, 1e-10, 0.0):
+        with pytest.raises(ValueError, match="on the jump set"):
+            lag.trace(ngon8_field, star.hub + 0.3 * e + side * off * n, a + turn)
+
+
 def test_vortex_chords_never_reflect(disk_vortex):
     rng = np.random.default_rng(4)
     n_done = 0
@@ -146,6 +166,19 @@ def test_planar_rate_matches_wall_cost():
     assert abs(res.rate - res.exact) / res.exact < 0.05
     assert abs(res.rate - res.exact) < 4.0 * res.standard_error
     assert res.standard_error < 0.01 * res.exact
+
+
+def test_planar_rate_past_the_cost_branch():
+    # the rounded triangle's half-angle: the crossing rule still gives the
+    # first-branch closed form 4 (sin X - X cos X), while wall_cost_ars has
+    # switched branch at X = pi/4 and reads lower, by the ratio that the
+    # triangle's rate/nu shows (ROADMAP, still red)
+    X = math.pi / 3
+    res = lag.planar_jump_rate(X, 1_000_000, seed=2)
+    assert res.exact == 4.0 * (math.sin(X) - X * math.cos(X))
+    assert abs(res.rate - res.exact) < 4.0 * res.standard_error
+    ratio = res.exact / (2.0 * wall_cost_ars(2.0 * math.sin(X)))
+    assert abs(ratio - 1.1957) < 1e-4
 
 
 def test_planar_rate_small_angle_cubic():
