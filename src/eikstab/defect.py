@@ -196,8 +196,10 @@ def defect_batch(curve: BoundaryCurve, disk: Disk, triples: np.ndarray) -> np.nd
     the shortfall has a median of 9e-5 but reaches 1.2e-2 where the peak is
     narrow, and the sums of a^2 come out 0.3-0.6% low.  defect_a polishes
     the same seeds and is never below this value.  A triple costs 2205
-    evaluations of _objective, a median 0.32 ms on the 8-gon (2048 random
-    triples, one core of a 2-core Xeon, numpy 2.4).
+    evaluations of _objective, a median 0.16 ms on the 8-gon (2048 random
+    triples in batches of 512, nine repetitions reading 0.154-0.183 ms;
+    one core of a 2-core Xeon, numpy 2.4, whose speed drifts over hours:
+    the same host read 0.26 ms at another time).
     """
     vals, _ = _search(curve, disk, triples)
     return np.maximum(vals.max(axis=1), 0.0)
@@ -301,21 +303,14 @@ def _lsq_concurrency(X, N):
     return sol
 
 
-def _region_nodes(curve: BoundaryCurve, region: Optional[StarRegion], M: int):
-    """Per-factor nodes/weights of the composite periodic rule.
+def _region_nodes(intervals, M: int):
+    """Per-factor nodes/weights of the composite periodic rule on a union
+    of parameter intervals.
 
     The three factors use sub-cell phases 1/6, 1/2, 5/6 so product nodes
     never coincide (minimum parameter gap = cell/3).
     """
     phases = (1.0 / 6.0, 0.5, 5.0 / 6.0)
-    if region is None:
-        L = curve.perimeter
-        h = L / M
-        params = np.stack([(np.arange(M) + ph) * h for ph in phases])
-        weights = np.full((3, M), h)
-        return params, weights, L
-
-    intervals = [(a, b) for a, b in region.intervals]
     lengths = np.array([b - a for a, b in intervals])
     L = float(lengths.sum())
     if L <= 0:
@@ -372,14 +367,16 @@ def integral_a2(curve: BoundaryCurve, disk: Disk,
     """
     if M < 8:
         raise ValueError("need M >= 8 nodes per factor")
+    intervals = [(0.0, curve.perimeter)] if region is None else region.intervals
     if mc_samples is not None:
         if mc_samples < 1:
             raise ValueError("need mc_samples >= 1")
         if not 0 <= seed < 2 ** 128:
             raise ValueError("need 0 <= seed < 2**128")
-        return _integral_a2_mc(curve, disk, region, mc_samples, seed, batch)
+        return _integral_a2_mc(curve, disk, intervals, mc_samples, seed,
+                               batch)
 
-    params, weights, L = _region_nodes(curve, region, M)
+    params, weights, L = _region_nodes(intervals, M)
     grid = TripleGrid(params=params, weights=weights, region_length=L, M=M)
     g = 1 if region is not None else _symmetry_order(curve, disk, M)
 
@@ -407,18 +404,14 @@ def _uniform_region_params(region_intervals, L, u):
     return starts[k] + (x - edges[k])
 
 
-def _integral_a2_mc(curve, disk, region, n, seed, batch):
-    L = curve.perimeter if region is None else region.total_length
+def _integral_a2_mc(curve, disk, intervals, n, seed, batch):
+    L = float(sum(b - a for a, b in intervals))
     vol = L**3
     # all draws come from one counter-based stream up front, so the result
     # is independent of the compute batch size
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random((n, 3))
-    if region is None:
-        triples = u * L
-    else:
-        triples = _uniform_region_params(
-            region.intervals, L, u.ravel()).reshape(n, 3)
+    triples = _uniform_region_params(intervals, L, u.ravel()).reshape(n, 3)
     ok = _pairwise_ok(triples, curve.perimeter)
     a2 = np.zeros(n)
     idx = np.nonzero(ok)[0]

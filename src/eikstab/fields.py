@@ -125,25 +125,24 @@ class UnitField:
     @cached_property
     def _jump_table(self) -> SimpleNamespace:
         """The jump segments as arrays indexed by segment, the one table
-        that jump_distance and the tracer read: start p0, offset d = p1 -
-        p0 and L2 = |d|^2, unit direction e and length, theta_J and the
-        normal (-sin theta_J, cos theta_J), the traces m_minus and m_plus,
-        and the medial star's hub, where all segments meet (at infinity
-        without segments)."""
-        p0 = np.array([seg.p0 for seg in self.jump_set], dtype=float).reshape(-1, 2)
-        d = np.array([seg.p1 for seg in self.jump_set], dtype=float).reshape(-1, 2) - p0
+        that jump_distance and the tracer read: the medial star's hub, held
+        once as every segment starts there (at infinity without segments),
+        offset d = p1 - hub and L2 = |d|^2, unit direction e and length,
+        theta_J and the normal (-sin theta_J, cos theta_J), and the traces
+        m_minus and m_plus."""
+        hub = (self.domain.medial_star.hub if self.jump_set
+               else np.array([np.inf, np.inf]))
+        d = np.array([seg.p1 for seg in self.jump_set], dtype=float).reshape(-1, 2) - hub
         length = np.hypot(d[:, 0], d[:, 1])
         theta = np.array([seg.theta_J for seg in self.jump_set], dtype=float)
         return SimpleNamespace(
-            p0=p0, d=d, L2=np.array([float(e @ e) for e in d]),
+            hub=hub, d=d, L2=np.array([float(e @ e) for e in d]),
             e=d / length[:, None], length=length, theta=theta,
             normal=np.stack([-np.sin(theta), np.cos(theta)], axis=-1),
             m_minus=np.array([seg.m_minus for seg in self.jump_set],
                              dtype=float).reshape(-1, 2),
             m_plus=np.array([seg.m_plus for seg in self.jump_set],
-                            dtype=float).reshape(-1, 2),
-            hub=(self.domain.medial_star.hub if self.jump_set
-                 else np.array([np.inf, np.inf])))
+                            dtype=float).reshape(-1, 2))
 
     def boundary_trace(self, s) -> np.ndarray:
         """Sign of m . tau at the boundary parameters s (m = +-tau there)."""
@@ -259,13 +258,13 @@ def field_eval(field: UnitField, x) -> np.ndarray:
     return v[0]
 
 
-def _segment_dist(X, p0, d, L2):
-    """Distance from points X to the segments from p0 to p0 + d, |d|^2 =
+def _segment_dist(X, hub, d, L2):
+    """Distance from points X to the segments from hub to hub + d, |d|^2 =
     L2, elementwise: each point against its own gathered segment."""
-    t = np.clip(((X[:, 0] - p0[:, 0]) * d[:, 0]
-                 + (X[:, 1] - p0[:, 1]) * d[:, 1]) / L2, 0.0, 1.0)
-    return np.hypot(X[:, 0] - (p0[:, 0] + t * d[:, 0]),
-                    X[:, 1] - (p0[:, 1] + t * d[:, 1]))
+    t = np.clip(((X[:, 0] - hub[0]) * d[:, 0]
+                 + (X[:, 1] - hub[1]) * d[:, 1]) / L2, 0.0, 1.0)
+    return np.hypot(X[:, 0] - (hub[0] + t * d[:, 0]),
+                    X[:, 1] - (hub[1] + t * d[:, 1]))
 
 
 def jump_distance(field: UnitField, pts) -> np.ndarray:
@@ -282,8 +281,8 @@ def jump_distance(field: UnitField, pts) -> np.ndarray:
         return np.full(len(X), np.inf)
     k = field.domain.medial_star.sector(X)
     k1 = (k + 1) % len(J.L2)
-    return np.minimum(_segment_dist(X, J.p0[k], J.d[k], J.L2[k]),
-                      _segment_dist(X, J.p0[k1], J.d[k1], J.L2[k1]))
+    return np.minimum(_segment_dist(X, J.hub, J.d[k], J.L2[k]),
+                      _segment_dist(X, J.hub, J.d[k1], J.L2[k1]))
 
 
 def segment_circle_angles(p0, p1, center, radius: float):

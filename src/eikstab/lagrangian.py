@@ -39,6 +39,13 @@ def _admits(mx, my, c, sn):
     return mx * c + my * sn > 0.0
 
 
+def _into_left(J, k, c, sn):
+    """Whether the direction (c, sn) = (cos s, sin s) heads into the left
+    of jump segment k of the jump table J, where its m_minus trace lies: a
+    hit's far side, and the side a crossing or a reflection leaves into."""
+    return c * J.normal[:, 0][k] + sn * J.normal[:, 1][k] > 0.0
+
+
 def jump_rule(theta_J, m_far, s):
     """Crossing rule at a jump: (new direction, added variation, crossed).
 
@@ -88,8 +95,8 @@ def trace(field: UnitField, x0, s0: float, t0: float = 0.0,
     if not _admits(m0[0], m0[1], math.cos(s), math.sin(s)):
         raise ValueError("start direction not admitted by the field")
 
-    cols = _trace_curves(field, x[None, :], np.array([s]),
-                         np.array([float(t0)]), T)
+    cols = _advance_batch(field, x[None, :], np.array([s]),
+                          np.array([float(t0)]), T)
     _, bt, bx, bs = _breakpoints(cols)
     return Trajectory(t_minus=t0, t_plus=float(cols["death_t"][0]),
                       breakpoints=[(float(a), b, float(c))
@@ -184,7 +191,8 @@ def _line_hits(x, d, u_end, J):
     flat arrays (line, u, segment) ordered by line, then segment.
 
     The segment_ray_hits table of the lines against every segment of the
-    jump table J is built in row blocks of about _TABLE_ENTRIES entries.
+    jump table J is built in row blocks of about _TABLE_ENTRIES entries;
+    every segment starts at the hub, so a line's offset to it is one value.
     Its arithmetic is elementwise, so a line's hits do not depend on the
     other lines of the batch.
     """
@@ -194,26 +202,32 @@ def _line_hits(x, d, u_end, J):
     for lo in range(0, len(x) if nseg else 0, rows):
         block = slice(lo, lo + rows)
         tab = segment_ray_hits(x[block, None, :], d[block, None, :],
-                               J.p0, J.e, J.length, TOL)
+                               J.hub, J.e, J.length, TOL)
         r, k = np.nonzero(tab < u_end[block, None])
         parts.append((r + lo, tab[r, k], k))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-# event column -> its empty column, which fixes the dtype and row shape
+# event column -> its empty column, which fixes the dtype and row shape: a
+# reflection's curve, time, point, variation, segment and new direction,
+# and a crossing's curve, time, segment and (kept) direction
 _EVENT_COLUMNS = {
     "curve": np.zeros(0, dtype=int), "t": np.zeros(0), "xy": np.zeros((0, 2)),
-    "mu": np.zeros(0), "seg": np.zeros(0, dtype=int), "side": np.zeros(0),
-    "s_out": np.zeros(0), "cross_curve": np.zeros(0, dtype=int),
-    "cross_t": np.zeros(0), "cross_xy": np.zeros((0, 2)),
-    "cross_seg": np.zeros(0, dtype=int), "cross_side": np.zeros(0),
-    "cross_s": np.zeros(0),
+    "mu": np.zeros(0), "seg": np.zeros(0, dtype=int), "s_out": np.zeros(0),
+    "cross_curve": np.zeros(0, dtype=int), "cross_t": np.zeros(0),
+    "cross_seg": np.zeros(0, dtype=int), "cross_s": np.zeros(0),
 }
 
 
-def _advance_batch(field: UnitField, x, s, t, T):
-    """Run one batch of curves to completion, one lockstep step per
-    straight line.
+def _join(parts, names):
+    """The named columns of the dicts parts, each concatenated in order and
+    popped from its parts as it joins, so one copy of it stays live."""
+    return {k: np.concatenate([p.pop(k) for p in parts]) for k in names}
+
+
+def _advance_batch(field: UnitField, X, S, T0, T) -> dict:
+    """Trace a batch of curves from points X, directions S and times T0
+    to the horizon T, one lockstep step per straight line.
 
     A crossing keeps the direction s, and whether a hit crosses depends
     only on the segment, the side and s, so all hits of a line are known
@@ -224,15 +238,14 @@ def _advance_batch(field: UnitField, x, s, t, T):
     else to the exit or the horizon.  The crossings before that point are
     recorded; only reflected curves take another step.
 
-    x, s and t are advanced in place, so they end as each curve's end
-    point, direction and time.  Returns (mu, death, term, events): the
-    per-curve variation, end time (t itself) and termination code (0
-    horizon, 1 boundary, 2 hub), and the batch's reflections and crossings
-    as the named columns of EnsembleResult.events, 'curve' and
-    'cross_curve' indexing the batch.  Each event is recorded once; each
-    step adds its reflections by curve, then its crossings by curve and
-    segment.
+    Returns the named per-curve columns start_x, start_s and birth_t (the
+    inputs), mu_total, death_t, termination (0 horizon, 1 boundary, 2
+    hub), end_x and end_s, and under 'events' the batch's reflections and
+    crossings as the columns of _EVENT_COLUMNS, 'curve' and 'cross_curve'
+    indexing the batch.  Each event is recorded once; each step adds its
+    reflections by curve, then its crossings by curve and segment.
     """
+    x, s, t = X.copy(), S.copy(), T0.copy()
     J = field._jump_table
     # a hit's far-side trace: row k on side +, row nseg + k on side -
     far_x, far_y = np.concatenate([J.m_minus, J.m_plus]).T
@@ -253,8 +266,7 @@ def _advance_batch(field: UnitField, x, s, t, T):
         c, sn = d[:, 0][line], d[:, 1][line]
         hx = x0[:, 0][line] + uh * c
         hy = x0[:, 1][line] + uh * sn
-        side = c * J.normal[:, 0][k] + sn * J.normal[:, 1][k]
-        f = k + len(J.length) * (side < 0.0)
+        f = k + len(J.length) * ~_into_left(J, k, c, sn)
         crossed = _admits(far_x[f], far_y[f], c, sn)
         at_hub = np.hypot(hx - J.hub[0], hy - J.hub[1]) < TOL
 
@@ -280,19 +292,16 @@ def _advance_batch(field: UnitField, x, s, t, T):
             [far_x[f[rr]], far_y[f[rr]]], axis=-1), s[ii])
         mu[ii] += dmu
         s[ii] = s_new
-        side = np.sign(side)
         steps.append(dict(
-            curve=ii, t=t[ii], xy=x[ii], mu=dmu, seg=k[rr], side=side[rr],
-            s_out=s_new, cross_curve=idx[line[cc]],
-            cross_t=t0[line[cc]] + uh[cc],
-            cross_xy=np.stack([hx[cc], hy[cc]], axis=-1), cross_seg=k[cc],
-            cross_side=side[cc], cross_s=s0[line[cc]]))
+            curve=ii, t=t[ii], xy=x[ii], mu=dmu, seg=k[rr], s_out=s_new,
+            cross_curve=idx[line[cc]], cross_t=t0[line[cc]] + uh[cc],
+            cross_seg=k[cc], cross_s=s0[line[cc]]))
         idx = ii
     else:
         raise RuntimeError("runaway batch: event cap exceeded")
-    # popping frees each step's parts as its column is joined
-    return mu, t, term, {k: np.concatenate([empty] + [p.pop(k) for p in steps])
-                         for k, empty in _EVENT_COLUMNS.items()}
+    return dict(start_x=X, start_s=S, birth_t=T0, mu_total=mu, death_t=t,
+                termination=term, end_x=x, end_s=s,
+                events=_join([dict(_EVENT_COLUMNS)] + steps, _EVENT_COLUMNS))
 
 
 def _interior_starts(field: UnitField, count, rng):
@@ -379,20 +388,8 @@ def _pool_init(field, T, seed, table):
     _POOL_ARGS = (T, seed, table)
 
 
-def _trace_curves(field: UnitField, X, S, T0, T) -> dict:
-    """Trace curves from points X, directions S and times T0 to the
-    horizon T.  Returns the named per-curve columns start_x, start_s,
-    birth_t, mu_total, death_t, termination, end_x and end_s, and under
-    'events' the curves' event columns."""
-    x, s, t = X.copy(), S.copy(), T0.copy()
-    mu, death, term, events = _advance_batch(field, x, s, t, T)
-    return dict(start_x=X, start_s=S, birth_t=T0, mu_total=mu,
-                death_t=death, termination=term, end_x=x, end_s=s,
-                events=events)
-
-
 def _breakpoints(curves: dict):
-    """Breakpoint rows (offsets, t, x, s) of _trace_curves' columns: per
+    """Breakpoint rows (offsets, t, x, s) of _advance_batch's columns: per
     curve its birth, its reflections in time order, then its end state.
 
     A curve's direction changes only at reflections, so these rows are its
@@ -420,7 +417,7 @@ def _breakpoints(curves: dict):
 
 
 def _run_batch(job) -> dict:
-    """_trace_curves' columns, plus birth_param, for the batch whose curves
+    """_advance_batch's columns, plus birth_param, for the batch whose curves
     start at index first of the ensemble; its event columns index the
     ensemble's curves."""
     batch_idx, kind, first, count = job
@@ -434,7 +431,7 @@ def _run_batch(job) -> dict:
         SB = np.full(count, np.nan)
     else:
         X, S, T0, SB = _boundary_starts(field, count, T, rng, table)
-    out = _trace_curves(field, X, S, T0, T)
+    out = _advance_batch(field, X, S, T0, T)
     out["events"]["curve"] += first
     out["events"]["cross_curve"] += first
     out["birth_param"] = SB
@@ -483,11 +480,8 @@ def sample_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleResult:
         _pool_init(field, T, spec.seed, table)
         outs = [_run_batch(j) for j in jobs]
 
-    cols = {k: np.concatenate([o[k] for o in outs])
-            for k in outs[0] if k != "events"}
-    cols["events"] = {k: np.concatenate([o["events"][k] for o in outs])
-                      for k in outs[0]["events"]}
-    del outs  # the joined columns hold everything; free the batch parts
+    cols = _join(outs, [k for k in outs[0] if k != "events"])
+    cols["events"] = _join([o["events"] for o in outs], _EVENT_COLUMNS)
     offsets, bt, bx, bs = _breakpoints(cols)
     return EnsembleResult(
         spec=spec, weights=np.repeat([w_int, w_b], [n_int, n_b]),
@@ -678,15 +672,18 @@ def jump_flux_check(result: EnsembleResult, seg_index: int,
     field = result.spec.field
     seg = field.jump_set[seg_index]
     ev = result.events
+    # what leaves the segment, reflected or crossed, by the side it enters
+    sel_r = ev["seg"] == seg_index
+    sel_c = ev["cross_seg"] == seg_index
+    s_all = np.concatenate([ev["s_out"][sel_r], ev["cross_s"][sel_c]])
+    w_all = np.concatenate([result.weights[ev["curve"][sel_r]],
+                            result.weights[ev["cross_curve"][sel_c]]])
+    left = _into_left(field._jump_table, seg_index, np.cos(s_all),
+                      np.sin(s_all))
     worst = 0.0
-    for side, m_side in ((1.0, seg.m_minus), (-1.0, seg.m_plus)):
-        # outgoing into this side: crossers that entered it plus reflectors
-        # that failed to leave it
-        sel_r = (ev["seg"] == seg_index) & (ev["side"] == -side)
-        sel_c = (ev["cross_seg"] == seg_index) & (ev["cross_side"] == side)
-        s_out = np.concatenate([ev["s_out"][sel_r], ev["cross_s"][sel_c]])
-        w_out = np.concatenate([result.weights[ev["curve"][sel_r]],
-                                result.weights[ev["cross_curve"][sel_c]]])
+    for side, pick, m_side in ((1.0, left, seg.m_minus),
+                               (-1.0, ~left, seg.m_plus)):
+        s_out, w_out = s_all[pick], w_all[pick]
         if len(s_out) == 0:
             continue
         theta_m = math.atan2(m_side[1], m_side[0])

@@ -97,10 +97,12 @@ def test_field_without_construction_names_field(tmp_path, curve, field):
     (["defect-integral", "--curve", "circle", "--nodes", "8",
       "--region", "star:inf"], "region"),
     (["defect", "--curve", "circle", "--triple", "1,2,nan"], "triple"),
+    # a repeated n would weigh its polygon twice in the fitted slopes
+    (["sharpness", "--n", "8,16,8"], "--n repeats 8"),
 ], ids=["nodes", "mc-zero", "mc-negative", "grid", "triple", "workers",
         "seed-lagrangian", "seed-mc", "samples-negative", "samples-zero",
         "eps-nan", "horizon-nan", "boundary-rate-nan", "region-inf",
-        "triple-nan"])
+        "triple-nan", "n-repeated"])
 def test_out_of_range_value_is_usage_error(tmp_path, argv, option):
     # the library entry point rejects the value; the command maps it to
     # exit 2 instead of a traceback or a silently replaced value
@@ -441,6 +443,25 @@ def test_energy_payload_and_assertions(tmp_path, capsys):
     names = {a["name"] for a in rep["assertions"]}
     assert "dominates_two_term_energy" in names
     assert rep["passed"] is True
+
+
+def test_energy_total_is_sum_is_checked(tmp_path, capsys, monkeypatch):
+    # a total 5e-9 off the sum of its terms passes EnergyBreakdown's own
+    # relative check at total ~ 10, but not the report's stated 1e-9
+    def off_total(grid, eps):
+        return energy.EnergyBreakdown(
+            dirichlet=4.0, magnetostatic=3.0, penalty=2.0, m3_term=1.0,
+            total=10.0 + 5e-9, epsilon=eps)
+
+    monkeypatch.setattr(energy, "evaluate_F_eps", off_total)
+    out = tmp_path / "en.json"
+    rc = run_cli(["energy", "--curve", "circle", "--grid", "256",
+                  "--eps", "0.08", "--out", out])
+    capsys.readouterr()
+    assert rc == 1
+    rec = {a["name"]: a for a in load(out)["assertions"]}["total_is_sum"]
+    assert rec["passed"] is False
+    assert rec["value"] == pytest.approx(5e-9, rel=1e-6)
 
 
 def test_energy_ag_variant(tmp_path, capsys):

@@ -277,8 +277,9 @@ def _engine_vs_reference(field, rng, T):
         X.append(x)
         S.append(s)
     X, S = np.array(X), np.array(S)
-    mu, death, term, ev = lag._advance_batch(
-        field, X.copy(), S.copy(), np.zeros(len(S)), T)
+    out = lag._advance_batch(field, X, S, np.zeros(len(S)), T)
+    mu, death, term, ev = (out[k] for k in (
+        "mu_total", "death_t", "termination", "events"))
     names = {0: "time-horizon", 1: "boundary", 2: "center"}
     for i in range(len(S)):
         termination, t_plus, mu_ref, crossings = trace_reference(
@@ -325,13 +326,14 @@ def test_engine_hub_aimed_batch_ends_at_hub(n):
     keep = m[:, 0] * np.cos(S) + m[:, 1] * np.sin(S) > 1e-9
     X, S = P[keep][:200], S[keep][:200]
     assert len(S) >= 50
-    x = X.copy()
-    mu, death, term, ev = lag._advance_batch(
-        field, x, S.copy(), np.zeros(len(S)), 7.0)
-    assert np.all(term == 2)
+    out = lag._advance_batch(field, X, S, np.zeros(len(S)), 7.0)
+    x, ev = out["end_x"], out["events"]
+    assert np.all(out["termination"] == 2)
     assert np.hypot(x[:, 0], x[:, 1]).max() < 1e-9
-    assert np.allclose(death, np.hypot(X[:, 0], X[:, 1]), rtol=0.0, atol=1e-12)
-    assert len(ev["t"]) == len(ev["cross_t"]) == 0 and not mu.any()
+    assert np.allclose(out["death_t"], np.hypot(X[:, 0], X[:, 1]),
+                       rtol=0.0, atol=1e-12)
+    assert len(ev["t"]) == len(ev["cross_t"]) == 0
+    assert not out["mu_total"].any()
 
 
 @pytest.mark.parametrize("n", [8, 32])
@@ -502,23 +504,27 @@ def test_jump_flux_balance(ngon8_field):
         assert lag.jump_flux_check(res, k, bins=16) < 0.05
 
 
-def test_admissibility_after_events(ngon8_field):
-    spec = lag.balanced_spec(ngon8_field, 100_000, seed=29)
-    res = lag.sample_ensemble(spec)
+@pytest.mark.parametrize("n", [3, 8])
+def test_admissibility_after_events(n):
+    # N = 3 has its jumps past the cost branch (half-angle pi/3 > pi/4)
+    field = distgrad_field(make_rounded_ngon(n))
+    res = lag.sample_ensemble(lag.balanced_spec(field, 100_000, seed=29))
     ev = res.events
-    segs = ngon8_field.jump_set
-    m_minus = np.array([s.m_minus for s in segs])
-    m_plus = np.array([s.m_plus for s in segs])
-    # reflections continue on the near side (opposite the attempted entry)
-    near = np.where(ev["side"][:, None] < 0, m_minus[ev["seg"]],
-                    m_plus[ev["seg"]])
-    e_out = np.stack([np.cos(ev["s_out"]), np.sin(ev["s_out"])], axis=-1)
-    assert np.min(np.sum(near * e_out, axis=1)) >= -1e-12
-    # crossers continue on the entered side
-    far = np.where(ev["cross_side"][:, None] > 0, m_minus[ev["cross_seg"]],
-                   m_plus[ev["cross_seg"]])
-    e_c = np.stack([np.cos(ev["cross_s"]), np.sin(ev["cross_s"])], axis=-1)
-    assert np.min(np.sum(far * e_c, axis=1)) > 0
+    assert list(ev) == ["curve", "t", "xy", "mu", "seg", "s_out",
+                        "cross_curve", "cross_t", "cross_seg", "cross_s"]
+    J = field._jump_table
+
+    def leaving_trace_dot(seg, s):
+        # the trace on the side the direction s leaves segment seg into
+        c, sn = np.cos(s), np.sin(s)
+        m = np.where(lag._into_left(J, seg, c, sn)[:, None], J.m_minus[seg],
+                     J.m_plus[seg])
+        return m[:, 0] * c + m[:, 1] * sn
+
+    # reflections continue on the near side, crossers on the entered side
+    assert len(ev["t"]) and len(ev["cross_t"])
+    assert leaving_trace_dot(ev["seg"], ev["s_out"]).min() >= -1e-12
+    assert leaving_trace_dot(ev["cross_seg"], ev["cross_s"]).min() > 0
 
 
 def test_trajectory_table(ngon8_field):
