@@ -182,7 +182,7 @@ def cmd_defect(cfg, args) -> Tuple[dict, List[dict]]:
     try:
         res = defect.defect_a(curve, disk, triple)
     except ValueError as exc:
-        raise UsageError(str(exc))
+        raise UsageError(f"--triple: {exc}")
     results = {
         "a": res.a,
         "z0": list(res.z0),
@@ -328,11 +328,14 @@ def cmd_energy(cfg, args) -> Tuple[dict, List[dict]]:
     else:
         bd = energy.evaluate_E_AG(grid, eps)
     if args.csv:
+        # the stored cells (the mask's window and halo) whose box indices
+        # are multiples of step
         step = max(1, grid.n // 256)
-        fx, fy = (c[::step] for c in grid.cell_centers())
-        v = grid.values[::step, ::step].reshape(-1, 3)
+        sl = tuple(slice(-o % step, None, step) for o in grid.origin)
+        fx, fy = (c[s] for c, s in zip(grid.cell_centers(), sl))
+        v = grid.values[sl].reshape(-1, 3)
         cols = (np.repeat(fx, len(fy)), np.tile(fy, len(fx)), v[:, 0], v[:, 1],
-                v[:, 2], grid.mask[::step, ::step].ravel())
+                v[:, 2], grid.mask[sl].ravel())
         report.write_csv(args.csv, ["x", "y", "m1", "m2", "m3", "mask"],
                          zip(*cols))
     results = {

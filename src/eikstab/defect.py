@@ -205,10 +205,20 @@ def defect_batch(curve: BoundaryCurve, disk: Disk, triples: np.ndarray) -> np.nd
     return np.maximum(vals.max(axis=1), 0.0)
 
 
+# a parameter is reduced mod the perimeter exactly, but its own rounding,
+# ulp(s), carries over to the point it names: from |s| = 2^13 on that is
+# over 2^-40 (about 1e-12), and the reduced parameter has lost digits
+_MAX_PARAM = 2.0 ** 13
+
+
 def _check_triple(curve, triple):
     t = np.asarray(triple, dtype=float)
     if t.shape != (3,):
         raise ValueError("triple must be three boundary parameters")
+    if not np.all(np.abs(t) < _MAX_PARAM):
+        raise ValueError(f"triple parameters must lie in (-{_MAX_PARAM:g}, "
+                         f"{_MAX_PARAM:g}): a larger one loses digits when "
+                         "reduced mod the perimeter")
     if not _pairwise_ok(t[None, :], curve.perimeter)[0]:
         raise ValueError("triple points must be pairwise distinct")
     return t

@@ -182,8 +182,9 @@ def balanced_spec(field: UnitField, total: int, horizon: float = 3.0 * math.pi,
 # -- batch engine ---------------------------------------------------------
 
 
-# a hit table holds about this many (line, segment) entries
-_TABLE_ENTRIES = 2 ** 20
+# a hit table holds about this many (line, segment) entries: each of its
+# float planes (256 KB) stays in cache
+_TABLE_ENTRIES = 2 ** 15
 
 
 def _line_hits(x, d, u_end, J):

@@ -228,6 +228,42 @@ def field_values_by_rows(field, pts):
     return values
 
 
+def inside_by_rows(curve, pts):
+    """The mask of the rounded N-gon (by its sector's edge) or of the unit
+    circle about its center."""
+    if curve.medial_star is None:
+        c = curve.pieces[0].center
+        return np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) < 1.0
+    return ngon_gap_by_sector(curve, pts) < 0.0
+
+
+def mollify_full_box(field, eps, n):
+    """(values (n, n, 3), mask (n, n), box, h): the field on every cell of
+    the square box (the bbox made square and padded by half its side at
+    each end), by the row formulas, convolved with the bump w / w.sum() of
+    the n x n grid by one periodic FFT convolution of the whole box."""
+    x0, x1, y0, y1 = field.domain.bbox()
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    half = max(x1 - x0, y1 - y0)
+    box = (cx - half, cx + half, cy - half, cy + half)
+    h = (box[1] - box[0]) / n
+    fx = box[0] + h * (np.arange(n) + 0.5)
+    fy = box[2] + h * (np.arange(n) + 0.5)
+    P = np.stack(np.meshgrid(fx, fy, indexing="ij"), axis=-1).reshape(-1, 2)
+    k = np.fft.fftfreq(n, d=1.0 / n) * h
+    X, Y = np.meshgrid(k, k, indexing="ij")
+    r2 = (X * X + Y * Y) / (eps * eps)
+    w = np.zeros((n, n))
+    w[r2 < 1.0] = np.exp(-1.0 / (1.0 - r2[r2 < 1.0]))
+    ker = np.fft.rfft2(w / w.sum())
+    values = np.zeros((n, n, 3))
+    raw = field_values_by_rows(field, P).reshape(n, n, 2)
+    for c in range(2):
+        values[:, :, c] = np.fft.irfft2(np.fft.rfft2(raw[:, :, c]) * ker,
+                                        s=(n, n))
+    return values, inside_by_rows(field.domain, P).reshape(n, n), box, h
+
+
 def first_exit(curve, x, d, tol=1e-9, reach=4.0):
     """First boundary hit t > tol along x + t d, from the curve's segment
     intersections with x -> x + reach d (reach exceeds every diameter of a

@@ -97,12 +97,14 @@ def test_field_without_construction_names_field(tmp_path, curve, field):
     (["defect-integral", "--curve", "circle", "--nodes", "8",
       "--region", "star:inf"], "region"),
     (["defect", "--curve", "circle", "--triple", "1,2,nan"], "triple"),
+    # reduced mod the perimeter, 1e300 names no point at all
+    (["defect", "--curve", "circle", "--triple", "1e300,2,3"], "--triple"),
     # a repeated n would weigh its polygon twice in the fitted slopes
     (["sharpness", "--n", "8,16,8"], "--n repeats 8"),
 ], ids=["nodes", "mc-zero", "mc-negative", "grid", "triple", "workers",
         "seed-lagrangian", "seed-mc", "samples-negative", "samples-zero",
         "eps-nan", "horizon-nan", "boundary-rate-nan", "region-inf",
-        "triple-nan", "n-repeated"])
+        "triple-nan", "triple-huge", "n-repeated"])
 def test_out_of_range_value_is_usage_error(tmp_path, argv, option):
     # the library entry point rejects the value; the command maps it to
     # exit 2 instead of a traceback or a silently replaced value
@@ -381,6 +383,18 @@ def test_defect_triple_parse_error(tmp_path, capsys):
     assert "triple" in err
 
 
+def test_defect_triple_parameter_range(tmp_path, capsys):
+    # parameters below 2^13 in magnitude run, a leading minus included
+    # (written with '=' so that it does not read as a flag); 2^13 is refused
+    for triple, code in (("-1,2,8191.5", 0), ("8192,2,3", 2),
+                         ("1,-8192.0,3", 2)):
+        rc = run_cli(["defect", "--curve", "circle", f"--triple={triple}",
+                      "--out", tmp_path / "x.json"])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert ("--triple" in err) == (code == 2)
+
+
 def test_defect_integral_star_region(tmp_path, capsys):
     out = tmp_path / "di.json"
     rc = run_cli(["defect-integral", "--curve", "ellipse:aspect=1.3",
@@ -477,22 +491,41 @@ def test_energy_ag_variant(tmp_path, capsys):
 
 
 def test_energy_csv_is_every_step_th_cell(tmp_path, capsys):
-    # the cells (i, j) with i and j multiples of n // 256 (2 at n = 600),
-    # i-major, as a double loop over the mollified grid writes them
+    # the stored cells (the mask's window and its halo) whose box indices
+    # i and j are multiples of n // 256 (2 at n = 602, where the block
+    # starts at an odd index), i-major, as a double loop over the mollified
+    # grid's box indices writes them
     table = tmp_path / "grid.csv"
-    rc = run_cli(["energy", "--curve", "rounded_ngon:n=8", "--grid", "600",
+    rc = run_cli(["energy", "--curve", "rounded_ngon:n=8", "--grid", "602",
                   "--eps", "0.05", "--csv", table, "--out", tmp_path / "e.json"])
     capsys.readouterr()
     assert rc == 0
-    grid = energy.mollify_field(distgrad_field(make_rounded_ngon(8)), 0.05, 600)
+    grid = energy.mollify_field(distgrad_field(make_rounded_ngon(8)), 0.05, 602)
+    (oi, oj), (ni, nj) = grid.origin, grid.mask.shape
+    assert oi % 2 and oj % 2 and ni < 602 and nj < 602
     fx, fy = grid.cell_centers()
-    expect = [[repr(float(fx[i])), repr(float(fy[j]))]
-              + [repr(float(v)) for v in grid.values[i, j]]
-              + ["1" if grid.mask[i, j] else "0"]
-              for i in range(0, 600, 2) for j in range(0, 600, 2)]
+    expect = [[repr(float(fx[i - oi])), repr(float(fy[j - oj]))]
+              + [repr(float(v)) for v in grid.values[i - oi, j - oj]]
+              + ["1" if grid.mask[i - oi, j - oj] else "0"]
+              for i in range(oi, oi + ni) if i % 2 == 0
+              for j in range(oj, oj + nj) if j % 2 == 0]
     header, rows = read_csv(table)
     assert header == ["x", "y", "m1", "m2", "m3", "mask"]
     assert rows == expect
+
+
+def test_energy_runs_where_whole_cells_short_the_padding(tmp_path, capsys):
+    # at n = 4k + 1 the half-side box pads the mask's whole-cell window by
+    # just under 50%; the box gains a cell per side instead of failing
+    out = tmp_path / "e.json"
+    rc = run_cli(["energy", "--curve", "rounded_ngon:n=8", "--grid", "129",
+                  "--eps", "0.2", "--out", out])
+    capsys.readouterr()
+    assert rc == 0
+    res = load(out)["results"]
+    assert res["grid_n"] == 131
+    assert res["grid_h"] == pytest.approx(energy.raster_field(
+        distgrad_field(make_rounded_ngon(8)), 128).h * 128 / 129, rel=1e-15)
 
 
 def test_energy_unresolved_eps_is_usage_error(tmp_path, capsys):

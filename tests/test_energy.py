@@ -9,8 +9,8 @@ import pytest
 
 from eikstab import energy as en
 from eikstab import fields, kinetic
-from eikstab.geometry import make_circle, make_rounded_ngon
-from _oracles import field_values_by_rows, ngon_gap_by_sector
+from eikstab.geometry import make_circle, make_rounded_ngon, parse_curve_spec
+from _oracles import field_values_by_rows, inside_by_rows, mollify_full_box
 
 
 @pytest.fixture(scope="module")
@@ -38,11 +38,15 @@ def uniform_disk_grid(n, pad, R=1.0):
 
 
 def test_raster_mask_matches_inside(ngon8_field):
+    # the stored block holds every cell of the box inside the domain
     g = en.raster_field(ngon8_field, 256)
-    fx, fy = g.cell_centers()
+    assert g.mask.shape[0] < 256 and g.mask.shape[1] < 256
+    x0, _, y0, _ = g.bbox
+    fx = x0 + g.h * (np.arange(256) + 0.5)
+    fy = y0 + g.h * (np.arange(256) + 0.5)
     P = np.stack(np.meshgrid(fx, fy, indexing="ij"), axis=-1).reshape(-1, 2)
     expected = ngon8_field.domain.inside(P).reshape(256, 256)
-    assert np.array_equal(g.mask, expected)
+    assert np.array_equal(_embed(g).mask, expected)
     assert np.all(np.isfinite(g.values))
     assert np.all(g.values[:, :, 2] == 0.0)
     norms = np.linalg.norm(g.values, axis=-1)
@@ -108,6 +112,8 @@ def test_spectral_stray_sum_matches_real_space(ngon8_field, n):
 
 @pytest.mark.parametrize("n", [128, 255, 1024])
 def test_bump_kernel_bits_match_full_grid_formula(n):
+    # on the whole box and on blocks just wide enough for the support, the
+    # kernel holds the bits of the n x n formula at the same offsets
     h = 4.0 / n
     for eps in (4.0 * h, 0.02, 3.0):     # 3.0: the support is the whole box
         k = np.fft.fftfreq(n, d=1.0 / n) * h
@@ -116,8 +122,17 @@ def test_bump_kernel_bits_match_full_grid_formula(n):
         w = np.zeros((n, n))
         inside = r2 < 1.0
         w[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-        ker = en._bump_kernel(SimpleNamespace(n=n, h=h), eps)
-        assert np.array_equal(ker, w / w.sum())
+        full = w / math.fsum(w.ravel())
+        assert np.array_equal(en._bump_kernel(n, h, eps, (n, n)), full)
+        sup = np.flatnonzero(inside[:, 0])
+        off = np.where(sup < (n + 1) // 2, sup, sup - n)
+        side = 2 * int(np.max(np.abs(off))) + 1
+        for shape in ((side, side + 7), (n, side + 2), (side + 8, side)):
+            if max(shape) > n:
+                continue
+            expect = np.zeros(shape)
+            expect[np.ix_(off % shape[0], off % shape[1])] = full[np.ix_(sup, sup)]
+            assert np.array_equal(en._bump_kernel(n, h, eps, shape), expect)
     assert np.all(inside)
 
 
@@ -291,17 +306,24 @@ def _bits(a):
 
 
 def _raster_by_rows(field, grid):
-    """Values (n, n, 2) and mask of raster_field by the row formulas."""
+    """Values (ni, nj, 2) and mask of raster_field's stored cells by the
+    row formulas."""
     fx, fy = grid.cell_centers()
     P = np.stack(np.meshgrid(fx, fy, indexing="ij"), axis=-1).reshape(-1, 2)
-    curve = field.domain
-    if curve.medial_star is None:
-        c = curve.pieces[0].center
-        inside = np.hypot(P[:, 0] - c[0], P[:, 1] - c[1]) < 1.0
-    else:
-        inside = ngon_gap_by_sector(curve, P) < 0.0
-    n = grid.n
-    return field_values_by_rows(field, P).reshape(n, n, 2), inside.reshape(n, n)
+    shape = grid.mask.shape
+    return (field_values_by_rows(field, P).reshape(shape + (2,)),
+            inside_by_rows(field.domain, P).reshape(shape))
+
+
+def _embed(grid):
+    """The grid's block zero-embedded in its whole box."""
+    (oi, oj), (ni, nj) = grid.origin, grid.mask.shape
+    values = np.zeros((grid.n, grid.n, 3))
+    mask = np.zeros((grid.n, grid.n), dtype=bool)
+    values[oi:oi + ni, oj:oj + nj] = grid.values
+    mask[oi:oi + ni, oj:oj + nj] = grid.mask
+    return en.GridField(bbox=grid.bbox, n=grid.n, h=grid.h, values=values,
+                        mask=mask)
 
 
 def _local_terms_by_roll(grid, eps):
@@ -325,6 +347,7 @@ def test_raster_and_local_terms_bits_match_row_formulas(case):
     make_field, n = RASTER_CASES[case]
     field = make_field()
     g = en.raster_field(field, n)
+    assert g.mask.shape[0] < n and g.mask.shape[1] < n
     values, mask = _raster_by_rows(field, g)
     assert mask.any() and not mask.all()
     assert np.array_equal(g.mask, mask)
@@ -332,7 +355,10 @@ def test_raster_and_local_terms_bits_match_row_formulas(case):
     assert not _bits(g.values[:, :, 2]).any()   # +0.0 everywhere
     eps = 8.0 * g.h
     for grid in (g, en.mollify_field(field, eps, n)):
-        assert en._local_terms(grid, eps) == _local_terms_by_roll(grid, eps)
+        assert en._local_terms(grid, eps) == _local_terms_by_roll(_embed(grid), eps)
+        # the stray solve embeds the block where it lies in the box
+        assert np.array_equal(_bits(en.solve_stray_field(grid)),
+                              _bits(en.solve_stray_field(_embed(grid))))
     # off the grid: scattered points and the patch centres themselves
     # (a centre keeps its strip value, or gets zero in a full patch)
     centres = np.array([p.center for p in field.patches])
@@ -340,6 +366,79 @@ def test_raster_and_local_terms_bits_match_row_formulas(case):
         -1.6, 1.6, (5000, 2))])
     assert np.array_equal(_bits(fields.eval_many(field, P)[0]),
                           _bits(field_values_by_rows(field, P)))
+
+
+@pytest.mark.parametrize("case", list(RASTER_CASES), ids=str)
+def test_windowed_mollifier_matches_full_box(case):
+    # the block, widened by the bump's radius and cropped again, against
+    # one periodic convolution of the whole box: every stored cell (the
+    # window and its halo) within 1e-14, the energy terms within 1e-12
+    make_field, n = RASTER_CASES[case]
+    field = make_field()
+    x0, x1, y0, y1 = field.domain.bbox()
+    eps = 8.0 * 2.0 * max(x1 - x0, y1 - y0) / n
+    values, mask, box, h = mollify_full_box(field, eps, n)
+    g = en.mollify_field(field, eps, n)
+    assert (g.bbox, g.n, g.h) == (box, n, h)
+    assert g.mask.shape[0] < n and g.mask.shape[1] < n
+    assert np.array_equal(_embed(g).mask, mask)
+    (oi, oj), (ni, nj) = g.origin, g.mask.shape
+    assert np.max(np.abs(g.values - values[oi:oi + ni, oj:oj + nj])) <= 1e-14
+    full = en.GridField(bbox=box, n=n, h=h, values=values, mask=mask)
+    windowed, reference = en.evaluate_F_eps(g, eps), en.evaluate_F_eps(full, eps)
+    for term in ("dirichlet", "magnetostatic", "penalty", "m3_term", "total"):
+        assert getattr(windowed, term) == pytest.approx(
+            getattr(reference, term), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", ["rounded_ngon:n=8", "circle",
+                                  "ellipse:aspect=1.3"])
+def test_box_pads_every_bbox_window_by_half(spec):
+    # window arithmetic alone, no raster: the cells whose centres lie in
+    # the bbox hold every masked cell, so the padding check must pass on a
+    # mask that fills them.  At n = 2^k + 1 it fails on the half-side box,
+    # which gains one cell per side; at 2^k - 1 and 2^k the box is that box
+    curve = parse_curve_spec(spec)
+
+    def check(box, h, n, lo, hi):
+        shape = (hi[0] - lo[0] + 2, hi[1] - lo[1] + 2)
+        mask = np.zeros(shape, dtype=bool)
+        mask[1, 1] = mask[-2, -2] = True    # the window's corners
+        en._check_padding(en.GridField(
+            bbox=box, n=n, h=h, values=np.broadcast_to(0.0, shape + (3,)),
+            mask=mask, origin=(lo[0] - 1, lo[1] - 1)))
+
+    x0, x1, y0, y1 = curve.bbox()
+    half = max(x1 - x0, y1 - y0)
+    for k in range(6, 12):
+        for n in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+            box, h, m, lo, hi = en._box(curve, n)
+            assert h == 2.0 * half / n
+            check(box, h, m, lo, hi)
+            grow = (m - n) // 2
+            assert m - n == (2 if n == 2 ** k + 1 else 0)
+            if grow:
+                narrow = tuple(b + s * grow * h for b, s in zip(box, (1, -1, 1, -1)))
+                with pytest.raises(ValueError, match="pad"):
+                    check(narrow, h, n, tuple(a - grow for a in lo),
+                          tuple(b - grow for b in hi))
+
+
+def test_grid_field_block_must_keep_mask_off_its_edge():
+    values = np.zeros((8, 10, 3))
+    mask = np.zeros((8, 10), dtype=bool)
+    mask[1:-1, 1:-1] = True
+    en.GridField(bbox=(-1.0, 1.0, -1.0, 1.0), n=16, h=0.125, values=values,
+                 mask=mask, origin=(4, 3))
+    for cell in ((0, 4), (7, 4), (3, 0), (3, 9)):
+        edge = mask.copy()
+        edge[cell] = True
+        with pytest.raises(ValueError, match="edge"):
+            en.GridField(bbox=(-1.0, 1.0, -1.0, 1.0), n=16, h=0.125,
+                         values=values, mask=edge, origin=(4, 3))
+    with pytest.raises(ValueError, match="box"):
+        en.GridField(bbox=(-1.0, 1.0, -1.0, 1.0), n=16, h=0.125,
+                     values=values, mask=mask, origin=(9, 3))
 
 
 def test_local_terms_periodic_halo_and_m3_plane():
