@@ -113,18 +113,16 @@ def _box(curve, grid_n: int):
 
 
 def _smooth_len(m: int) -> int:
-    """The least 2^a 3^b 5^c >= m: a fast FFT length."""
-    best, p2 = 1 << max(m - 1, 0).bit_length(), 1
-    while p2 < best:
-        p3 = p2
-        while p3 < best:
-            p5 = p3
-            while p5 < m:
-                p5 *= 5
-            best = min(best, p5)
-            p3 *= 3
-        p2 *= 2
-    return best
+    """The least 2^a 3^b 5^c >= m: a fast FFT length (a block of a large
+    prime length takes pocketfft's slow path, over twice the time)."""
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 def _block(lo: int, hi: int, n: int, halo: int):
@@ -258,13 +256,13 @@ def _stray_spectrum(grid: GridField):
     def masked_spectrum(c):
         # rfft2 of m_c * mask zero-embedded in the box, in its two passes:
         # the row pass runs on the block's rows only (every other row's
-        # transform is zero), the column pass in place (the same bits)
+        # transform is zero; the same bits)
         rows = np.zeros((ni, n))
         rows[:, oj:oj + nj] = grid.values[:, :, c] * grid.mask
         spec = np.zeros((n, n // 2 + 1), dtype=complex)
-        np.fft.rfft(rows, axis=1, out=spec[oi:oi + ni])
+        spec[oi:oi + ni] = np.fft.rfft(rows, axis=1)
         del rows
-        return np.fft.fft(spec, axis=0, out=spec)
+        return np.fft.fft(spec, axis=0)
 
     # u_hat = 1j * (sig1 * F1 + sig2 * F2) / lap, in place, products in
     # that order
