@@ -267,8 +267,15 @@ def cmd_lagrangian(cfg, args) -> Tuple[dict, List[dict]]:
     curve = parse_curve_spec(cfg["curve"])
     f = build_field(curve, cfg["field"])
     horizon = cfg["horizon"] if cfg["horizon"] is not None else 3.0 * math.pi
+    # a balanced split keeps one interior start; a given boundary rate can
+    # carry the whole ensemble
+    rate_given = cfg["boundary_rate"] is not None
+    if cfg["curves"] < (0 if rate_given else 1):
+        raise UsageError("--curves must be >= 1, or >= 0 with --boundary-rate")
+    if rate_given and cfg["boundary_rate"] < 0:
+        raise UsageError("--boundary-rate must be >= 0")
     try:
-        if cfg["boundary_rate"] is None:
+        if not rate_given:
             spec = lagrangian.balanced_spec(f, cfg["curves"], horizon=horizon,
                                             seed=cfg["seed"])
         else:
@@ -319,6 +326,10 @@ def cmd_energy(cfg, args) -> Tuple[dict, List[dict]]:
     curve = parse_curve_spec(cfg["curve"])
     f = build_field(curve, cfg["field"])
     eps = cfg["eps"]
+    if not eps > 0.0:
+        raise UsageError("--eps must be > 0")
+    if cfg["grid"] < 1:
+        raise UsageError("--grid must be >= 1")
     try:
         grid = energy.mollify_field(f, eps, cfg["grid"])
     except ValueError as exc:

@@ -83,6 +83,60 @@ class MedialStar:
             k[tie] = np.floor_divide(r[tie], w).astype(int) % n
         return k
 
+    def spoke_runs(self, x, d, u_end):
+        """The spokes that the lines x + u d (d a unit vector), 0 < u <
+        u_end, can meet, as cyclic runs of indices: count spokes from
+        first on, first + count - 1 taken mod n.
+
+        Along a line that misses the hub the polar angle about the hub is
+        monotone and sweeps less than pi, so the spokes it meets lie
+        between the sectors of the two ends of its stretch inside the
+        circle that holds every spoke (the longest spoke plus 1e-6).  The
+        run takes one spoke more on each side, for an end whose angle
+        rounds across a spoke.  A stretch that misses that circle takes no
+        spoke, and a line within 1e-6 of the hub, where rounding can move
+        a hit across it, takes every spoke.
+        """
+        n = len(self.axes)
+        rx, ry = x[:, 0] - self.hub[0], x[:, 1] - self.hub[1]
+        dx, dy = d[:, 0], d[:, 1]
+        # the hub's signed distance from the line, > 0 where the line
+        # turns counterclockwise about it
+        lever = rx * dy - ry * dx
+        spokes = self.vertices - self.hub
+        reach = np.hypot(spokes[:, 0], spokes[:, 1]).max() + 1e-6
+        half = np.sqrt(np.maximum(reach * reach - lever * lever, 0.0))
+        b = rx * dx + ry * dy
+        lo = np.maximum(-b - half, 0.0)
+        hi = np.minimum(half - b, u_end)
+        k = self.sector(np.concatenate([x + lo[:, None] * d,
+                                        x + hi[:, None] * d]))
+        k_lo, k_hi = k[:len(x)], k[len(x):]
+        ccw = lever > 0.0
+        first = np.where(ccw, k_lo, k_hi)
+        count = np.minimum(np.where(ccw, k_hi - k_lo, k_lo - k_hi) % n + 2, n)
+        count[lo >= hi] = 0
+        near = np.abs(lever) < 1e-6
+        first[near], count[near] = 0, n
+        return first, count
+
+    def spoke_pairs(self, x, d, u_end, block):
+        """The (line, spoke) pairs of the lines' spoke_runs, by line and then
+        ascending spoke, as arrays (line, spoke) for blocks of whole lines
+        of about `block` pairs."""
+        first, count = self.spoke_runs(x, d, u_end)
+        # the `wrap` spokes of a run past spoke n - 1 are 0, 1, ... and
+        # come first
+        wrap = np.maximum(first + count - len(self.axes), 0)
+        ends = np.cumsum(count)
+        cuts = np.searchsorted(ends, np.arange(block, count.sum(), block))
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(x)]):
+            c = count[lo:hi]
+            line = np.repeat(np.arange(lo, hi), c)
+            j = np.arange(len(line)) - np.repeat(np.cumsum(c) - c, c)
+            w = wrap[line]
+            yield line, np.where(j < w, j, first[line] + j - w)
+
 
 def _table(pieces, names) -> SimpleNamespace:
     """The named attributes of the pieces as arrays indexed by piece."""
@@ -404,9 +458,9 @@ class BoundaryCurve:
     def _ngon_ray_exit(self, X, D, tol):
         star = self.medial_star
         n = len(star.axes)
-        rel = X - star.hub
-        b = np.sum(rel * D, axis=1)
-        rho2 = np.sum(rel * rel, axis=1)
+        rx, ry = X[:, 0] - star.hub[0], X[:, 1] - star.hub[1]
+        b = rx * D[:, 0] + ry * D[:, 1]
+        rho2 = rx * rx + ry * ry
         big = self._polygon.circumradius
         t_far = -b + np.sqrt(np.maximum(b * b - (rho2 - big * big), 0.0))
         k = star.sector(X + t_far[:, None] * D)

@@ -133,15 +133,15 @@ def arc_ray_hits(x, d, center, radius, mid, half, tol):
     angle mid; one arc for all rays, or one per ray ((n, 2) centers and (n,)
     radius, mid, half).
     """
-    rel = x - center
-    b = np.sum(rel * d, axis=1)
-    disc = b * b - (np.sum(rel * rel, axis=1) - radius * radius)
+    rx, ry = x[:, 0] - center[..., 0], x[:, 1] - center[..., 1]
+    dx, dy = d[:, 0], d[:, 1]
+    b = rx * dx + ry * dy
+    disc = b * b - ((rx * rx + ry * ry) - radius * radius)
     ok = disc >= 0.0
     sq = np.sqrt(np.maximum(disc, 0.0))
     best = np.full(len(x), np.inf)
     for root in (-b + sq, -b - sq):
-        hit = rel + root[:, None] * d
-        ang = np.arctan2(hit[:, 1], hit[:, 0])
+        ang = np.arctan2(ry + root * dy, rx + root * dx)
         in_win = np.abs(wrap_pi(ang - mid)) <= half + 1e-12
         best = np.where(ok & (root > tol) & in_win, root, best)
     return best
@@ -152,13 +152,19 @@ def segment_ray_hits(x, d, p0, e, length, tol):
     along the unit vector e, of the given length; else inf.
 
     x, d: (..., 2) origins and unit directions; the segment parameters
-    broadcast against them, so (n, 1, 2) rays against (k, 2) segments give
-    an (n, k) table.  The work is on x/y planes, so such a table makes no
-    (n, k, 2) temporary.
+    broadcast against them.  The work is on x/y planes
+    (segment_ray_hits_xy).
     """
-    d0, d1, e0, e1 = d[..., 0], d[..., 1], e[..., 0], e[..., 1]
+    return segment_ray_hits_xy(p0[..., 0] - x[..., 0], p0[..., 1] - x[..., 1],
+                               d[..., 0], d[..., 1], e[..., 0], e[..., 1],
+                               length, tol)
+
+
+def segment_ray_hits_xy(r0, r1, d0, d1, e0, e1, length, tol):
+    """segment_ray_hits on x/y planes: (r0, r1) = p0 - x is the offset of
+    the segment's start from the ray's origin, (d0, d1) the ray's direction
+    and (e0, e1) the segment's."""
     den = d0 * e1 - d1 * e0
-    r0, r1 = p0[..., 0] - x[..., 0], p0[..., 1] - x[..., 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (r0 * e1 - r1 * e0) / den
         v = (r0 * d1 - r1 * d0) / den

@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import UnitField, eval_many, jump_distance
 from .geometry import BoundaryCurve, wrap_pi
-from .geometry.pieces import segment_ray_hits
+from .geometry.pieces import segment_ray_hits_xy
 
 TWO_PI = 2.0 * math.pi
 BATCH = 16384
@@ -110,9 +110,9 @@ def trace(field: UnitField, x0, s0: float, t0: float = 0.0,
 
 def domain_diameter(curve: BoundaryCurve) -> float:
     s = np.linspace(0.0, curve.perimeter, 512, endpoint=False)
-    g = curve.point(s)
-    d2 = np.sum((g[:, None, :] - g[None, :, :]) ** 2, axis=-1)
-    return float(np.sqrt(d2.max()))
+    gx, gy = curve.point(s).T
+    dx, dy = gx[:, None] - gx[None, :], gy[:, None] - gy[None, :]
+    return float(np.sqrt((dx * dx + dy * dy).max()))
 
 
 @dataclass(frozen=True)
@@ -182,30 +182,29 @@ def balanced_spec(field: UnitField, total: int, horizon: float = 3.0 * math.pi,
 # -- batch engine ---------------------------------------------------------
 
 
-# a hit table holds about this many (line, segment) entries: each of its
-# float planes (256 KB) stays in cache
-_TABLE_ENTRIES = 2 ** 15
+# (line, spoke) pairs per block of _line_hits: each of its float planes
+# (256 KB) stays in cache
+_PAIRS = 2 ** 15
 
 
-def _line_hits(x, d, u_end, J):
+def _line_hits(x, d, u_end, J, star):
     """Jump-segment hits of the lines x + u d with TOL < u < u_end, as
     flat arrays (line, u, segment) ordered by line, then segment.
 
-    The segment_ray_hits table of the lines against every segment of the
-    jump table J is built in row blocks of about _TABLE_ENTRIES entries;
-    every segment starts at the hub, so a line's offset to it is one value.
-    Its arithmetic is elementwise, so a line's hits do not depend on the
-    other lines of the batch.
+    Segment k of the jump table J is spoke k of the medial star; each
+    (line, spoke) pair of star.spoke_pairs takes segment_ray_hits_xy on
+    planes gathered per pair, elementwise, so a hit does not depend on the
+    other pairs evaluated.
     """
-    nseg = len(J.length)
-    rows = max(1, _TABLE_ENTRIES // max(nseg, 1))
     parts = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int))]
-    for lo in range(0, len(x) if nseg else 0, rows):
-        block = slice(lo, lo + rows)
-        tab = segment_ray_hits(x[block, None, :], d[block, None, :],
-                               J.hub, J.e, J.length, TOL)
-        r, k = np.nonzero(tab < u_end[block, None])
-        parts.append((r + lo, tab[r, k], k))
+    r0, r1 = J.hub[0] - x[:, 0], J.hub[1] - x[:, 1]
+    d0, d1, e0, e1 = d[:, 0], d[:, 1], J.e[:, 0], J.e[:, 1]
+    for line, k in (star.spoke_pairs(x, d, u_end, _PAIRS) if len(J.length)
+                    else ()):
+        uh = segment_ray_hits_xy(r0[line], r1[line], d0[line], d1[line],
+                                 e0[k], e1[k], J.length[k], TOL)
+        hit = np.flatnonzero(uh < u_end[line])
+        parts.append((line[hit], uh[hit], k[hit]))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -234,10 +233,11 @@ def _advance_batch(field: UnitField, X, S, T0, T) -> dict:
     only on the segment, the side and s, so all hits of a line are known
     from the point where it starts.  Each step takes the alive curves'
     lines (from their birth or last reflection), their boundary exits
-    (ray_exit) and the horizon, and runs each line to its first hit that
-    reflects or lies within TOL of the hub, where all segments meet, or
-    else to the exit or the horizon.  The crossings before that point are
-    recorded; only reflected curves take another step.
+    (ray_exit) and the horizon, and their hits among the spokes of their
+    runs (_line_hits).  It runs each line to its first hit that reflects
+    or lies within TOL of the hub, where all segments meet, or else to the
+    exit or the horizon.  The crossings before that point are recorded;
+    only reflected curves take another step.
 
     Returns the named per-curve columns start_x, start_s and birth_t (the
     inputs), mu_total, death_t, termination (0 horizon, 1 boundary, 2
@@ -250,8 +250,7 @@ def _advance_batch(field: UnitField, X, S, T0, T) -> dict:
     J = field._jump_table
     # a hit's far-side trace: row k on side +, row nseg + k on side -
     far_x, far_y = np.concatenate([J.m_minus, J.m_plus]).T
-    mu = np.zeros(len(s))
-    term = np.zeros(len(s), dtype=np.int8)
+    mu, term = np.zeros(len(s)), np.zeros(len(s), dtype=np.int8)
     steps = []  # each step's events as _EVENT_COLUMNS parts
     idx = np.arange(len(s))  # the alive curves
 
@@ -263,7 +262,7 @@ def _advance_batch(field: UnitField, X, S, T0, T) -> dict:
         u_exit = field.domain.ray_exit(x0, d, tol=TOL)
         u_cap = T - t0
         u = np.minimum(u_exit, u_cap)
-        line, uh, k = _line_hits(x0, d, u, J)
+        line, uh, k = _line_hits(x0, d, u, J, field.domain.medial_star)
         c, sn = d[:, 0][line], d[:, 1][line]
         hx = x0[:, 0][line] + uh * c
         hy = x0[:, 1][line] + uh * sn
@@ -307,8 +306,7 @@ def _advance_batch(field: UnitField, X, S, T0, T) -> dict:
 
 def _interior_starts(field: UnitField, count, rng):
     x0, x1, y0, y1 = field.domain.bbox()
-    out_x = np.empty((0, 2))
-    out_s = np.empty(0)
+    out_x, out_s = np.empty((0, 2)), np.empty(0)
     while len(out_x) < count:
         draw = max(4096, 2 * (count - len(out_x)))
         P = np.column_stack([rng.uniform(x0, x1, draw),
@@ -338,7 +336,9 @@ def _boundary_starts(field: UnitField, count, T, rng, table):
     total = cum[-1]
     h = sb_grid[1] - sb_grid[0]
     u = rng.uniform(0.0, total, count)
-    j = np.searchsorted(cum, u, side="right") - 1
+    order = np.argsort(u)  # sorted draws search the table in one sweep
+    j = np.empty(count, dtype=int)
+    j[order] = np.searchsorted(cum, u[order], side="right") - 1
     j = np.clip(j, 0, len(sb_grid) - 1)
     frac = (u - cum[j]) / np.maximum(cum[j + 1] - cum[j], 1e-300)
     sb = sb_grid[j] + frac * h

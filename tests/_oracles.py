@@ -273,6 +273,31 @@ def first_exit(curve, x, d, tol=1e-9, reach=4.0):
     return min(hits, default=math.inf)
 
 
+def line_hits_table(field, x, d, u_end, tol=1e-9):
+    """Jump-segment hits of the lines x + u d with tol < u < u_end, as flat
+    arrays (line, u, segment) ordered by line, then segment.
+
+    The (lines x segments) table of every line against every jump segment,
+    with the ray-segment formula written out on x/y planes: u along the
+    line and v along the segment from its start, v within 1e-9 of the
+    segment and the two directions not parallel to 1e-14."""
+    segs = field.jump_set
+    p0 = np.array([seg.p0 for seg in segs], dtype=float).reshape(-1, 2)
+    off = np.array([seg.p1 for seg in segs], dtype=float).reshape(-1, 2) - p0
+    length = np.hypot(off[:, 0], off[:, 1])
+    e0, e1 = off[:, 0] / length, off[:, 1] / length
+    d0, d1 = d[:, 0, None], d[:, 1, None]
+    r0, r1 = p0[:, 0] - x[:, 0, None], p0[:, 1] - x[:, 1, None]
+    den = d0 * e1 - d1 * e0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = (r0 * e1 - r1 * e0) / den
+        v = (r0 * d1 - r1 * d0) / den
+    ok = ((np.abs(den) > 1e-14) & (u > tol) & (v >= -1e-9)
+          & (v <= length + 1e-9) & (u < u_end[:, None]))
+    line, k = np.nonzero(ok)
+    return line, u[line, k], k
+
+
 def trace_reference(field, x0, s0, T):
     """Scalar event loop of one characteristic: straight flight to the
     first of boundary exit (from segment intersections), jump-segment hit

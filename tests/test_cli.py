@@ -243,7 +243,42 @@ def test_short_horizon_is_usage_error(tmp_path, capsys):
     assert "horizon" in err
 
 
-# report schema
+_LAG = ["lagrangian", "--curve", "rounded_ngon:n=8", "--seed", "1"]
+_ENERGY = ["energy", "--curve", "rounded_ngon:n=8"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (_LAG + ["--curves", "0"], "--curves must be >= 1"),
+    (_LAG + ["--curves", "-5"], "--curves must be >= 1"),
+    (_LAG + ["--curves", "-1", "--boundary-rate", "50"],
+     "--curves must be >= 1, or >= 0 with --boundary-rate"),
+    (_LAG + ["--curves", "10", "--boundary-rate", "-1"],
+     "--boundary-rate must be >= 0"),
+    (_ENERGY + ["--eps", "0"], "--eps must be > 0"),
+    (_ENERGY + ["--eps", "-1"], "--eps must be > 0"),
+    (_ENERGY + ["--grid", "0"], "--grid must be >= 1"),
+    (_ENERGY + ["--grid", "-3"], "--grid must be >= 1"),
+], ids=["curves-zero", "curves-negative", "curves-negative-rate",
+        "boundary-rate-negative", "eps-zero", "eps-negative", "grid-zero",
+        "grid-negative"])
+def test_value_below_lowest_names_its_flag(tmp_path, capsys, argv, message):
+    # the message starts with the flag and gives its lowest value, before
+    # a library check can word the value in its own terms
+    rc = run_cli(argv + ["--out", tmp_path / "x.json"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {message}")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_zero_interior_curves_run_with_a_boundary_rate(tmp_path, capsys):
+    # --curves 0 is an ensemble of boundary births alone
+    out = tmp_path / "x.json"
+    rc = run_cli(["lagrangian", "--curve", "rounded_ngon:n=8", "--curves", "0",
+                  "--boundary-rate", "20", "--seed", "1", "--out", out])
+    assert rc == 0
+    rep = load(out)["results"]
+    assert rep["n_interior"] == 0 and rep["n_boundary"] > 0
 
 
 def test_gen_domain_report_and_csv(tmp_path, capsys):

@@ -634,6 +634,9 @@ def test_sector_ray_exit_matches_all_pieces(curve):
     t = curve.ray_exit(X, D, tol=1e-9)
     assert np.all(np.isfinite(t))
     assert np.array_equal(t, _all_pieces_min(curve, "ray_hits", X, D, 1e-9))
+    # the sector window gathers each ray's piece parameters; the curve's
+    # own fallback asks every piece with its scalar parameters
+    assert np.array_equal(t, curve._all_pieces_exit(X, D, 1e-9))
     for i in range(0, len(X), len(X) // 50):
         assert curve.ray_exit(X[i], D[i], tol=1e-9) == t[i]
 

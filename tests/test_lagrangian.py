@@ -8,7 +8,7 @@ from eikstab.fields import distgrad_field, vortex
 from eikstab.geometry import make_circle, make_ellipse, make_rounded_ngon, ngon_scale
 from eikstab.kinetic import nu_total, wall_cost_ars
 from eikstab import lagrangian as lag
-from _oracles import trace_reference
+from _oracles import line_hits_table, trace_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -334,6 +334,97 @@ def test_engine_hub_aimed_batch_ends_at_hub(n):
                        rtol=0.0, atol=1e-12)
     assert len(ev["t"]) == len(ev["cross_t"]) == 0
     assert not out["mu_total"].any()
+
+
+def _dirs(s):
+    return np.column_stack([np.cos(s), np.sin(s)])
+
+
+def _probe_lines(field, rng):
+    """Lines (x, d, u_end) that the tracer meets, and the edge cases of a
+    spoke run: random interior lines and rim births to their exits; lines
+    aimed at the hub (as in test_engine_hub_aimed_batch_ends_at_hub) and
+    beside it, 1e-12 to 1e-5 off it; lines through the spoke tips and
+    1e-9 to 1e-6 beside them; and lines along a spoke, beside it and tilted
+    off it by 1e-12 to 1e-6; lines from a spoke.  A fifth of the lines end
+    early, and the lines with hits are repeated ending on their first hit
+    and one ulp past it."""
+    curve = field.domain
+    star = curve.medial_star
+    hub, n = star.hub, len(star.axes)
+    P = hub + rng.uniform(-1.2, 1.2, (6000, 2))
+    inner = P[curve.inside(P)][:2000]
+    X, D = [inner], [_dirs(rng.uniform(0.0, TWO_PI, len(inner)))]
+    sb = rng.uniform(0.0, curve.perimeter, 1000)
+    inward = np.arctan2(*curve.tangent(sb).T[::-1]) + math.pi / 2
+    X.append(curve.point(sb))
+    D.append(_dirs(inward + rng.uniform(-1.0, 1.0, 1000) * (math.pi / 2 - 1e-6)))
+    A = inner[:300]
+    for off in (0.0, 1e-12, 1e-9, 3e-7, 1e-6, 2e-6, 1e-5):
+        s = np.arctan2(*(hub - A).T[::-1])
+        side = off * rng.choice([-1.0, 1.0], len(A))
+        aim = hub + side[:, None] * _dirs(s + math.pi / 2)
+        X.append(A)
+        D.append(_dirs(np.arctan2(*(aim - A).T[::-1])))
+    k = rng.integers(0, n, len(A))
+    for off in (0.0, 1e-9, 1e-6):
+        aim = star.vertices[k] + off * _dirs(star.axes[k] + math.pi / 2)
+        X.append(A)
+        D.append(_dirs(np.arctan2(*(aim - A).T[::-1])))
+    for off in (0.0, 1e-12, 1e-9, 1e-6):
+        for tilt in (0.0, 1e-12, 1e-6):
+            r = rng.uniform(0.05, 0.9, len(k)) * np.hypot(
+                *(star.vertices[k] - hub).T)
+            turn = rng.choice([0.0, math.pi], len(k))
+            X.append(hub + r[:, None] * _dirs(star.axes[k])
+                     + off * _dirs(star.axes[k] + math.pi / 2))
+            D.append(_dirs(star.axes[k] + turn + tilt))
+    # starts on a spoke, where a reflected curve's next line starts
+    r = rng.uniform(0.05, 1.0, len(k)) * np.hypot(*(star.vertices[k] - hub).T)
+    X.append(hub + r[:, None] * _dirs(star.axes[k]))
+    D.append(_dirs(rng.uniform(0.0, TWO_PI, len(k))))
+    X, D = np.vstack(X), np.vstack(D)
+    u = curve.ray_exit(X, D, tol=lag.TOL)
+    short = rng.uniform(0.0, 1.0, len(u)) < 0.2
+    u[short] *= rng.uniform(0.0, 1.0, short.sum())
+    # lines that end on their first hit, and one ulp past it
+    line, uh, _ = line_hits_table(field, X, D, u)
+    first = np.unique(line, return_index=True)[1]
+    line, uh = line[first], uh[first]
+    return (np.vstack([X, X[line], X[line]]), np.vstack([D, D[line], D[line]]),
+            np.concatenate([u, uh, np.nextafter(uh, np.inf)]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 32, 128, "7-shifted"])
+def test_line_hits_equal_the_full_table(n):
+    # the spoke runs evaluate only the spokes a line can meet, and give the
+    # table's hits bit for bit, rows in the same order
+    curve = (make_rounded_ngon(7, rotation=0.3, center=(0.1, -0.2))
+             if n == "7-shifted" else make_rounded_ngon(n))
+    field = distgrad_field(curve)
+    X, D, u = _probe_lines(field, np.random.default_rng(17))
+    got = lag._line_hits(X, D, u, field._jump_table, curve.medial_star)
+    want = line_hits_table(field, X, D, u)
+    assert len(np.unique(want[0])) > len(X) // 2
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [8, 128])
+def test_spoke_run_is_the_hits_and_one_spoke_per_side(n):
+    # a line's run holds the spokes it meets and one more on either side,
+    # so the pairs a step evaluates follow its hits, not N
+    field = distgrad_field(make_rounded_ngon(n))
+    curve = field.domain
+    rng = np.random.default_rng(n)
+    P = rng.uniform(-1.0, 1.0, (4000, 2))
+    X = P[curve.inside(P)]
+    D = _dirs(rng.uniform(0.0, TWO_PI, len(X)))
+    u = curve.ray_exit(X, D, tol=lag.TOL)
+    _, count = curve.medial_star.spoke_runs(X, D, u)
+    hits = np.bincount(line_hits_table(field, X, D, u)[0], minlength=len(X))
+    assert np.all(count <= hits + 2)
+    assert hits.sum() > len(X) // 2
 
 
 @pytest.mark.parametrize("n", [8, 32])
