@@ -345,10 +345,10 @@ def _probe_lines(field, rng):
     spoke run: random interior lines and rim births to their exits; lines
     aimed at the hub (as in test_engine_hub_aimed_batch_ends_at_hub) and
     beside it, 1e-12 to 1e-5 off it; lines through the spoke tips and
-    1e-9 to 1e-6 beside them; and lines along a spoke, beside it and tilted
-    off it by 1e-12 to 1e-6; lines from a spoke.  A fifth of the lines end
-    early, and the lines with hits are repeated ending on their first hit
-    and one ulp past it."""
+    1e-9 to 1e-6 beside them; lines along a spoke, beside it and tilted
+    off it by 1e-12 to 1e-6; and lines from a spoke.  A fifth of the lines
+    end early, and the lines with hits are repeated ending on their first
+    hit and one ulp past it."""
     curve = field.domain
     star = curve.medial_star
     hub, n = star.hub, len(star.axes)
