@@ -23,6 +23,14 @@ TWO_PI = 2.0 * math.pi
 # triples scored against the shared z0 grid at once: a block's (triple,
 # z0) planes are 8 x 1617 doubles, 0.1 MB each, and stay in cache
 _SEARCH_BLOCK = 8
+# distinct boundary rows whose seed-grid planes (|d| and alpha, 1617
+# doubles each, 26 KB a row) _seed_grid keeps at once: 1.0 MB.  It holds
+# a block's 3 * _SEARCH_BLOCK rows and a product rule's run of one first
+# and one second node with up to 38 third nodes (26 rows at the default
+# 24 nodes).  Under two blocks' rows, it makes blocks that share no row
+# refill its first 24 rows, which stay in cache: with room for 48, 512
+# random 8-gon triples took 7% longer than with 40
+_PLANE_ROWS = 40
 # triples whose seeds are refined on the stencil at once: (seed, z0) planes
 # of 192 x 49 doubles, 75 KB each.  On 2048 random 8-gon triples (batches
 # of 512) blocks of 64 took 0.27 ms per triple, 8 took 0.34 and the whole
@@ -67,6 +75,37 @@ class IntegralResult:
     symmetry_order: int = 1     # g of the rotation block summed, 1 = none
 
 
+def _point_planes(P, T, zx, zy):
+    """Per-point part of the defect objective for many (point, z0) pairs.
+
+    P, T: (n, 2) points and tangents; zx, zy: (n, G) coordinates of z0, or
+    (1, G) for a grid shared by the rows.  u is the unit vector from the
+    point toward z0.  Returns the (n, G) planes d = tau . u and alpha, the
+    angle in [0, 2pi) of the line through the point, which runs along u
+    where d <= 0 and against it elsewhere.  Every value is elementwise in
+    its row of P and T and in z0.
+    """
+    vx = zx - P[:, 0, None]
+    vy = zy - P[:, 1, None]
+    norm = np.sqrt(vx * vx + vy * vy)
+    ux, uy = vx / norm, vy / norm
+    d = T[:, 0, None] * ux + T[:, 1, None] * uy
+    return d, mod_2pi(np.arctan2(uy, ux) + (d > 0) * math.pi)
+
+
+def _arc_margin(m0, m1, m2, a0, a1, a2):
+    """min(min_k m_k, l - pi) elementwise, l the shortest arc containing
+    the angles a_k: a min/median/max network on the planes, with no
+    reduction over a length-3 axis."""
+    lo = np.minimum(np.minimum(a0, a1), a2)
+    hi = np.maximum(np.maximum(a0, a1), a2)
+    mid = np.maximum(np.minimum(a0, a1), np.minimum(np.maximum(a0, a1), a2))
+    # l = 2pi - largest circular gap between the sorted angles
+    maxgap = np.maximum(np.maximum(mid - lo, hi - mid), TWO_PI - (hi - lo))
+    margin = np.minimum(np.minimum(m0, m1), m2)
+    return np.minimum(margin, TWO_PI - maxgap - math.pi)
+
+
 def _objective(X, T, zx, zy):
     """Defect objective of the forced sign pattern for many (triple, z0) pairs.
 
@@ -77,30 +116,14 @@ def _objective(X, T, zx, zy):
     line angles; it is unclipped, so a search that sees no positive value
     still has a slope to climb, and the defect is the positive part of its
     max over z0.  X, T: (B, 3, 2) points and tangents; zx, zy: (B, G)
-    coordinates of z0, or (1, G) for a grid shared by the batch.  All work
-    is elementwise on (B, G) planes (np.minimum chains, a min/median/max
-    network for the arc), with no reduction over a length-2 or -3 axis.
+    coordinates of z0, or (1, G) for a grid shared by the batch.  The
+    value is _arc_margin of the _point_planes of the three points.
     Returns (value, d, alpha): the (B, G) values and per point k the
     planes d[k] = tau_k . u_k and alpha[k], its line angle in [0, 2pi).
     """
-    d, alpha = [], []
-    for k in range(3):
-        vx = zx - X[:, k, 0, None]
-        vy = zy - X[:, k, 1, None]
-        norm = np.sqrt(vx * vx + vy * vy)
-        ux, uy = vx / norm, vy / norm
-        dk = T[:, k, 0, None] * ux + T[:, k, 1, None] * uy
-        ak = mod_2pi(np.arctan2(uy, ux) + (dk > 0) * math.pi)
-        d.append(dk)
-        alpha.append(ak)
-    a0, a1, a2 = alpha
-    lo = np.minimum(np.minimum(a0, a1), a2)
-    hi = np.maximum(np.maximum(a0, a1), a2)
-    mid = np.maximum(np.minimum(a0, a1), np.minimum(np.maximum(a0, a1), a2))
-    # l = 2pi - largest circular gap between the sorted angles
-    maxgap = np.maximum(np.maximum(mid - lo, hi - mid), TWO_PI - (hi - lo))
-    margin = np.minimum(np.minimum(np.abs(d[0]), np.abs(d[1])), np.abs(d[2]))
-    return np.minimum(margin, TWO_PI - maxgap - math.pi), d, alpha
+    d, alpha = zip(*(_point_planes(X[:, k], T[:, k], zx, zy) for k in range(3)))
+    value = _arc_margin(*(np.abs(dk) for dk in d), *alpha)
+    return value, list(d), list(alpha)
 
 
 def _polar_grid(center, radius, nr, ntheta):
@@ -108,6 +131,67 @@ def _polar_grid(center, radius, nr, ntheta):
     th = np.linspace(0.0, TWO_PI, ntheta, endpoint=False)
     R, TH = np.meshgrid(r, th)
     return center[0] + (R * np.cos(TH)).ravel(), center[1] + (R * np.sin(TH)).ravel()
+
+
+def _seed_grid(X, T, gx, gy, n_seeds):
+    """The n_seeds best points of the shared grid (gx, gy) per triple.
+
+    X, T: (B, 3, 2) points and tangents in the search frame.  A grid
+    value is elementwise in the frame rows (x, y, tx, ty) of the triple's
+    three points, so triples that repeat a row bit for bit (a product
+    rule's triples with one first node repeat their second and third
+    nodes' rows) share its |d| and alpha planes, and each distinct row is
+    scored once.  Blocks of _SEARCH_BLOCK triples score their new rows
+    into a table of at most _PLANE_ROWS rows, which starts afresh when a
+    block's new rows would overflow it, and run _arc_margin on rows taken
+    from it.  The picks come from a partition and are ordered by value,
+    ties by grid index, as a stable sort orders them.
+    Returns (x, y, value) of the picks, each (B, n_seeds), best last.
+    """
+    B, G = len(X), len(gx)
+    rows = np.concatenate([X, T], axis=2).reshape(3 * B, 4)
+    # bitwise keys, so -0.0 and 0.0 are distinct rows
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, 32))).ravel()
+    _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+    ids = ids.reshape(B, 3)
+    slot = np.full(len(first), -1)          # table row of each distinct row
+    m, a = np.empty((_PLANE_ROWS, G)), np.empty((_PLANE_ROWS, G))
+    filled = 0
+    seed_x, seed_y = np.empty((B, n_seeds)), np.empty((B, n_seeds))
+    seed_val = np.empty((B, n_seeds))
+    for lo in range(0, B, _SEARCH_BLOCK):
+        blk = slice(lo, lo + _SEARCH_BLOCK)
+        need = ids[blk].T.ravel()           # by point k, then by triple
+        _, at = np.unique(need, return_index=True)
+        distinct = need[np.sort(at)]        # in order of first use
+        new = distinct[slot[distinct] < 0]
+        if filled + len(new) > _PLANE_ROWS:
+            slot[slot >= 0] = -1
+            filled, new = 0, distinct
+        slot[new] = np.arange(filled, filled + len(new))
+        for c in range(0, len(new), _SEARCH_BLOCK):
+            r = rows[first[new[c:c + _SEARCH_BLOCK]]]
+            t = slice(filled + c, filled + c + len(r))
+            d, a[t] = _point_planes(r[:, :2], r[:, 2:], gx[None], gy[None])
+            np.abs(d, out=m[t])
+        filled += len(new)
+        k = slot[ids[blk]].T
+        vals = _arc_margin(*(_table_rows(m, kk) for kk in k),
+                           *(_table_rows(a, kk) for kk in k))
+        pick = np.sort(np.argpartition(vals, -n_seeds, axis=1)[:, -n_seeds:], axis=1)
+        pv = np.take_along_axis(vals, pick, axis=1)
+        order = np.argsort(pv, axis=1, kind="stable")
+        pick = np.take_along_axis(pick, order, axis=1)
+        seed_x[blk], seed_y[blk] = gx[pick], gy[pick]
+        seed_val[blk] = np.take_along_axis(pv, order, axis=1)
+    return seed_x, seed_y, seed_val
+
+
+def _table_rows(table, k):
+    """table[k]: a view when the rows k are consecutive, else a gather."""
+    if (np.diff(k) == 1).all():
+        return table[k[0]:k[-1] + 1]
+    return table[k]
 
 
 def _search(curve: BoundaryCurve, disk: Disk, triples: np.ndarray):
@@ -146,18 +230,11 @@ def _search(curve: BoundaryCurve, disk: Disk, triples: np.ndarray):
                          c * V[..., 1] - s * V[..., 0]], axis=-1)
 
     X, T = to_frame(X), to_frame(T)
-    gx, gy = _polar_grid(np.zeros(2), half, 33, 49)
-    seed_xy = np.empty((2, B, n_seeds))
-    seed_val = np.empty((B, n_seeds))
-    for lo in range(0, B, _SEARCH_BLOCK):
-        blk = slice(lo, lo + _SEARCH_BLOCK)
-        vals = _objective(X[blk], T[blk], gx[None], gy[None])[0]
-        order = np.argsort(vals, axis=1)[:, -n_seeds:]
-        seed_xy[:, blk] = gx[order], gy[order]
-        seed_val[blk] = np.take_along_axis(vals, order, axis=1)
+    seed_x, seed_y, seed_val = _seed_grid(
+        X, T, *_polar_grid(np.zeros(2), half, 33, 49), n_seeds)
 
     BK = B * n_seeds
-    best_x, best_y = seed_xy.reshape(2, BK)
+    best_x, best_y = seed_x.reshape(BK), seed_y.reshape(BK)
     best_val = seed_val.reshape(BK)
     Xk = np.repeat(X, n_seeds, axis=0)
     Tk = np.repeat(T, n_seeds, axis=0)

@@ -193,6 +193,10 @@ def mollify_field(field: UnitField, eps: float, grid_n: int) -> GridField:
     convolved there with FFTs; the cells of that rim, where the circular
     convolution wraps, are cropped off again.  An axis whose widened block
     spans the box is the box's periodic convolution, uncropped."""
+    if not grid_n >= 1:
+        raise ValueError(f"need grid_n >= 1 cells per side, got {grid_n!r}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"need a finite mollification width eps > 0, got {eps!r}")
     _, h, n, _, _ = _box(field.domain, grid_n)
     if eps < 4.0 * h:
         raise ValueError("mollification width under-resolved: eps < 4h")

@@ -10,10 +10,12 @@ from eikstab.geometry import (
     make_rounded_ngon,
     max_inscribed_disk,
     ngon_scale,
+    parse_curve_spec,
     rounded_ngon_side_midpoints,
     rounded_ngon_vertex_params,
     star_region,
 )
+from eikstab import defect
 from eikstab.defect import (
     _STENCIL_BLOCK,
     _objective,
@@ -351,6 +353,85 @@ def test_batch_independent_of_block_split(curve):
     for lo, hi in zip(edges[:-1], edges[1:]):
         v, z = _search(curve, disk, tr[lo:hi])
         assert np.array_equal(v, vals[lo:hi]) and np.array_equal(z, z0[lo:hi])
+
+
+def _product_triples(M, n_first):
+    # integral_a2's product rule on a 2pi perimeter, first node in the
+    # first n_first cells, in its order (third node fastest)
+    h = TWO_PI / M
+    nodes = [(np.arange(n) + ph) * h
+             for n, ph in ((n_first, 1.0 / 6.0), (M, 0.5), (M, 5.0 / 6.0))]
+    return np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _mixed_triples():
+    # 32 triples with one second node: 16 first nodes, two triples each,
+    # which share their first node (and so their frame) but not the third;
+    # triples with different first nodes share x_2's point, not its frame row
+    rng = np.random.default_rng(5)
+    first = np.repeat(rng.random(16) * 2.0 + 0.5, 2)
+    third = rng.random(32) * 2.0 + 3.5
+    return np.column_stack([first, np.full(32, 3.0), third])
+
+
+def _reference_seed_grid(X, T, gx, gy, n_seeds):
+    # one triple at a time on _objective, whose kernel is pinned above,
+    # and the top n_seeds of a full stable argsort
+    out = np.empty((3, len(X), n_seeds))
+    for b in range(len(X)):
+        vals = _objective(X[b:b + 1], T[b:b + 1], gx[None], gy[None])[0][0]
+        top = np.argsort(vals, kind="stable")[-n_seeds:]
+        out[:, b] = gx[top], gy[top], vals[top]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("spec, triples", [
+    ("rounded_ngon:n=8", _product_triples(16, 2)),      # the benchmark's batch
+    ("rounded_ngon:n=8", _product_triples(24, 3)[:1000]),
+    ("ellipse:aspect=1.3", _product_triples(12, 6)),
+    ("rounded_ngon:n=8", np.random.default_rng(8).random((300, 3)) * TWO_PI),
+    ("rounded_ngon:n=8", _mixed_triples()),
+    ("ellipse:aspect=1.3", _mixed_triples()),
+], ids=["ngon8-M16", "ngon8-M24", "ellipse-M12", "random", "mixed-ngon8",
+        "mixed-ellipse"])
+def test_seed_grid_bits_match_per_triple_reference(monkeypatch, spec, triples):
+    # the shared plane table gives every triple the seeds (and so the
+    # refined values and z0) of scoring it alone
+    curve = parse_curve_spec(spec)
+    disk = max_inscribed_disk(curve)
+    vals, z0 = _search(curve, disk, triples)
+    monkeypatch.setattr(defect, "_seed_grid", _reference_seed_grid)
+    ref_vals, ref_z0 = _search(curve, disk, triples)
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(z0, ref_z0)
+
+
+def _seed_rows_scored(monkeypatch, fn):
+    # rows of _point_planes calls on the shared 1617-point seed grid
+    rows = []
+
+    def counted(P, T, zx, zy):
+        if zx.shape == (1, 33 * 49):
+            rows.append(len(P))
+        return point_planes(P, T, zx, zy)
+
+    point_planes = defect._point_planes
+    monkeypatch.setattr(defect, "_point_planes", counted)
+    fn()
+    return sum(rows)
+
+
+def test_seed_grid_scores_each_distinct_row_once(monkeypatch):
+    # the benchmark's batch: 512 triples, 1536 (triple, point) rows, of
+    # which 66 are distinct; the table starts afresh once within it
+    curve = make_rounded_ngon(8)
+    disk = max_inscribed_disk(curve)
+    n = _seed_rows_scored(monkeypatch, lambda: integral_a2(curve, disk, M=16))
+    assert 66 <= n <= 80
+    # random triples repeat no row: each is scored once, no more
+    tr = np.random.default_rng(9).random((200, 3)) * TWO_PI
+    n = _seed_rows_scored(monkeypatch, lambda: _search(curve, disk, tr))
+    assert n == 3 * len(tr)
 
 
 def _full_product_sum(curve, disk, M):

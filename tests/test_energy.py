@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -189,6 +190,19 @@ def test_insufficient_padding_raises():
 def test_mollify_under_resolved_raises(disk_vortex):
     with pytest.raises(ValueError, match="eps"):
         en.mollify_field(disk_vortex, 0.02, 256)
+
+
+@pytest.mark.parametrize("eps, grid_n, word", [
+    (0.05, 0, "grid_n"), (0.05, -3, "grid_n"), (0.0, 256, "eps"),
+    (-1.0, 256, "eps"), (math.nan, 256, "eps"), (math.inf, 256, "eps")])
+def test_mollify_bad_argument_names_it(ngon8_field, eps, grid_n, word):
+    # checked before the box is built: no divide-by-zero warning, and not
+    # worded as under-resolution
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=word) as err:
+            en.mollify_field(ngon8_field, eps, grid_n)
+    assert "under-resolved" not in str(err.value)
 
 
 def test_mollify_norm_bound(ngon8_field):
