@@ -27,9 +27,9 @@ _SEARCH_BLOCK = 8
 # doubles each, 26 KB a row) _seed_grid keeps at once: 1.0 MB.  It holds
 # a block's 3 * _SEARCH_BLOCK rows and a product rule's run of one first
 # and one second node with up to 38 third nodes (26 rows at the default
-# 24 nodes).  Under two blocks' rows, it makes blocks that share no row
-# refill its first 24 rows, which stay in cache: with room for 48, 512
-# random 8-gon triples took 7% longer than with 40
+# 24 nodes).  Being under two blocks' 48 rows, it makes blocks that share
+# no row refill its first 24 rows, which stay in cache: with room for 48,
+# 512 random 8-gon triples took about 7% longer than with 40
 _PLANE_ROWS = 40
 # triples whose seeds are refined on the stencil at once: (seed, z0) planes
 # of 192 x 49 doubles, 75 KB each.  On 2048 random 8-gon triples (batches
@@ -178,7 +178,8 @@ def _seed_grid(X, T, gx, gy, n_seeds):
         k = slot[ids[blk]].T
         vals = _arc_margin(*(_table_rows(m, kk) for kk in k),
                            *(_table_rows(a, kk) for kk in k))
-        pick = np.sort(np.argpartition(vals, -n_seeds, axis=1)[:, -n_seeds:], axis=1)
+        pick = np.argpartition(vals, -n_seeds, axis=1)[:, -n_seeds:]
+        pick.sort(axis=1)                   # so the stable sort keeps grid order
         pv = np.take_along_axis(vals, pick, axis=1)
         order = np.argsort(pv, axis=1, kind="stable")
         pick = np.take_along_axis(pick, order, axis=1)
@@ -273,10 +274,13 @@ def defect_batch(curve: BoundaryCurve, disk: Disk, triples: np.ndarray) -> np.nd
     the shortfall has a median of 9e-5 but reaches 1.2e-2 where the peak is
     narrow, and the sums of a^2 come out 0.3-0.6% low.  defect_a polishes
     the same seeds and is never below this value.  A triple costs 2205
-    evaluations of _objective, a median 0.16 ms on the 8-gon (2048 random
-    triples in batches of 512, nine repetitions reading 0.154-0.183 ms;
-    one core of a 2-core Xeon, numpy 2.4, whose speed drifts over hours:
-    the same host read 0.26 ms at another time).
+    evaluations of the objective (1617 on the seed grid, 588 on the
+    stencil).  Random triples take a median 0.16 ms each on the 8-gon
+    (2048 in batches of 512, nine repetitions); triples of a product rule
+    share their seed-grid rows and take 0.085 ms each (the 8-gon's 1728
+    triples at M = 24, where each triple scored its own rows in 0.165 ms).
+    One core of a 2-core Xeon, numpy 2.4, whose speed drifts over hours:
+    the same host read 0.26 ms a random triple at another time.
     """
     vals, _ = _search(curve, disk, triples)
     return np.maximum(vals.max(axis=1), 0.0)
@@ -444,13 +448,17 @@ def integral_a2(curve: BoundaryCurve, disk: Disk,
     """Integral of a^2 over the region cubed.
 
     Tensor mode (default): composite periodic product rule with M nodes per
-    factor and memoized per-node geometry.  Over the full boundary, the
-    rule sums one rotation block only: the triples whose first node lies in
-    the first M/g cells, times g, with g from _symmetry_order; each orbit
-    of the rotation by M/g cells meets that block exactly once, so the sum
-    is the full one up to rounding.  Monte-Carlo mode (mc_samples set):
-    uniform triples on the region cubed with a standard-error report;
-    deterministic under seed and independent of batch size.
+    factor.  Points and tangents are evaluated per triple; the triples
+    share _search's seed-grid planes, since triples with one first node
+    repeat their other nodes' frame rows (see _seed_grid: on the 8-gon at
+    M = 16 it scores 66 of the 1536 rows of 512 triples).  Over the full
+    boundary, the rule sums one rotation block only: the triples whose
+    first node lies in the first M/g cells, times g, with g from
+    _symmetry_order; each orbit of the rotation by M/g cells meets that
+    block exactly once, so the sum is the full one up to rounding.
+    Monte-Carlo mode (mc_samples set): uniform triples on the region cubed
+    with a standard-error report; deterministic under seed and independent
+    of batch size.
     """
     if M < 8:
         raise ValueError("need M >= 8 nodes per factor")

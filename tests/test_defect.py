@@ -406,32 +406,31 @@ def test_seed_grid_bits_match_per_triple_reference(monkeypatch, spec, triples):
     assert np.array_equal(z0, ref_z0)
 
 
-def _seed_rows_scored(monkeypatch, fn):
+def _seed_rows_scored(fn):
     # rows of _point_planes calls on the shared 1617-point seed grid
     rows = []
+    point_planes = defect._point_planes
 
     def counted(P, T, zx, zy):
         if zx.shape == (1, 33 * 49):
             rows.append(len(P))
         return point_planes(P, T, zx, zy)
 
-    point_planes = defect._point_planes
-    monkeypatch.setattr(defect, "_point_planes", counted)
-    fn()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(defect, "_point_planes", counted)
+        fn()
     return sum(rows)
 
 
-def test_seed_grid_scores_each_distinct_row_once(monkeypatch):
+def test_seed_grid_scores_each_distinct_row_once():
     # the benchmark's batch: 512 triples, 1536 (triple, point) rows, of
     # which 66 are distinct; the table starts afresh once within it
     curve = make_rounded_ngon(8)
     disk = max_inscribed_disk(curve)
-    n = _seed_rows_scored(monkeypatch, lambda: integral_a2(curve, disk, M=16))
-    assert 66 <= n <= 80
+    assert 66 <= _seed_rows_scored(lambda: integral_a2(curve, disk, M=16)) <= 80
     # random triples repeat no row: each is scored once, no more
     tr = np.random.default_rng(9).random((200, 3)) * TWO_PI
-    n = _seed_rows_scored(monkeypatch, lambda: _search(curve, disk, tr))
-    assert n == 3 * len(tr)
+    assert _seed_rows_scored(lambda: _search(curve, disk, tr)) == 3 * len(tr)
 
 
 def _full_product_sum(curve, disk, M):
