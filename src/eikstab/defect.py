@@ -24,13 +24,12 @@ TWO_PI = 2.0 * math.pi
 # z0) planes are 8 x 1617 doubles, 0.1 MB each, and stay in cache
 _SEARCH_BLOCK = 8
 # distinct boundary rows whose seed-grid planes (|d| and alpha, 1617
-# doubles each, 26 KB a row) _seed_grid keeps at once: 1.0 MB.  It holds
-# a block's 3 * _SEARCH_BLOCK rows and a product rule's run of one first
-# and one second node with up to 38 third nodes (26 rows at the default
-# 24 nodes).  Being under two blocks' 48 rows, it makes blocks that share
-# no row refill its first 24 rows, which stay in cache: with room for 48,
-# 512 random 8-gon triples took about 7% longer than with 40
-_PLANE_ROWS = 40
+# doubles each, 26 KB a row) _seed_grid keeps at once: 40 rows, 1.0 MB.
+# It must hold a block's 3 * _SEARCH_BLOCK rows, and it holds a product
+# rule's run of one first and one second node with up to 38 third nodes
+# (26 rows at the default 24 nodes).  Room for 48 rows timed the same
+# within 3% on random and product triples
+_PLANE_ROWS = 5 * _SEARCH_BLOCK
 # triples whose seeds are refined on the stencil at once: (seed, z0) planes
 # of 192 x 49 doubles, 75 KB each.  On 2048 random 8-gon triples (batches
 # of 512) blocks of 64 took 0.27 ms per triple, 8 took 0.34 and the whole
@@ -145,7 +144,9 @@ def _seed_grid(X, T, gx, gy, n_seeds):
     into a table of at most _PLANE_ROWS rows, which starts afresh when a
     block's new rows would overflow it, and run _arc_margin on rows taken
     from it.  The picks come from a partition and are ordered by value,
-    ties by grid index, as a stable sort orders them.
+    ties by grid index.  Among values tied at the cut the partition
+    chooses which to keep, and it may keep others than the top n_seeds of
+    a stable sort (which keeps the highest grid indices).
     Returns (x, y, value) of the picks, each (B, n_seeds), best last.
     """
     B, G = len(X), len(gx)
@@ -162,8 +163,7 @@ def _seed_grid(X, T, gx, gy, n_seeds):
     for lo in range(0, B, _SEARCH_BLOCK):
         blk = slice(lo, lo + _SEARCH_BLOCK)
         need = ids[blk].T.ravel()           # by point k, then by triple
-        _, at = np.unique(need, return_index=True)
-        distinct = need[np.sort(at)]        # in order of first use
+        distinct = np.unique(need)
         new = distinct[slot[distinct] < 0]
         if filled + len(new) > _PLANE_ROWS:
             slot[slot >= 0] = -1
@@ -176,8 +176,7 @@ def _seed_grid(X, T, gx, gy, n_seeds):
             np.abs(d, out=m[t])
         filled += len(new)
         k = slot[ids[blk]].T
-        vals = _arc_margin(*(_table_rows(m, kk) for kk in k),
-                           *(_table_rows(a, kk) for kk in k))
+        vals = _arc_margin(*(m[kk] for kk in k), *(a[kk] for kk in k))
         pick = np.argpartition(vals, -n_seeds, axis=1)[:, -n_seeds:]
         pick.sort(axis=1)                   # so the stable sort keeps grid order
         pv = np.take_along_axis(vals, pick, axis=1)
@@ -186,13 +185,6 @@ def _seed_grid(X, T, gx, gy, n_seeds):
         seed_x[blk], seed_y[blk] = gx[pick], gy[pick]
         seed_val[blk] = np.take_along_axis(pv, order, axis=1)
     return seed_x, seed_y, seed_val
-
-
-def _table_rows(table, k):
-    """table[k]: a view when the rows k are consecutive, else a gather."""
-    if (np.diff(k) == 1).all():
-        return table[k[0]:k[-1] + 1]
-    return table[k]
 
 
 def _search(curve: BoundaryCurve, disk: Disk, triples: np.ndarray):

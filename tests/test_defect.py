@@ -376,7 +376,9 @@ def _mixed_triples():
 
 def _reference_seed_grid(X, T, gx, gy, n_seeds):
     # one triple at a time on _objective, whose kernel is pinned above,
-    # and the top n_seeds of a full stable argsort
+    # and the top n_seeds of a full stable argsort.  It agrees with the
+    # partition only where no tie of grid values spans the cut (on the
+    # circle's product set some do), so the batches below have none
     out = np.empty((3, len(X), n_seeds))
     for b in range(len(X)):
         vals = _objective(X[b:b + 1], T[b:b + 1], gx[None], gy[None])[0][0]
