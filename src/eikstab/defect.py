@@ -163,7 +163,8 @@ def _seed_grid(X, T, gx, gy, n_seeds):
     for lo in range(0, B, _SEARCH_BLOCK):
         blk = slice(lo, lo + _SEARCH_BLOCK)
         need = ids[blk].T.ravel()           # by point k, then by triple
-        distinct = np.unique(need)
+        _, at = np.unique(need, return_index=True)
+        distinct = need[np.sort(at)]        # in order of first use
         new = distinct[slot[distinct] < 0]
         if filled + len(new) > _PLANE_ROWS:
             slot[slot >= 0] = -1
@@ -176,7 +177,8 @@ def _seed_grid(X, T, gx, gy, n_seeds):
             np.abs(d, out=m[t])
         filled += len(new)
         k = slot[ids[blk]].T
-        vals = _arc_margin(*(m[kk] for kk in k), *(a[kk] for kk in k))
+        vals = _arc_margin(*(_table_rows(m, kk) for kk in k),
+                           *(_table_rows(a, kk) for kk in k))
         pick = np.argpartition(vals, -n_seeds, axis=1)[:, -n_seeds:]
         pick.sort(axis=1)                   # so the stable sort keeps grid order
         pv = np.take_along_axis(vals, pick, axis=1)
@@ -185,6 +187,20 @@ def _seed_grid(X, T, gx, gy, n_seeds):
         seed_x[blk], seed_y[blk] = gx[pick], gy[pick]
         seed_val[blk] = np.take_along_axis(pv, order, axis=1)
     return seed_x, seed_y, seed_val
+
+
+def _table_rows(table, k):
+    """table[k]: a view when the rows k are consecutive, else a gather.
+
+    A block's new rows take consecutive slots in order of first use, so
+    the view serves every block that shares no row, and on a product
+    rule the block's third points.  It is kept for memory: gathering
+    every block's rows timed the same, but the benchmark's defect_energy
+    peaked at 78.3-78.4 MB against 75.6-75.7 MB with the view.
+    """
+    if (np.diff(k) == 1).all():
+        return table[k[0]:k[-1] + 1]
+    return table[k]
 
 
 def _search(curve: BoundaryCurve, disk: Disk, triples: np.ndarray):
