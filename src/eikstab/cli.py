@@ -414,10 +414,8 @@ def cmd_stability(cfg, args) -> Tuple[dict, List[dict]]:
 
 def cmd_sharpness(cfg, args) -> Tuple[dict, List[dict]]:
     try:
-        ns = [int(v) for v in cfg["n"].split(",") if v]
+        ns = [int(v) for v in cfg["n"].split(",")]
     except ValueError:
-        raise UsageError("--n must be a comma list of integers")
-    if not ns:
         raise UsageError("--n must be a comma list of integers")
     repeated = sorted({n for n in ns if ns.count(n) > 1})
     if repeated:
@@ -425,7 +423,7 @@ def cmd_sharpness(cfg, args) -> Tuple[dict, List[dict]]:
     try:
         tab = stability.sharpness_sweep(ns, _COST_KIND[cfg["cost"]])
     except ValueError as exc:
-        raise UsageError(str(exc))
+        raise UsageError(f"--n: {exc}")
     header = ["n", "lhs_normal_dev", "nu", "n2_lhs", "n2_nu", "lhs_over_nu"]
     csv_rows = [[r[k] for k in header] for r in tab.rows]
     plot_path = args.plot

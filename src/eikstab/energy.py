@@ -129,9 +129,11 @@ def _block(lo: int, hi: int, n: int, halo: int):
     """(start, length) along one axis of the cells raster_field stores: the
     bbox cells lo <= i < hi with a two-cell margin and `halo` more cells per
     side, the length rounded up to a fast FFT length when halo > 0.  A
-    block that would reach past the box edge is the whole axis."""
+    block that would reach past the box edge is the whole axis, and one
+    that does before rounding is not rounded (a bump far wider than the box
+    would take _smooth_len's search up to its width in cells)."""
     start, length = lo - 2 - halo, hi - lo + 4 + 2 * halo
-    if halo:
+    if halo and start >= 0 and start + length <= n:
         length = _smooth_len(length)
     if start < 0 or start + length > n:
         return 0, n

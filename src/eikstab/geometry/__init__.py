@@ -2,6 +2,7 @@ from .curve import (
     BoundaryCurve,
     CurveSpecError,
     Disk,
+    MAX_NGON_ORDER,
     TWO_PI,
     make_circle,
     make_ellipse,
@@ -19,6 +20,7 @@ from .circlefit import best_circle_center, hausdorff_to_circle
 __all__ = [
     "BoundaryCurve",
     "CurveSpecError",
+    "MAX_NGON_ORDER",
     "TWO_PI",
     "Disk",
     "StarRegion",

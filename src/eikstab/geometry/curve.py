@@ -27,15 +27,14 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .pieces import (ArcPiece, EllipsePiece, SegmentPiece, SplinePiece,
-                     arc_nearest_dist, arc_point, arc_ray_hits, arc_tangent,
-                     ellipse_speed_series, mod_2pi, sampled_bbox,
-                     segment_nearest_dist, segment_point, segment_ray_hits,
+                     arc_point, arc_ray_hits, arc_tangent, ellipse_speed_series,
+                     mod_2pi, sampled_bbox, segment_point, segment_ray_hits,
                      segment_tangent)
 
 TWO_PI = 2.0 * math.pi
-
-# (point, piece) entries per block of the rounded n-gon's dist_to_boundary
-_DIST_ENTRIES = 2 ** 16
+# the highest polygon order a curve spec or a sharpness sweep takes: at 2^16
+# the curve and its distgrad field take about a second each and 228 MB
+MAX_NGON_ORDER = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -194,8 +193,8 @@ class BoundaryCurve:
             return
         # arc k, side k and polygon edge k of the rounded n-gon as arrays
         # indexed by k: every query gathers one row per point
-        self._arcs = _table(self.pieces[0::2], ("center", "radius", "a0", "width",
-                                                "mid", "half", "e0", "e1"))
+        self._arcs = _table(self.pieces[0::2], ("center", "radius", "a0", "mid",
+                                                "half"))
         self._sides = _table(self.pieces[1::2], ("p0", "dir", "length"))
 
     @cached_property
@@ -341,58 +340,45 @@ class BoundaryCurve:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.medial_star is None:
             return self.pieces[0].inside(pts)
-        return self._ngon_gap(pts) < 0.0
-
-    def _ngon_gap(self, pts):
-        """dist(x, inner polygon) - arc radius, against the polygon edge of
-        the point's sector only (in sector k the nearest polygon point lies
-        on the closed edge from vertex k to vertex k+1); -inf inside the
-        polygon.  Negative exactly inside the domain, <= 0 on its closure.
-
-        Off the annulus between the inscribed and the circumscribed circle
-        only the sign is kept: a point inside the one, or outside the
-        other, by more than 1e-9 of its radius gets -inf or +inf without
-        the sector work, as its gap lies that far from zero, far beyond
-        rounding.  The rest take the polygon test, and those outside the
-        polygon the distance to the edge (and its hypot)."""
+        # a point inside the inscribed circle, or outside the circumscribed
+        # one, by 1e-9 of its radius has a gap that far from zero, far
+        # beyond rounding: only the rest take the sign of _ngon_gap
         P = self._polygon
         hub = self.medial_star.hub
         dx, dy = pts[:, 0] - hub[0], pts[:, 1] - hub[1]
         rho2 = dx * dx + dy * dy
-        far = rho2 > P.outer2
-        gap = np.where(far, np.inf, -np.inf)
-        rim = np.flatnonzero(~(far | (rho2 < P.inner2)))
-        px, py = pts[rim, 0], pts[rim, 1]
-        k = self.medial_star.sector(pts[rim])
-        out = np.flatnonzero(~(px * P.nx[k] + py * P.ny[k] <= P.apothem[k]))
+        inner = rho2 < P.inner2
+        rim = np.flatnonzero(~(inner | (rho2 > P.outer2)))
+        inner[rim] = self._ngon_gap(pts[rim]) < 0.0
+        return inner
+
+    def _ngon_gap(self, pts):
+        """Signed distance to the inner polygon minus the arc radius, whose
+        sign is containment and whose size is the distance to the boundary
+        (the domain is the polygon widened by a disk of the arc radius).
+        Only the polygon edge of the point's sector k counts: inside the
+        polygon its line is the nearest, and outside the nearest polygon
+        point lies on it, the closed edge from vertex k to vertex k+1."""
+        P = self._polygon
+        k = self.medial_star.sector(pts)
+        px, py = pts[:, 0], pts[:, 1]
+        gap = px * P.nx[k] + py * P.ny[k] - P.apothem[k]
+        out = np.flatnonzero(~(gap <= 0.0))
         k, px, py = k[out], px[out], py[out]
         ex, ey = P.ex[k], P.ey[k]
         rx, ry = px - P.vx[k], py - P.vy[k]
         t = np.clip(rx * ex + ry * ey, 0.0, P.length[k])
-        gap[rim[out]] = np.hypot(rx - t * ex, ry - t * ey) - P.arc_radius
+        gap[out] = np.hypot(rx - t * ex, ry - t * ey)
+        gap -= P.arc_radius
         return gap
 
     def dist_to_boundary(self, pts) -> np.ndarray:
-        """Distance from each point (n, 2) to the curve.
-
-        On a curve with a medial star (the rounded n-gon) it is the minimum
-        over the arc and side tables, read through the pieces' own kernels,
-        so it gives the bits of the pieces' nearest_dist; the points go in
-        blocks of about _DIST_ENTRIES (point, piece) entries.
-        """
+        """Distance from each point (n, 2) to the curve: the single piece's
+        nearest_dist, or on the rounded n-gon |_ngon_gap|, O(1) per point."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.medial_star is None:
             return self.pieces[0].nearest_dist(pts)
-        A, S = self._arcs, self._sides
-        rows = max(1, _DIST_ENTRIES // len(S.length))
-        d = np.empty(len(pts))
-        for lo in range(0, len(pts), rows):
-            q = pts[lo:lo + rows, None, :]
-            d[lo:lo + rows] = np.minimum(
-                arc_nearest_dist(q, A.center, A.radius, A.a0, A.width, A.e0,
-                                 A.e1),
-                segment_nearest_dist(q, S.p0, S.dir, S.length)).min(axis=1)
-        return d
+        return np.abs(self._ngon_gap(pts))
 
     @cached_property
     def inscribed_disk(self) -> Disk:
@@ -631,6 +617,7 @@ class SpecKey(NamedTuple):
     convert: Callable[[str], object]
     default: object = None  # None: the key is required
     lowest: Optional[float] = None
+    highest: Optional[float] = None
 
 
 # family -> (constructor, its keys in spec order)
@@ -638,7 +625,8 @@ FAMILIES = {
     "circle": (make_circle, ()),
     "ellipse": (make_ellipse, (SpecKey("aspect", finite_float, lowest=1.0),
                                SpecKey("rotation", finite_float, 0.0))),
-    "rounded_ngon": (make_rounded_ngon, (SpecKey("n", int, lowest=3),
+    "rounded_ngon": (make_rounded_ngon, (SpecKey("n", int, lowest=3,
+                                                 highest=MAX_NGON_ORDER),
                                          SpecKey("rotation", finite_float, 0.0))),
     "spline": (make_spline_curve, (SpecKey("points", _read_points),)),
 }
@@ -650,7 +638,7 @@ def parse_curve_spec(text: str) -> BoundaryCurve:
 
     The family's row of FAMILIES gives the constructor and its keys; each
     value is converted (numbers must be finite) and checked against its
-    lowest allowed value.  Every error is a CurveSpecError naming its key;
+    allowed range.  Every error is a CurveSpecError naming its key;
     one the constructor raises (clockwise spline samples) names 'kind'.
     """
     kind, _, rest = text.strip().partition(":")
@@ -683,6 +671,9 @@ def parse_curve_spec(text: str) -> BoundaryCurve:
         if k.lowest is not None and not value >= k.lowest:
             raise CurveSpecError(
                 f"curve key {k.name!r} must be >= {k.lowest:g}", k.name)
+        if k.highest is not None and not value <= k.highest:
+            raise CurveSpecError(
+                f"curve key {k.name!r} must be <= {k.highest:g}", k.name)
         args[k.name] = value
     try:
         return make(**args)

@@ -1,7 +1,8 @@
 """Arc-length parametrized boundary pieces.
 
 Every piece maps a local arc-length coordinate ``u`` in ``[0, length]`` to
-points on a planar curve, oriented counterclockwise.  Pieces also answer
+points on a planar curve, oriented counterclockwise (a segment through the
+rounded n-gon's side table, see SegmentPiece).  Pieces also answer
 exact segment intersection queries and vectorized ray exits, which the
 star-region, clearance and trajectory machinery all rely on.
 """
@@ -61,8 +62,8 @@ def sampled_bbox(point, length: float):
 # -- elementwise kernels -------------------------------------------------
 #
 # One kernel per piece type and query.  A piece passes its own attributes;
-# a curve's piece table passes one row per query point (or broadcasts all
-# rows against (m, 1, 2) points), so both give the same bits.
+# a curve's piece table passes one row per query point, so both give the
+# same bits.
 
 
 def arc_point(center, radius, a0, u):
@@ -256,7 +257,9 @@ class ArcPiece:
 
 
 class SegmentPiece:
-    """Straight boundary segment from p0 to p1."""
+    """Straight boundary segment from p0 to p1.  A segment is only ever a
+    side of the rounded n-gon, whose curve evaluates its points and
+    tangents through its side table."""
 
     def __init__(self, p0, p1):
         self.p0 = _as_xy(p0)
@@ -266,15 +269,6 @@ class SegmentPiece:
         if self.length <= 0:
             raise ValueError("degenerate segment")
         self.dir = delta / self.length
-
-    def point(self, u):
-        return segment_point(self.p0, self.dir, np.asarray(u, dtype=float))
-
-    def tangent(self, u):
-        return segment_tangent(self.dir, np.asarray(u, dtype=float))
-
-    def curvature(self, u):
-        return np.zeros(np.shape(np.asarray(u)))
 
     def nearest_dist(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

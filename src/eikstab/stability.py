@@ -13,7 +13,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import BoundaryCurve, hausdorff_to_circle, make_rounded_ngon
+from .geometry import (MAX_NGON_ORDER, BoundaryCurve, hausdorff_to_circle,
+                       make_rounded_ngon)
 from .geometry.circlefit import _is_star_shaped_about, best_circle_center
 from . import fields, kinetic
 
@@ -138,6 +139,8 @@ def sharpness_sweep(n_list: Sequence[int],
     ns = [int(n) for n in n_list]
     if any(n < 3 for n in ns):
         raise ValueError("polygon order must be at least 3")
+    if any(n > MAX_NGON_ORDER for n in ns):
+        raise ValueError(f"polygon order must be at most {MAX_NGON_ORDER}")
     rows = []
     for n in ns:
         curve = make_rounded_ngon(n)

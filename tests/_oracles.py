@@ -198,6 +198,26 @@ def ngon_gap_by_sector(curve, pts):
     return np.where(in_poly, -np.inf, np.hypot(rx - t * ex, ry - t * ey) - r)
 
 
+def ngon_dist_by_sector(curve, pts):
+    """Distance to the rounded n-gon's boundary, |dist - arc radius|, with
+    the signed distance to the inner polygon taken against the edge of the
+    point's sector: the depth below its line inside the polygon, the
+    distance to the closed edge outside."""
+    star = curve.medial_star
+    v, n_out, apothem, r = ngon_side_lines(curve)
+    k = sector_by_np_mod(star, pts)
+    edges = np.roll(v, -1, axis=0) - v
+    elen = np.hypot(edges[:, 0], edges[:, 1])
+    ex, ey = (edges / elen[:, None])[k].T
+    vx, vy = v[k].T
+    rx, ry = pts[:, 0] - vx, pts[:, 1] - vy
+    t = np.clip(rx * ex + ry * ey, 0.0, elen[k])
+    nx, ny = n_out[k].T
+    depth = pts[:, 0] * nx + pts[:, 1] * ny - apothem[k]
+    signed = np.where(depth <= 0.0, depth, np.hypot(rx - t * ex, ry - t * ey))
+    return np.abs(signed - r)
+
+
 def field_values_by_rows(field, pts):
     """The extended field's values (n, 2): the strip of the point's sector,
     overwritten by the patch at either spoke of the sector whose window

@@ -101,10 +101,15 @@ def test_field_without_construction_names_field(tmp_path, curve, field):
     (["defect", "--curve", "circle", "--triple", "1e300,2,3"], "--triple"),
     # a repeated n would weigh its polygon twice in the fitted slopes
     (["sharpness", "--n", "8,16,8"], "--n repeats 8"),
+    # an empty item is refused, not dropped
+    (["sharpness", "--n", "8,16,"], "--n must be a comma list of integers"),
+    # refused before any polygon is built
+    (["sharpness", "--n", "8,65537"], "--n: polygon order must be at most 65536"),
 ], ids=["nodes", "mc-zero", "mc-negative", "grid", "triple", "workers",
         "seed-lagrangian", "seed-mc", "samples-negative", "samples-zero",
         "eps-nan", "horizon-nan", "boundary-rate-nan", "region-inf",
-        "triple-nan", "triple-huge", "n-repeated"])
+        "triple-nan", "triple-huge", "n-repeated", "n-empty-item",
+        "n-above-bound"])
 def test_out_of_range_value_is_usage_error(tmp_path, argv, option):
     # the library entry point rejects the value; the command maps it to
     # exit 2 instead of a traceback or a silently replaced value
@@ -721,9 +726,10 @@ def test_every_family_parses_both_syntaxes_and_prints_its_spec(tmp_path):
     ("rounded_ngon:n=8.5", "n"),
     ("ellipse:aspect=wide", "aspect"),
     ("rounded_ngon:n=2", "n"),
+    ("rounded_ngon:n=65537", "n"),
     ("kind=ellipse,aspect=0.9", "aspect"),
     ("spline:points=/nonexistent/points.csv", "points"),
-], ids=["missing", "bad-int", "bad-float", "below-n",
+], ids=["missing", "bad-int", "bad-float", "below-n", "above-n",
         "below-aspect", "unreadable"])
 def test_curve_spec_error_names_its_key(spec, key):
     with pytest.raises(CurveSpecError) as err:

@@ -205,6 +205,16 @@ def test_mollify_bad_argument_names_it(ngon8_field, eps, grid_n, word):
     assert "under-resolved" not in str(err.value)
 
 
+def test_mollify_bump_wider_than_box_takes_whole_box(ngon8_field, monkeypatch):
+    # a block past the box is the whole axis before any FFT length is
+    # sought; at eps = 1e9 that search would run up to ~1e11 cells
+    asked = []
+    monkeypatch.setattr(en, "_smooth_len", lambda m: asked.append(m) or m)
+    g = en.mollify_field(ngon8_field, 1e9, 64)
+    assert g.mask.shape == (64, 64) and g.origin == (0, 0)
+    assert asked == []
+
+
 def test_mollify_norm_bound(ngon8_field):
     g = en.mollify_field(ngon8_field, 0.05, 512)
     norms = np.linalg.norm(g.values, axis=-1)
@@ -382,19 +392,29 @@ def test_raster_and_local_terms_bits_match_row_formulas(case):
                           _bits(field_values_by_rows(field, P)))
 
 
-@pytest.mark.parametrize("case", list(RASTER_CASES), ids=str)
+# case -> (field, n, eps in cells, whether the block is the whole box): a
+# bump of 14 cells at n = 64 reaches past the 8-gon's box, so _block
+# returns the whole axis and the convolution is the whole box's
+MOLLIFY_CASES = {**{c: (*RASTER_CASES[c], 8.0, False) for c in RASTER_CASES},
+                 "ngon8@64-eps14": (RASTER_CASES["ngon8@256"][0], 64, 14.0, True)}
+
+
+@pytest.mark.parametrize("case", list(MOLLIFY_CASES), ids=str)
 def test_windowed_mollifier_matches_full_box(case):
     # the block, widened by the bump's radius and cropped again, against
     # one periodic convolution of the whole box: every stored cell (the
     # window and its halo) within 1e-14, the energy terms within 1e-12
-    make_field, n = RASTER_CASES[case]
+    make_field, n, cells, whole = MOLLIFY_CASES[case]
     field = make_field()
     x0, x1, y0, y1 = field.domain.bbox()
-    eps = 8.0 * 2.0 * max(x1 - x0, y1 - y0) / n
+    eps = cells * 2.0 * max(x1 - x0, y1 - y0) / n
     values, mask, box, h = mollify_full_box(field, eps, n)
     g = en.mollify_field(field, eps, n)
     assert (g.bbox, g.n, g.h) == (box, n, h)
-    assert g.mask.shape[0] < n and g.mask.shape[1] < n
+    if whole:
+        assert g.mask.shape == (n, n) and g.origin == (0, 0)
+    else:
+        assert g.mask.shape[0] < n and g.mask.shape[1] < n
     assert np.array_equal(_embed(g).mask, mask)
     (oi, oj), (ni, nj) = g.origin, g.mask.shape
     assert np.max(np.abs(g.values - values[oi:oi + ni, oj:oj + nj])) <= 1e-14

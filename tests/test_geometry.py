@@ -21,11 +21,12 @@ from eikstab.geometry import (
 )
 from eikstab.fields import distgrad_field, jump_distance
 from eikstab.geometry import inscribed
+from eikstab.geometry.circlefit import _is_star_shaped_about
 from eikstab.geometry.pieces import ArcPiece, SegmentPiece
 from _domains import blob_points, dumbbell_curve
 from _oracles import (ellipse_arclength, ellipse_dist_by_bisection,
-                      ellipse_nearest_dist, first_exit, ngon_gap_by_sector,
-                      ngon_signed_gap, sector_by_np_mod, spline_nearest_dist)
+                      ellipse_nearest_dist, first_exit, ngon_dist_by_sector,
+                      ngon_gap_by_sector, ngon_signed_gap, sector_by_np_mod, spline_nearest_dist)
 
 TWO_PI = 2.0 * math.pi
 
@@ -271,6 +272,24 @@ def test_hausdorff_values():
     g6 = make_rounded_ngon(6)
     # star-shaped radial formula: max(1 - r_min, r_max - 1) with r_min = inradius
     assert abs(hausdorff_to_circle(g6, (0.0, 0.0)) - (1.0 - R6)) < 1e-9
+
+
+def test_hausdorff_two_sided_off_a_star_centre():
+    # the dumbbell is not star-shaped about (-0.8, 0), so the distance is
+    # the two-sided maximum over samples; against denser samples of both
+    # sets, none of them at the function's own sample points
+    db = dumbbell_curve()
+    c = np.array([-0.8, 0.0])
+    assert not _is_star_shaped_about(db, c)
+    g = db.point(np.linspace(0.0, db.perimeter, 10007, endpoint=False))
+    th = np.linspace(0.0, TWO_PI, 2053, endpoint=False)
+    circle = c + np.column_stack([np.cos(th), np.sin(th)])
+    curve_side = np.abs(np.hypot(*(g - c).T) - 1.0).max()
+    circle_side = max(
+        np.hypot(*(q[:, None, :] - g[None, :, :]).transpose(2, 0, 1)).min(axis=1).max()
+        for q in np.array_split(circle, 8))
+    assert hausdorff_to_circle(db, c) == pytest.approx(
+        max(curve_side, circle_side), abs=1e-5)
 
 
 def test_best_circle_center_recovers_shift():
@@ -577,7 +596,8 @@ def _sector_id(curve):
 
 def _all_pieces_min(curve, method, *args):
     """The minimum over every piece of the curve, as the sector rule must
-    reproduce it bit for bit."""
+    reproduce it: bit for bit for ray exits, within rounding for
+    distances."""
     return np.min([getattr(p, method)(*args) for p in curve.pieces], axis=0)
 
 
@@ -591,17 +611,23 @@ def _spoke_points(curve, rng, count):
 
 @pytest.mark.parametrize("curve", SECTOR_CURVES, ids=_sector_id)
 def test_sector_dist_matches_all_pieces(curve):
+    # |gap| against the edge of the point's sector: the bits of the row
+    # oracle, within rounding of the minimum over every piece (the two
+    # round differently, so their bits agree on only about 60% of points)
     rng = np.random.default_rng(len(curve.pieces))
     hub = curve.medial_star.hub
+    sb = rng.uniform(0.0, curve.perimeter, 2000)
     P = np.vstack([hub + rng.uniform(-1.6, 1.6, (20_000, 2)),  # in and out
-                   hub[None, :], _spoke_points(curve, rng, 2000)])
+                   hub[None, :], _spoke_points(curve, rng, 2000),
+                   curve.point(sb), curve.medial_star.vertices])
     assert not curve.inside(P).all() and curve.inside(P).any()
-    assert np.array_equal(curve.dist_to_boundary(P),
-                          _all_pieces_min(curve, "nearest_dist", P))
+    d = curve.dist_to_boundary(P)
+    assert np.array_equal(d, ngon_dist_by_sector(curve, P))
+    assert np.max(np.abs(d - _all_pieces_min(curve, "nearest_dist", P))) <= 2e-15
+    assert np.max(curve.dist_to_boundary(curve.point(sb))) < 1e-15
     # one point per call, as Nelder-Mead asks
-    for p in P[-200:]:
-        assert np.array_equal(curve.dist_to_boundary(p[None]),
-                              _all_pieces_min(curve, "nearest_dist", p[None]))
+    for i in range(len(P) - 200, len(P)):
+        assert np.array_equal(curve.dist_to_boundary(P[i][None]), d[i:i + 1])
 
 
 def _exit_rays(curve, rng):
